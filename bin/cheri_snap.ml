@@ -152,8 +152,32 @@ let in_process_tests () =
           match Snapshot.restore m2 ~abi:name img with
           | Error e -> fail "%s: restore failed: %s" name (Snapshot.error_to_string e)
           | Ok () -> ()));
+      let mid = Machine.snapshot m2 in
       let cont2 = observe m2 (Machine.run ~fuel:test_fuel m2) in
       if cont2 <> reference then fail "%s: restored run diverged from uninterrupted run" name;
+      (* 3. restore into machines whose memory is dirty from an earlier
+         run, so no stale byte or tag may survive the restore: one that
+         ran this program to the end must then finish like the
+         reference, and one that ran a different program must hold
+         exactly the midpoint state (its code differs, so it is
+         compared state for state rather than run) *)
+      let m3 = fresh_machine abi in
+      ignore (Machine.run ~fuel:test_fuel m3);
+      (match Snapshot.load snap with
+      | Error e -> fail "%s: reload failed: %s" name (Snapshot.error_to_string e)
+      | Ok img -> (
+          match Snapshot.restore m3 ~abi:name img with
+          | Error e -> fail "%s: restore over a finished run failed: %s" name (Snapshot.error_to_string e)
+          | Ok () -> ()));
+      if observe m3 (Machine.run ~fuel:test_fuel m3) <> reference then
+        fail "%s: restore over a finished run diverged from uninterrupted run" name;
+      let other =
+        Codegen.machine_for abi (Codegen.compile_source abi (D.source { D.iterations = 31 }))
+      in
+      ignore (Machine.run ~fuel:test_fuel other);
+      Machine.restore other mid;
+      if Machine.snapshot other <> mid then
+        fail "%s: restore into a machine that ran another program left stale state" name;
       rm snap)
     Abi.all
 

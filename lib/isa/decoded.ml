@@ -121,6 +121,7 @@ type program = {
   zs : int array;
   imms : Bytes.t;  (* 8 bytes per slot, LE: immediates / offsets / links *)
   classes : Telemetry.opcode_class array;  (* per-pc telemetry class *)
+  mutable digests : (string * string) list;  (* [digest] memo, keyed by ABI *)
 }
 
 let length p = Array.length p.src
@@ -401,7 +402,7 @@ let compile (code : Insn.t array) : program =
     | Syscall -> ops.(i) <- O_syscall
     | Halt -> ops.(i) <- O_halt)
   done;
-  { src = code; ops; xs; ys; zs; imms; classes }
+  { src = code; ops; xs; ys; zs; imms; classes; digests = [] }
 
 (* The digest is computed over the *source* instruction stream, printed
    with Insn.pp — byte-identical to what the snapshot subsystem hashed
@@ -416,4 +417,14 @@ let source_digest ~abi code =
   Format.pp_print_flush ppf ();
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let digest ~abi p = source_digest ~abi p.src
+(* Memoized per (program, ABI): every checkpoint of a run pins the same
+   digest, and printing the program through [Format] costs more than
+   the rest of a small save's header. A race between domains at worst
+   computes the same value twice. *)
+let digest ~abi p =
+  match List.assoc_opt abi p.digests with
+  | Some d -> d
+  | None ->
+      let d = source_digest ~abi p.src in
+      p.digests <- (abi, d) :: p.digests;
+      d

@@ -119,6 +119,7 @@ type program = private {
   zs : int array;
   imms : Bytes.t;  (** 8 LE bytes per slot: immediates, offsets, links *)
   classes : Cheri_telemetry.Telemetry.opcode_class array;
+  mutable digests : (string * string) list;  (** {!digest} memo, keyed by ABI *)
 }
 (** The fields are exposed (read-only) so the machine's execute loop can
     index them directly without accessor-call overhead; construct only
@@ -155,4 +156,5 @@ val source_digest : abi:string -> Insn.t array -> string
     compatible. *)
 
 val digest : abi:string -> program -> string
-(** {!source_digest} of {!source}. *)
+(** {!source_digest} of {!source}, computed once per ABI and then
+    remembered with the program. *)

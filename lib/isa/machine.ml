@@ -1379,6 +1379,7 @@ module Snap = struct
 end
 
 let snapshot t : Snap.t =
+  let data_pages, tag_pages = Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes in
   {
     Snap.s_gprs = Bytes.to_string t.gprs;
     s_caps = Array.init 32 (fun i -> cap_get_idx t i);
@@ -1404,8 +1405,8 @@ let snapshot t : Snap.t =
     s_icache = Cache.snapshot_state t.icache;
     s_l1 = Cache.snapshot_state (Cache.Timing.l1 t.dcache);
     s_l2 = Cache.snapshot_state (Cache.Timing.l2 t.dcache);
-    s_data_pages = fst (Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes);
-    s_tag_pages = snd (Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes);
+    s_data_pages = data_pages;
+    s_tag_pages = tag_pages;
   }
 
 let restore t (s : Snap.t) =

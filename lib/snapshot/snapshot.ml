@@ -29,6 +29,7 @@ module Perms = Cheri_core.Perms
 module Ops = Cheri_core.Cap_ops
 module Json = Cheri_util.Json
 module Obs = Cheri_obs.Obs
+module Tagmem = Cheri_tagmem.Tagmem
 
 (* Save/restore latency and volume land in the process-wide registry:
    per-operation cost only (one observation per file, never per
@@ -38,6 +39,13 @@ module Obs = Cheri_obs.Obs
 let m_saves = Obs.counter Obs.default "snapshot_saves_total"
 let m_save_bytes = Obs.counter Obs.default "snapshot_save_bytes_total"
 let m_save_s = Obs.histogram Obs.default "snapshot_save_seconds"
+
+(* Pages (4 KiB data pages plus tag-store pages) the save's zero scan
+   examined, a count: the deterministic cost proxy of a checkpoint.
+   Only pages overlapping chunks the program has written are scanned
+   (see {!Tagmem.snapshot_pages}), so a small program's save scans a
+   handful, not the 8192 + 256 of a 32 MiB memory. *)
+let m_pages_scanned = Obs.counter Obs.default "snapshot_pages_scanned_total"
 let m_loads = Obs.counter Obs.default "snapshot_loads_total"
 let m_load_s = Obs.histogram Obs.default "snapshot_load_seconds"
 let m_restores = Obs.counter Obs.default "snapshot_restores_total"
@@ -222,16 +230,27 @@ let wints b a =
   w32 b (Array.length a);
   Array.iter (fun v -> wint b v) a
 
-let wpages b l =
-  w32 b (List.length l);
-  List.iter
-    (fun (idx, page) ->
-      w32 b idx;
-      wstr b page)
-    l
-
-let encode_body (s : Machine.Snap.t) =
-  let b = Buffer.create (1 lsl 16) in
+(* The body as a list of pieces whose concatenation is the encoding:
+   the small fields accumulate in one buffer, and each memory page is a
+   piece of its own after its 8-byte (index, length) prefix, so the
+   pages — the bulk of an image — are never copied into a buffer. *)
+let body_pieces (s : Machine.Snap.t) =
+  let b = Buffer.create 4096 in
+  let pieces = ref [] in
+  let flush () =
+    pieces := Buffer.contents b :: !pieces;
+    Buffer.clear b
+  in
+  let wpages l =
+    w32 b (List.length l);
+    List.iter
+      (fun (idx, page) ->
+        w32 b idx;
+        w32 b (String.length page);
+        flush ();
+        pieces := page :: !pieces)
+      l
+  in
   wstr b s.s_gprs;
   Array.iter (wcap b) s.s_caps;
   wcap b s.s_pcc;
@@ -254,9 +273,10 @@ let encode_body (s : Machine.Snap.t) =
   wints b s.s_icache;
   wints b s.s_l1;
   wints b s.s_l2;
-  wpages b s.s_data_pages;
-  wpages b s.s_tag_pages;
-  Buffer.contents b
+  wpages s.s_data_pages;
+  wpages s.s_tag_pages;
+  flush ();
+  List.rev !pieces
 
 (* ------------------------------------------------------------------ *)
 (* Body decoding                                                       *)
@@ -385,26 +405,30 @@ let le32 v =
 
 let save ?(note = "") ~abi ~path m =
   timed m_saves m_save_s "snapshot.save" @@ fun () ->
-  let body = encode_body (Machine.snapshot m) in
-  let header =
-    header_to_json (header_of_machine ~abi ~note ~body_bytes:(String.length body) m)
-  in
-  let b = Buffer.create (String.length body + String.length header + 64) in
-  Buffer.add_string b magic;
-  w32 b (String.length header);
-  Buffer.add_string b header;
-  Buffer.add_string b body;
-  let image = Buffer.contents b in
-  let crc = Crc32.digest image in
+  let scanned0 = Tagmem.pages_scanned (Machine.mem m) in
+  let body = body_pieces (Machine.snapshot m) in
+  Obs.Counter.incr ~by:(Tagmem.pages_scanned (Machine.mem m) - scanned0) m_pages_scanned;
+  let body_bytes = List.fold_left (fun n p -> n + String.length p) 0 body in
+  let header = header_to_json (header_of_machine ~abi ~note ~body_bytes m) in
+  let lead = magic ^ le32 (String.length header) ^ header in
+  let size = String.length lead + body_bytes + 4 in
+  (* stream the pieces to the file, folding each into the CRC as it
+     goes out, instead of assembling the image in memory first *)
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out_bin tmp in
-    output_string oc image;
+    let crc =
+      List.fold_left
+        (fun crc piece ->
+          output_string oc piece;
+          Crc32.update crc piece)
+        0 (lead :: body)
+    in
     output_string oc (le32 crc);
     close_out oc;
     Sys.rename tmp path;
-    Obs.Counter.incr ~by:(String.length image + 4) m_save_bytes;
-    Ok (String.length image + 4)
+    Obs.Counter.incr ~by:size m_save_bytes;
+    Ok size
   with Sys_error msg -> Error (Io msg)
 
 (* ------------------------------------------------------------------ *)
@@ -519,6 +543,7 @@ let restore m ~abi image =
   let h = image.i_header in
   let cfg = Machine.config m in
   let snap = image.i_snap in
+  let digest = machine_digest ~abi m in
   if h.h_abi <> abi then
     mismatchf "it was taken under ABI %s, this machine runs %s" h.h_abi abi
   else if h.h_revision <> revision_key cfg.revision then
@@ -535,12 +560,11 @@ let restore m ~abi image =
       cfg.trap_on_signed_overflow
   else if h.h_timing <> timing_fields cfg.timing then
     mismatchf "cache geometry/latency configuration differs"
-  else if h.h_code_digest <> machine_digest ~abi m then
+  else if h.h_code_digest <> digest then
     mismatchf
       "code digest %s vs this program's %s — it snapshots a different program \
        (or a different compilation of it)"
-      h.h_code_digest
-      (machine_digest ~abi m)
+      h.h_code_digest digest
   else if
     not
       (pages_fit ~store_bytes:cfg.mem_size ~page_bytes:Machine.Snap.page_bytes

@@ -7,6 +7,11 @@ type t = {
   granule_shift : int;
   size64 : int64;  (* Bytes.length data, precomputed for the i64 range check *)
   mutable sink : Telemetry.Sink.t;
+  dirty : Bytes.t;
+      (* one byte per [chunk_bytes] of data, nonzero once the chunk may
+         hold a nonzero byte or the base of a tagged granule; see the
+         snapshot hooks below *)
+  mutable scanned : int;  (* pages [snapshot_pages] has zero-scanned *)
 }
 
 (* Same-module copy of Bits.uge: -opaque in the dev profile defeats
@@ -19,6 +24,9 @@ exception Bus_error of int64
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
+
+let chunk_shift = 12
+let chunk_bytes = 1 lsl chunk_shift
 
 let create ?(granule = 32) ~size_bytes () =
   if granule <= 0 || granule land (granule - 1) <> 0 then
@@ -33,6 +41,8 @@ let create ?(granule = 32) ~size_bytes () =
     granule_shift = log2 granule;
     size64 = Int64.of_int size_bytes;
     sink = Telemetry.Sink.null;
+    dirty = Bytes.make ((size_bytes + chunk_bytes - 1) / chunk_bytes) '\000';
+    scanned = 0;
   }
 
 let size t = Bytes.length t.data
@@ -50,9 +60,25 @@ let[@inline] check_range t a len =
 
 let[@inline] granule_index t a = a lsr t.granule_shift
 
+(* Mark the chunk holding in-range address [a] as possibly nonzero.
+   Every writer below calls this (a multi-byte store marks its first
+   and last byte, which covers any store of <= [chunk_bytes]), so an
+   unmarked chunk is zero by construction and the snapshot scan can
+   skip it without reading it. *)
+let[@inline] mark t a = Bytes.unsafe_set t.dirty (a lsr chunk_shift) '\001'
+
+let mark_range t a len =
+  if len > 0 then
+    Bytes.fill t.dirty (a lsr chunk_shift)
+      (((a + len - 1) lsr chunk_shift) - (a lsr chunk_shift) + 1)
+      '\001'
+
 let[@inline] tag_bit t gi = Char.code (Bytes.get t.tags (gi lsr 3)) land (1 lsl (gi land 7)) <> 0
 
+(* Setting a tag marks the chunk holding the granule's base, so a
+   tagged capability whose data bytes are all zero still travels. *)
 let set_tag_bit t gi v =
+  if v then mark t (gi lsl t.granule_shift);
   let byte = Char.code (Bytes.get t.tags (gi lsr 3)) in
   let mask = 1 lsl (gi land 7) in
   let byte = if v then byte lor mask else byte land lnot mask in
@@ -113,6 +139,7 @@ let load_byte t a =
 let store_byte t a v =
   check_range t a 1;
   Bytes.set t.data a (Char.chr (v land 0xff));
+  mark t a;
   clear_tags_in_range t a 1
 
 let[@inline] load_int t a ~size:sz =
@@ -132,6 +159,8 @@ let[@inline] store_int t a ~size:sz v =
   | 4 -> Bytes.set_int32_le t.data a (Int64.to_int32 v)
   | 8 -> Bytes.set_int64_le t.data a v
   | _ -> invalid_arg "Tagmem.store_int: size must be 1, 2, 4 or 8");
+  mark t a;
+  mark t (a + sz - 1);
   clear_tags_in_range t a sz
 
 (* Width-specialized word path: the 8-byte case is the overwhelming
@@ -145,6 +174,8 @@ let[@inline] load_word t a =
 let[@inline] store_word t a v =
   check_range t a 8;
   Bytes.set_int64_le t.data a v;
+  mark t a;
+  mark t (a + 7);
   clear_tags_in_range t a 8
 
 let load_bytes t a ~len =
@@ -155,6 +186,7 @@ let store_bytes t a b =
   let len = Bytes.length b in
   check_range t a len;
   Bytes.blit b 0 t.data a len;
+  mark_range t a len;
   clear_tags_in_range t a len
 
 let cap_width = Cheri_core.Capability.byte_width
@@ -190,6 +222,7 @@ let store_cap t a cap =
   Bytes.set_int64_le t.data (a + 8) cap.Cheri_core.Capability.length;
   Bytes.set_int64_le t.data (a + 16) cap.Cheri_core.Capability.offset;
   Bytes.set_int64_le t.data (a + 24) (Cheri_core.Capability.meta_word cap);
+  mark t a;
   (* A capability store touches exactly one granule when the granule is
      >= the capability width; clear everything it covers first, then
      set the capability's own tag on its granule. *)
@@ -230,6 +263,7 @@ let store_cap_fields t a ~base ~len ~off ~pos ~meta ~otype =
      bits in bits 16-47 — exactly [Capability.meta_word] *)
   Bytes.set_int64_le t.data (a + 24)
     (Int64.of_int ((meta land 0x1ff) lor ((otype land 0xffffffff) lsl 16)));
+  mark t a;
   clear_tags_in_range ~collateral:false t a cap_width;
   let tag = meta land 0x200 <> 0 in
   set_tag_bit t (granule_index t a) tag;
@@ -255,7 +289,8 @@ let set_tag_at t a =
 
 let poke_raw t a v =
   check_range t a 1;
-  Bytes.set t.data a (Char.chr (v land 0xff))
+  Bytes.set t.data a (Char.chr (v land 0xff));
+  mark t a
 
 (* -- legacy int64-addressed wrappers ------------------------------------- *)
 (* Compatibility layer for callers that still hold addresses as int64
@@ -286,7 +321,14 @@ let poke_raw_i64 t addr v = poke_raw t (narrow t addr) v
 (* -- snapshot hooks ------------------------------------------------------ *)
 (* Raw page-granular dump/load of the two underlying stores, bypassing
    the integrity rule (a restore must reproduce tags exactly, not clear
-   them). Only the snapshot subsystem calls these. *)
+   them). Only the snapshot subsystem calls these. Both cost
+   O(marked chunks), not O(store): the dirty bitmap says which chunks
+   may be nonzero, and everything else is zero by construction. *)
+
+(* Does any chunk overlapping data bytes [lo, hi] carry a mark? *)
+let any_marked t lo hi =
+  let rec go c last = c <= last && (Bytes.unsafe_get t.dirty c <> '\000' || go (c + 1) last) in
+  go (lo lsr chunk_shift) (hi lsr chunk_shift)
 
 (* Is [buf.[off .. off+len)] all zero? Scan 8 bytes at a time; [len] is
    a whole page except possibly the last page of an odd-sized store. *)
@@ -300,40 +342,84 @@ let page_is_zero buf off len =
   in
   go 0
 
-let dump_pages buf ~page_bytes =
+(* The nonzero pages of [buf], zero-scanning only those for which
+   [live off len] holds — the rest are zero by the dirty invariant. *)
+let dump_pages t buf ~page_bytes ~live =
   let n = Bytes.length buf in
   let acc = ref [] in
-  let idx = ref ((n + page_bytes - 1) / page_bytes - 1) in
-  while !idx >= 0 do
-    let off = !idx * page_bytes in
+  for idx = ((n + page_bytes - 1) / page_bytes) - 1 downto 0 do
+    let off = idx * page_bytes in
     let len = min page_bytes (n - off) in
-    if not (page_is_zero buf off len) then
-      acc := (!idx, Bytes.sub_string buf off len) :: !acc;
-    decr idx
+    if live off len then begin
+      t.scanned <- t.scanned + 1;
+      if not (page_is_zero buf off len) then
+        acc := (idx, Bytes.sub_string buf off len) :: !acc
+    end
   done;
   !acc
 
-let snapshot_pages t ~page_bytes =
+let check_page_bytes who page_bytes =
   if page_bytes <= 0 || page_bytes mod 8 <> 0 then
-    invalid_arg "Tagmem.snapshot_pages: page size must be a positive multiple of 8";
-  (dump_pages t.data ~page_bytes, dump_pages t.tags ~page_bytes)
+    invalid_arg (who ^ ": page size must be a positive multiple of 8")
 
-let load_pages buf ~page_bytes pages =
-  let n = Bytes.length buf in
-  Bytes.fill buf 0 n '\000';
-  List.iter
-    (fun (idx, (page : string)) ->
-      let off = idx * page_bytes in
-      if idx < 0 || off + String.length page > n then
-        invalid_arg "Tagmem.restore_pages: page outside the store";
-      Bytes.blit_string page 0 buf off (String.length page))
-    pages
+let snapshot_pages t ~page_bytes =
+  check_page_bytes "Tagmem.snapshot_pages" page_bytes;
+  let n = size t in
+  (* tag byte [i] holds the bits of the 8 granules from [i * 8] *)
+  let tag_data_range off len =
+    let lo = (off * 8) lsl t.granule_shift in
+    any_marked t lo (min (((off + len) * 8) lsl t.granule_shift) n - 1)
+  in
+  ( dump_pages t t.data ~page_bytes ~live:(fun off len -> any_marked t off (off + len - 1)),
+    dump_pages t t.tags ~page_bytes ~live:tag_data_range )
+
+let pages_scanned t = t.scanned
 
 let restore_pages t ~page_bytes ~data ~tags =
-  if page_bytes <= 0 || page_bytes mod 8 <> 0 then
-    invalid_arg "Tagmem.restore_pages: page size must be a positive multiple of 8";
-  load_pages t.data ~page_bytes data;
-  load_pages t.tags ~page_bytes tags
+  check_page_bytes "Tagmem.restore_pages" page_bytes;
+  let fits buf =
+    List.for_all (fun (idx, (page : string)) ->
+        idx >= 0 && (idx * page_bytes) + String.length page <= Bytes.length buf)
+  in
+  if not (fits t.data data && fits t.tags tags) then
+    invalid_arg "Tagmem.restore_pages: page outside the store";
+  (* Zero every marked chunk — its data and the tag bytes of the
+     granules it overlaps — and unmark it. A whole tag byte may reach
+     into a neighbouring chunk; if that chunk is unmarked its tags are
+     clear already, and if it is marked it is zeroed here too. *)
+  let n = size t in
+  for c = 0 to Bytes.length t.dirty - 1 do
+    if Bytes.unsafe_get t.dirty c <> '\000' then begin
+      let lo = c lsl chunk_shift in
+      let len = min chunk_bytes (n - lo) in
+      Bytes.fill t.data lo len '\000';
+      let fb = granule_index t lo lsr 3 and lb = granule_index t (lo + len - 1) lsr 3 in
+      Bytes.fill t.tags fb (lb - fb + 1) '\000';
+      Bytes.unsafe_set t.dirty c '\000'
+    end
+  done;
+  List.iter
+    (fun (idx, page) ->
+      let off = idx * page_bytes in
+      Bytes.blit_string page 0 t.data off (String.length page);
+      mark_range t off (String.length page))
+    data;
+  (* mark the base chunk of every restored tag; a padding bit past the
+     last granule marks the last granule's chunk instead *)
+  let last = (n lsr t.granule_shift) - 1 in
+  List.iter
+    (fun (idx, page) ->
+      let off = idx * page_bytes in
+      Bytes.blit_string page 0 t.tags off (String.length page);
+      String.iteri
+        (fun i c ->
+          if c <> '\000' then
+            for bit = 0 to 7 do
+              if Char.code c land (1 lsl bit) <> 0 then
+                mark t (min (((off + i) * 8) + bit) last lsl t.granule_shift)
+            done)
+        page)
+    tags
 
 let count_tags t =
   let n = ref 0 in

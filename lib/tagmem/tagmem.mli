@@ -152,21 +152,43 @@ val poke_raw_i64 : t -> int64 -> int -> unit
     rule clear them, and neither path emits telemetry. A freshly
     created memory is all-zero with clear tags, so only nonzero pages
     need to travel — a 32 MiB address space with 2 MiB touched dumps
-    as ~2 MiB. *)
+    as ~2 MiB.
+
+    {b Cost model.} The memory keeps a dirty bitmap of one byte per
+    4 KiB data chunk. Every writer in this module marks the chunks it
+    touches, and setting a tag marks the chunk holding the granule's
+    base. The invariant is: {e an unmarked chunk holds only zero bytes,
+    and no granule based in it is tagged}. Both hooks rely on it, so
+    their cost is proportional to the marked chunks plus the pages they
+    move, not to the store: [snapshot_pages] zero-scans only pages
+    overlapping a marked chunk, and [restore_pages] zeroes only marked
+    chunks. Marks are cleared only by [restore_pages]; a chunk that was
+    written and later zeroed stays marked and is scanned (and found
+    zero) on every snapshot until then. *)
 
 val snapshot_pages : t -> page_bytes:int -> (int * string) list * (int * string) list
 (** [(data_pages, tag_pages)]: every page (index, contents) of the
     respective store holding at least one nonzero byte, ascending by
-    index. The final page of an odd-sized store may be short.
-    [page_bytes] must be a positive multiple of 8 (the zero scan reads
-    whole words); raises [Invalid_argument] otherwise. *)
+    index. The final page of an odd-sized store may be short. A data
+    page is zero-scanned only if it overlaps a marked chunk, a tag page
+    only if the data its granules cover does. [page_bytes] must be a
+    positive multiple of 8 (the zero scan reads whole words); raises
+    [Invalid_argument] otherwise. *)
+
+val pages_scanned : t -> int
+(** Total pages (data and tag) that {!snapshot_pages} has zero-scanned
+    on this memory since it was created: the deterministic work proxy
+    of a checkpoint. *)
 
 val restore_pages :
   t -> page_bytes:int -> data:(int * string) list -> tags:(int * string) list -> unit
 (** Zero both stores, then blit the given pages back — the exact
-    inverse of {!snapshot_pages} under the same [page_bytes]. Raises
-    [Invalid_argument] if a page falls outside the store (a snapshot
-    for a differently sized memory; callers validate sizes first). *)
+    inverse of {!snapshot_pages} under the same [page_bytes]. Zeroing
+    touches only the marked chunks, which are then unmarked; the
+    restored data pages, and the base chunk of every restored tag, are
+    marked afresh. Every page is validated first: if one falls outside
+    its store (a snapshot for a differently sized memory) it raises
+    [Invalid_argument] and the memory is left unchanged. *)
 
 val count_tags : t -> int
 (** Number of set tag bits — used by the garbage collector's root scan

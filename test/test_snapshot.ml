@@ -9,6 +9,7 @@ module Machine = Cheri_isa.Machine
 module Abi = Cheri_compiler.Abi
 module Codegen = Cheri_compiler.Codegen
 module Snapshot = Cheri_snapshot.Snapshot
+module Crc32 = Cheri_snapshot.Crc32
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -270,6 +271,80 @@ int main(void) {
   check_bool "yield mode turns the deadline into Yielded" true
     (Machine.run ~fuel:10_000 ~deadline_s:(-1.0) ~yield:true m2 = Machine.Yielded)
 
+(* -- format stability and checkpoint cost ----------------------------------------- *)
+
+(* cheri_c.snap/v1 pinned byte for byte: the MD5 of each ABI's image of
+   [src] saved at instruction 5000. These values were captured before
+   saves became dirty-tracked and streamed; any change to them is an
+   on-disk format change and needs a new format version. *)
+let golden_md5 =
+  [
+    ("MIPS", 59393, "9d0ef8aadfd5bc852b9249f2a9809c2a");
+    ("CHERIv2", 63500, "b93f99de904933723d4cba67b92efa21");
+    ("CHERIv3", 63500, "a473751af568bec8527acb664c5b1c8d");
+  ]
+
+let test_image_golden () =
+  List.iter
+    (fun abi ->
+      let name = Abi.name abi in
+      let _, bytes, md5 = List.find (fun (n, _, _) -> n = name) golden_md5 in
+      with_temp (fun path ->
+          check_int (name ^ ": image size") bytes (save_exn ~abi:name ~path (preempt_at abi ~at:5_000));
+          Alcotest.(check string) (name ^ ": image bytes") md5 (Digest.to_hex (Digest.file path))))
+    Abi.all
+
+(* The deterministic cost proxy of a checkpoint: a small program's save
+   zero-scans only the pages it touched, a few dozen, not the 8192 data
+   pages and 256 tag pages of its 32 MiB memory. *)
+let test_save_scans_few_pages () =
+  let scanned = Cheri_obs.Obs.(counter default "snapshot_pages_scanned_total") in
+  List.iter
+    (fun abi ->
+      let name = Abi.name abi in
+      with_temp (fun path ->
+          let m = preempt_at abi ~at:5_000 in
+          let before = Cheri_obs.Obs.Counter.value scanned in
+          ignore (save_exn ~abi:name ~path m);
+          let n = Cheri_obs.Obs.Counter.value scanned - before in
+          check_bool (Printf.sprintf "%s: %d pages scanned, at most 48" name n) true
+            (n > 0 && n <= 48)))
+    Abi.all
+
+(* The slice-by-8 CRC against the textbook bytewise definition. *)
+let crc_reference s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      let x = ref ((!c lxor Char.code ch) land 0xff) in
+      for _ = 0 to 7 do
+        x := if !x land 1 <> 0 then 0xedb88320 lxor (!x lsr 1) else !x lsr 1
+      done;
+      c := !x lxor (!c lsr 8))
+    s;
+  !c lxor 0xffffffff
+
+let test_crc_slicing () =
+  check_int "check value" 0xCBF43926 (Crc32.digest "123456789");
+  let buf = String.init 80 (fun i -> Char.chr (((i * 167) + 13) land 0xff)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      check_int
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc_reference (String.sub buf pos len))
+        (Crc32.digest_sub buf ~pos ~len)
+    done
+  done
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"slice-by-8 CRC-32 equals the bytewise reference and composes"
+    ~count:300
+    QCheck.(pair string small_nat)
+    (fun (s, k) ->
+      let k = min k (String.length s) in
+      let a = String.sub s 0 k and b = String.sub s k (String.length s - k) in
+      Crc32.digest s = crc_reference s && Crc32.update (Crc32.digest a) b = Crc32.digest s)
+
 let suite =
   [
     Alcotest.test_case "sliced run equals flat run (all ABIs)" `Quick test_sliced_equivalence;
@@ -283,4 +358,10 @@ let suite =
       test_mismatch_leaves_machine_untouched;
     Alcotest.test_case "deadline sampled at syscall boundaries" `Quick
       test_deadline_sampled_at_syscalls;
+    Alcotest.test_case "v1 images are byte-identical to the pinned golden" `Quick
+      test_image_golden;
+    Alcotest.test_case "a small program's save scans few pages" `Quick
+      test_save_scans_few_pages;
+    Alcotest.test_case "CRC-32 slices agree with the bytewise form" `Quick test_crc_slicing;
+    QCheck_alcotest.to_alcotest prop_crc_matches_reference;
   ]

@@ -195,6 +195,176 @@ let prop_any_data_write_kills_overlapping_tag =
       Mem.store_int_i64 m ~addr:(Int64.of_int off) ~size 0L;
       not (Mem.tag_at_i64 m 0L))
 
+(* -- snapshot hooks: dirty-chunk tracking ----------------------------------- *)
+
+(* The naive reference the dirty-tracked [snapshot_pages] must agree
+   with: read the whole store back through the public API and keep
+   every nonzero page. The tag store is rebuilt bit by bit from
+   [tag_at], in the packed layout the snapshot format carries. *)
+let nonzero_pages buf ~page_bytes =
+  let n = Bytes.length buf in
+  List.filter_map
+    (fun idx ->
+      let off = idx * page_bytes in
+      let page = Bytes.sub_string buf off (min page_bytes (n - off)) in
+      if String.exists (fun c -> c <> '\000') page then Some (idx, page) else None)
+    (List.init ((n + page_bytes - 1) / page_bytes) Fun.id)
+
+let full_scan m ~page_bytes =
+  let n = Mem.size m and g = Mem.granule m in
+  let tags = Bytes.make ((n / g + 7) / 8) '\000' in
+  for gi = 0 to (n / g) - 1 do
+    if Mem.tag_at m (gi * g) then
+      Bytes.set tags (gi / 8)
+        (Char.chr (Char.code (Bytes.get tags (gi / 8)) lor (1 lsl (gi mod 8))))
+  done;
+  (nonzero_pages (Mem.load_bytes m 0 ~len:n) ~page_bytes, nonzero_pages tags ~page_bytes)
+
+(* One of every writer, including the fault-injection hooks and
+   [clear_tag_at]; [Zero_cap] stores a tagged capability whose 32 data
+   bytes are all zero, which only the tag plane can carry. *)
+type op =
+  | Byte of int * int
+  | Int of int * int * int64
+  | Word of int * int64
+  | Blob of int * string
+  | Capability of int * int64
+  | Zero_cap of int
+  | Fields of int * int64 * int
+  | Poke of int * int
+  | Set_tag of int
+  | Clear_tag of int
+
+let show_op = function
+  | Byte (a, v) -> Printf.sprintf "Byte(%d,%d)" a v
+  | Int (a, s, v) -> Printf.sprintf "Int(%d,%d,%Ld)" a s v
+  | Word (a, v) -> Printf.sprintf "Word(%d,%Ld)" a v
+  | Blob (a, s) -> Printf.sprintf "Blob(%d,%d bytes)" a (String.length s)
+  | Capability (a, v) -> Printf.sprintf "Capability(%d,%Ld)" a v
+  | Zero_cap a -> Printf.sprintf "Zero_cap(%d)" a
+  | Fields (a, v, meta) -> Printf.sprintf "Fields(%d,%Ld,%#x)" a v meta
+  | Poke (a, v) -> Printf.sprintf "Poke(%d,%d)" a v
+  | Set_tag a -> Printf.sprintf "Set_tag(%d)" a
+  | Clear_tag a -> Printf.sprintf "Clear_tag(%d)" a
+
+(* Addresses are unclamped offsets; [apply] folds them into the store,
+   half of them next to a 4 KiB chunk boundary so multi-byte writes
+   straddle one. *)
+let gen_op =
+  let open QCheck.Gen in
+  let addr =
+    oneof [ int_bound 0xfffff; map2 (fun k d -> (k * 4096) + d) (int_bound 8) (int_range (-40) 8) ]
+  in
+  frequency
+    [
+      (2, map2 (fun a v -> Byte (a, v)) addr (int_bound 255));
+      (2, map3 (fun a s v -> Int (a, s, v)) addr (int_bound 3) ui64);
+      (2, map2 (fun a v -> Word (a, v)) addr ui64);
+      (2, map2 (fun a s -> Blob (a, s)) addr (string_size ~gen:char (int_range 1 5000)));
+      (2, map2 (fun a v -> Capability (a, v)) addr ui64);
+      (1, map (fun a -> Zero_cap a) addr);
+      (1, map3 (fun a v meta -> Fields (a, v, meta)) addr ui64 (int_bound 0x3ff));
+      (1, map2 (fun a v -> Poke (a, v)) addr (int_bound 255));
+      (1, map (fun a -> Set_tag a) addr);
+      (2, map (fun a -> Clear_tag a) addr);
+    ]
+
+let apply m op =
+  let n = Mem.size m in
+  let at a width = (abs a mod (n - width + 1)) in
+  let cap_at a = at a 32 land lnot 31 in
+  match op with
+  | Byte (a, v) -> Mem.store_byte m (at a 1) v
+  | Int (a, s, v) ->
+      let size = [| 1; 2; 4; 8 |].(s) in
+      Mem.store_int m (at a size) ~size v
+  | Word (a, v) -> Mem.store_word m (at a 8) v
+  | Blob (a, s) ->
+      let s = if String.length s > n then String.sub s 0 n else s in
+      Mem.store_bytes m (at a (String.length s)) (Bytes.of_string s)
+  | Capability (a, v) -> Mem.store_cap m (cap_at a) (Cap.make ~base:v ~length:64L ~perms:Perms.all)
+  | Zero_cap a ->
+      Mem.store_cap m (cap_at a)
+        (Cap.of_fields_unchecked ~tag:true ~base:0L ~length:0L ~offset:0L
+           ~perms:(Perms.of_bits_int 0) ~sealed:false ~otype:0L)
+  | Fields (a, v, meta) ->
+      let lane () =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 v;
+        b
+      in
+      Mem.store_cap_fields m (cap_at a) ~base:(lane ()) ~len:(lane ()) ~off:(lane ()) ~pos:0
+        ~meta ~otype:0
+  | Poke (a, v) -> Mem.poke_raw m (at a 1) v
+  | Set_tag a -> Mem.set_tag_at m (at a 1)
+  | Clear_tag a -> Mem.clear_tag_at m (at a 1)
+
+(* geometry: store size (odd sizes leave a short last page), granule,
+   and the two page sizes — none need match the 4 KiB chunk *)
+let gen_case =
+  let open QCheck.Gen in
+  let ops = list_size (int_range 0 30) gen_op in
+  tup4
+    (pair (oneofl [ (5 * 4096, 32); ((4 * 4096) + 320, 64); ((3 * 4096) + 96, 32) ])
+       (pair (oneofl [ 8; 64; 1000; 4096; 8192 ]) (oneofl [ 8; 512; 4096 ])))
+    ops ops ops
+
+let print_case (((size, granule), (pb1, pb2)), a, b, c) =
+  let ops l = String.concat "; " (List.map show_op l) in
+  Printf.sprintf "size=%d granule=%d pages=%d/%d\nA: %s\nB: %s\nC: %s" size granule pb1 pb2
+    (ops a) (ops b) (ops c)
+
+let prop_dirty_tracking_matches_full_scan =
+  QCheck.Test.make ~name:"dirty-tracked snapshot_pages equals a full scan" ~count:200
+    (QCheck.make ~print:print_case gen_case)
+    (fun (((size, granule), (pb1, pb2)), a, b, c) ->
+      let fresh () = Mem.create ~granule ~size_bytes:size () in
+      let agrees m page_bytes = Mem.snapshot_pages m ~page_bytes = full_scan m ~page_bytes in
+      let m1 = fresh () in
+      List.iter (apply m1) a;
+      let data, tags = Mem.snapshot_pages m1 ~page_bytes:pb1 in
+      (* restore into a memory dirtied elsewhere: no stale byte or tag
+         of [b] may survive *)
+      let m2 = fresh () in
+      List.iter (apply m2) b;
+      Mem.restore_pages m2 ~page_bytes:pb1 ~data ~tags;
+      let restored = agrees m1 pb1 && full_scan m2 ~page_bytes:pb1 = (data, tags) in
+      let rescanned = agrees m2 pb1 && agrees m2 pb2 in
+      (* writes after the restore are tracked as before *)
+      List.iter (apply m2) c;
+      restored && rescanned && agrees m2 pb1 && agrees m2 pb2)
+
+let test_restore_validates_before_mutating () =
+  let m = Mem.create ~size_bytes:(4 * 4096) () in
+  Mem.store_word m 100 0x1122334455667788L;
+  Mem.store_cap m 4096 (Cap.make ~base:0x40L ~length:0x20L ~perms:Perms.all);
+  let before = full_scan m ~page_bytes:4096 in
+  let good = (0, String.make 4096 'x') in
+  List.iter
+    (fun (what, data, tags) ->
+      (match Mem.restore_pages m ~page_bytes:4096 ~data ~tags with
+      | () -> Alcotest.failf "%s: restore accepted a bad page list" what
+      | exception Invalid_argument _ -> ());
+      check_bool (what ^ ": memory unchanged") true (full_scan m ~page_bytes:4096 = before))
+    [
+      ("data page past the end", [ good; (4, "y") ], []);
+      ("negative data index", [ good; (-1, "y") ], []);
+      ("data page overrunning the end", [ good; (3, String.make 4097 'y') ], []);
+      ("tag page past the end", [ good ], [ (1, "\001") ]);
+      ("tag page overrunning the end", [ good ], [ (0, String.make 65 '\001') ]);
+    ]
+
+let test_snapshot_scans_only_touched_pages () =
+  let m = Mem.create ~size_bytes:(1 lsl 25) () in
+  Mem.store_word m 0x10000 42L;
+  Mem.store_cap m ((1 lsl 25) - 64) (Cap.make ~base:0L ~length:8L ~perms:Perms.all);
+  let before = Mem.pages_scanned m in
+  let data, tags = Mem.snapshot_pages m ~page_bytes:4096 in
+  check_int "two nonzero data pages" 2 (List.length data);
+  check_int "one nonzero tag page" 1 (List.length tags);
+  (* the two touched data pages, plus the two tag pages covering them *)
+  check_int "pages scanned" 4 (Mem.pages_scanned m - before)
+
 let suite =
   [
     Alcotest.test_case "int roundtrip" `Quick test_int_roundtrip;
@@ -218,4 +388,9 @@ let suite =
     Alcotest.test_case "set_tag_at forges a tag" `Quick test_set_tag_at_forges;
     QCheck_alcotest.to_alcotest prop_data_roundtrip;
     QCheck_alcotest.to_alcotest prop_any_data_write_kills_overlapping_tag;
+    Alcotest.test_case "restore_pages validates before mutating" `Quick
+      test_restore_validates_before_mutating;
+    Alcotest.test_case "snapshot scans only touched pages" `Quick
+      test_snapshot_scans_only_touched_pages;
+    QCheck_alcotest.to_alcotest prop_dirty_tracking_matches_full_scan;
   ]
