@@ -624,6 +624,14 @@ type snap_cell = {
   n_restore_ms : float;
 }
 
+let warn_profile ~what cmd =
+  if Build_profile.profile <> "release" then
+    Format.fprintf ppf
+      "WARNING: built with the %s profile — %s@.\
+      \ are pessimistic. Re-run with `dune exec --profile release@.\
+      \ bench/main.exe -- %s` for the numbers a release build gets.@."
+      Build_profile.profile what cmd
+
 let best_of n f = List.fold_left min infinity (List.init n (fun _ -> f ()))
 
 let snap_cell ~runs name abi src =
@@ -733,12 +741,7 @@ let bench_snap ~quick path =
   section
     (if quick then "Snapshot save/restore (snap --quick, test scales)"
      else "Snapshot save/restore (snap, default scales)");
-  if Build_profile.profile <> "release" then
-    Format.fprintf ppf
-      "WARNING: built with the %s profile — save/restore latency and the@.\
-      \ slicing tax are pessimistic. Re-run with `dune exec --profile release@.\
-      \ bench/main.exe -- snap` for the numbers a release build gets.@."
-      Build_profile.profile;
+  warn_profile ~what:"save/restore latency and the slicing tax" "snap";
   let abi = Abi.Cheri Cheri_core.Cap_ops.V3 in
   (* wall-clock on a shared host is noisy; the best of 7 repeats is
      stable to a few percent where the best of 3 swung by 20% *)
@@ -786,26 +789,188 @@ let bench_snap ~quick path =
   close_out oc;
   Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length cells)
 
-(* -- multi-tenant service benchmark (serve subcommand) ------------------------- *)
+(* -- multi-tenant service benchmarks (serve, serve --shards) -------------------- *)
+
+module Service = Cheri_service.Service
+module Router = Cheri_service.Router
+module Chaos = Cheri_service.Chaos
 
 let serve_output_file = "BENCH_PR8.json"
+let serve_fleet_output_file = "BENCH_PR10.json"
+
+(* a client session against a spawned supervisor or router *)
+type serve_session = {
+  request : Json.t -> Json.t;
+  submit : seed:int -> int -> int;
+  poll : int -> Json.t;
+  stats : unit -> Json.t;
+}
+
+let jnum n = Json.Num (string_of_int n)
+
+(* a measurement rounded for the report: throughput to 3 decimals,
+   milliseconds to 1, the precision the report has always carried *)
+let jround digits x =
+  let k = 10. ** float_of_int digits in
+  Json.Num (Json.number (Float.round (x *. k) /. k))
+
+(* Run [body] against the service process [pid] listening on [socket],
+   then ask it to shut down and wait for it to exit; the process and
+   [dir] are torn down whatever happens. *)
+let with_serve_session ~label ~pid ~dir ~socket ~fuel ~slice body =
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Chaos.rm_rf dir)
+    (fun () ->
+      if not (Chaos.Client.wait_socket socket ~timeout_s:15.0) then
+        failwith (label ^ ": socket never came up");
+      let cl = Chaos.Client.connect socket in
+      let request j =
+        match Chaos.Client.request cl j with
+        | Ok r -> r
+        | Error e -> failwith (label ^ ": request failed: " ^ e)
+      in
+      let op name extra = request (Json.Obj (("op", Json.Str name) :: extra)) in
+      let submit ~seed i =
+        let r =
+          op "submit"
+            [
+              ("source", Json.Str (Chaos.tenant_source ~seed ~index:i));
+              ("abi", Json.Str [| "mips"; "cheriv2"; "cheriv3" |].(i mod 3));
+              ("fuel", jnum fuel);
+              ("slice", jnum slice);
+            ]
+        in
+        match Json.mem_int "tenant" r with
+        | Some tid -> tid
+        | None -> failwith (label ^ ": submit rejected: " ^ Json.encode r)
+      in
+      let poll tid = op "poll" [ ("tenant", jnum tid) ] in
+      let v = body { request; submit; poll; stats = (fun () -> op "stats" []) } in
+      ignore (op "shutdown" []);
+      Chaos.Client.close cl;
+      (* a router stops its shards on the way out: SIGKILLing it first
+         would orphan them *)
+      ignore (Cheri_service.Supervisor.wait_exit pid ~timeout_s:15.0);
+      v)
+
+(* The two phases both service benchmarks share. Phase 1 measures
+   sustained throughput and client-observed latency. Phase 2 SIGKILLs
+   the process [victim] picks from a stats reply (the busiest worker,
+   or the busiest whole shard) mid-batch and times recovery as kill ->
+   first completion whose result carries a nonzero [lineage] counter
+   ("restarts" for a requeue, "migrations" for a cross-shard move).
+   Returns the sustained and recovery report cells. *)
+let serve_phases ss ~label ~over ~tenants ~recovery_batch ~victim ~lineage =
+  let now = Unix.gettimeofday in
+  let fail_state p = failwith (label ^ ": tenant failed: " ^ Json.encode p) in
+  let t0 = now () in
+  let batch1 = Array.init tenants (fun i -> (ss.submit ~seed:1 i, ref None)) in
+  let deadline = now () +. 300.0 in
+  while Array.exists (fun (_, r) -> !r = None) batch1 do
+    if now () > deadline then failwith (label ^ ": sustained phase timed out");
+    Array.iter
+      (fun (tid, r) ->
+        if !r = None then
+          let p = ss.poll tid in
+          match Json.mem_str "state" p with
+          | Some "done" -> r := Some (now () -. t0)
+          | Some "failed" -> fail_state p
+          | _ -> ())
+      batch1;
+    ignore (Unix.select [] [] [] 0.005)
+  done;
+  let wall = now () -. t0 in
+  let lats =
+    Array.to_list batch1 |> List.filter_map (fun (_, r) -> Option.map (fun x -> x *. 1000.) !r)
+  in
+  let jobs_per_s = float_of_int tenants /. wall in
+  let p50_ms = Obs.quantile_of lats 0.5 in
+  let p99_ms = Obs.quantile_of lats 0.99 in
+  Format.fprintf ppf "sustained: %d tenants over %s in %.2fs — %.2f jobs/s, p50 %.0f ms, p99 %.0f ms@."
+    tenants over wall jobs_per_s p50_ms p99_ms;
+  let batch2 = Array.init recovery_batch (fun i -> (ss.submit ~seed:77 (1000 + i), ref None)) in
+  let done2 () = Array.fold_left (fun a (_, r) -> if !r = None then a else a + 1) 0 batch2 in
+  let killed = ref false in
+  let t_kill = ref 0.0 in
+  let recovery_ms = ref None in
+  let deadline = now () +. 300.0 in
+  while Array.exists (fun (_, r) -> !r = None) batch2 do
+    if now () > deadline then failwith (label ^ ": recovery phase timed out");
+    (if (not !killed) && done2 () >= recovery_batch / 4 then
+       match victim (ss.stats ()) with
+       | Some pid ->
+           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+           t_kill := now ();
+           killed := true
+       | None -> ());
+    Array.iter
+      (fun (tid, r) ->
+        if !r = None then
+          let p = ss.poll tid in
+          match Json.mem_str "state" p with
+          | Some "done" ->
+              r := Some (now ());
+              let n =
+                Option.value ~default:0 (Option.bind (Json.member "result" p) (Json.mem_int lineage))
+              in
+              if !killed && !recovery_ms = None && n >= 1 then
+                recovery_ms := Some ((now () -. !t_kill) *. 1000.)
+          | Some "failed" -> fail_state p
+          | _ -> ())
+      batch2;
+    ignore (Unix.select [] [] [] 0.005)
+  done;
+  let recovery_ms =
+    match !recovery_ms with
+    | Some r -> r
+    | None ->
+        (* the victim held no tenant that outlived it; fall back to
+           kill -> batch drained *)
+        if !killed then (now () -. !t_kill) *. 1000. else 0.0
+  in
+  Format.fprintf ppf "recovery: first tenant with %s >= 1 completed %.0f ms after SIGKILL@." lineage
+    recovery_ms;
+  [
+    Json.Obj
+      [
+        ("workload", Json.Str "sustained");
+        ("tenants", jnum tenants);
+        ("jobs_per_s", jround 3 jobs_per_s);
+        ("p50_ms", jround 1 p50_ms);
+        ("p99_ms", jround 1 p99_ms);
+      ];
+    Json.Obj
+      [
+        ("workload", Json.Str "recovery");
+        ("tenants", jnum recovery_batch);
+        ("recovery_ms", jround 1 recovery_ms);
+      ];
+  ]
+
+let write_serve_report path ~quick ~shape results =
+  let doc =
+    Json.Obj
+      ([
+         ("schema", Json.Str "cheri_c.serve-bench/v1");
+         ("profile", Json.Str Build_profile.profile);
+         ("quick", Json.Bool quick);
+       ]
+      @ shape
+      @ [ ("results", Json.Arr results) ])
+  in
+  let oc = open_out path in
+  output_string oc (Json.encode doc ^ "\n");
+  close_out oc;
+  Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length results)
 
 let bench_serve ~quick path =
-  let module Service = Cheri_service.Service in
-  let module Chaos = Cheri_service.Chaos in
   section
     (if quick then "Multi-tenant service (serve --quick, test scales)"
      else "Multi-tenant service (serve, default scales)");
-  if Build_profile.profile <> "release" then
-    Format.fprintf ppf
-      "WARNING: built with the %s profile — sustained throughput and latency@.\
-      \ are pessimistic. Re-run with `dune exec --profile release@.\
-      \ bench/main.exe -- serve` for the numbers a release build gets.@."
-      Build_profile.profile;
-  let mem_int k j = Option.bind (Json.member k j) Json.to_int in
-  let mem_bool k j = Option.bind (Json.member k j) Json.to_bool in
-  let mem_str k j = Option.bind (Json.member k j) Json.to_string in
-  let now = Unix.gettimeofday in
+  warn_profile ~what:"sustained throughput and latency" "serve";
   let dir = Printf.sprintf "/tmp/cheri-serve-bench-%d" (Unix.getpid ()) in
   Chaos.rm_rf dir;
   let tenants = if quick then 8 else 24 in
@@ -823,179 +988,31 @@ let bench_serve ~quick path =
       seed = 1;
     }
   in
-  let srv_pid = Chaos.Client.spawn_server cfg in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill srv_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] srv_pid) with Unix.Unix_error _ -> ());
-      Chaos.rm_rf dir)
-    (fun () ->
-      if not (Chaos.Client.wait_socket cfg.Service.socket ~timeout_s:10.0) then
-        failwith "serve bench: server socket never came up";
-      let cl = Chaos.Client.connect cfg.Service.socket in
-      let request j =
-        match Chaos.Client.request cl j with
-        | Ok r -> r
-        | Error e -> failwith ("serve bench: request failed: " ^ e)
-      in
-      let submit ~seed i =
-        let r =
-          request
-            (Json.Obj
-               [
-                 ("op", Json.Str "submit");
-                 ("source", Json.Str (Chaos.tenant_source ~seed ~index:i));
-                 ("abi", Json.Str [| "mips"; "cheriv2"; "cheriv3" |].(i mod 3));
-                 ("fuel", Json.Num (string_of_int cfg.Service.fuel));
-                 ("slice", Json.Num (string_of_int cfg.Service.slice));
-               ])
-        in
-        match mem_int "tenant" r with
-        | Some tid -> tid
-        | None -> failwith ("serve bench: submit rejected: " ^ Json.encode r)
-      in
-      let poll tid = request (Json.Obj [ ("op", Json.Str "poll"); ("tenant", Json.Num (string_of_int tid)) ]) in
-      (* phase 1: sustained throughput + client-observed latency *)
-      let t0 = now () in
-      let batch1 = Array.init tenants (fun i -> (submit ~seed:1 i, ref None)) in
-      let deadline = now () +. 300.0 in
-      let unfinished () = Array.exists (fun (_, r) -> !r = None) batch1 in
-      while unfinished () do
-        if now () > deadline then failwith "serve bench: sustained phase timed out";
-        Array.iter
-          (fun (tid, r) ->
-            if !r = None then
-              let p = poll tid in
-              match mem_str "state" p with
-              | Some "done" -> r := Some (now () -. t0)
-              | Some "failed" -> failwith ("serve bench: tenant failed: " ^ Json.encode p)
-              | _ -> ())
-          batch1;
-        ignore (Unix.select [] [] [] 0.005)
-      done;
-      let wall = now () -. t0 in
-      let lats =
-        Array.to_list batch1 |> List.filter_map (fun (_, r) -> Option.map (fun x -> x *. 1000.) !r)
-      in
-      let jobs_per_s = float_of_int tenants /. wall in
-      let p50_ms = Obs.quantile_of lats 0.5 in
-      let p99_ms = Obs.quantile_of lats 0.99 in
-      Format.fprintf ppf "sustained: %d tenants over 2 workers in %.2fs — %.2f jobs/s, p50 %.0f ms, p99 %.0f ms@."
-        tenants wall jobs_per_s p50_ms p99_ms;
-      (* phase 2: SIGKILL the busiest worker mid-batch; recovery time is
-         kill -> first completion of a tenant that was requeued by it *)
-      let batch2 = Array.init recovery_batch (fun i -> (submit ~seed:77 (1000 + i), ref None)) in
-      let done2 () = Array.fold_left (fun a (_, r) -> if !r = None then a else a + 1) 0 batch2 in
-      let killed = ref false in
-      let t_kill = ref 0.0 in
-      let recovery_ms = ref None in
-      let deadline = now () +. 300.0 in
-      while Array.exists (fun (_, r) -> !r = None) batch2 do
-        if now () > deadline then failwith "serve bench: recovery phase timed out";
-        if (not !killed) && done2 () >= recovery_batch / 4 then begin
-          let st = request (Json.Obj [ ("op", Json.Str "stats") ]) in
-          match Json.member "workers" st with
-          | Some (Json.Arr ws) ->
-              let busiest =
-                List.fold_left
-                  (fun acc w ->
-                    match (mem_bool "alive" w, mem_int "pid" w, mem_int "tenants" w) with
-                    | Some true, Some pid, Some n when n >= 1 -> (
-                        match acc with Some (_, bn) when bn >= n -> acc | _ -> Some (pid, n))
-                    | _ -> acc)
-                  None ws
-              in
-              (match busiest with
-              | Some (pid, _) ->
-                  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                  t_kill := now ();
-                  killed := true
-              | None -> ())
-          | _ -> ()
-        end;
-        Array.iter
-          (fun (tid, r) ->
-            if !r = None then
-              let p = poll tid in
-              match mem_str "state" p with
-              | Some "done" ->
-                  r := Some (now ());
-                  let restarts =
-                    Option.value ~default:0
-                      (Option.bind (Json.member "result" p) (mem_int "restarts"))
-                  in
-                  if !killed && !recovery_ms = None && restarts >= 1 then
-                    recovery_ms := Some ((now () -. !t_kill) *. 1000.)
-              | Some "failed" -> failwith ("serve bench: tenant failed: " ^ Json.encode p)
-              | _ -> ())
-          batch2;
-        ignore (Unix.select [] [] [] 0.005)
-      done;
-      let recovery_ms =
-        match !recovery_ms with
-        | Some r -> r
-        | None ->
-            (* the killed worker held no tenant that outlived it; fall
-               back to kill -> batch drained *)
-            if !killed then (now () -. !t_kill) *. 1000. else 0.0
-      in
-      Format.fprintf ppf "recovery: first requeued tenant completed %.0f ms after SIGKILL@."
-        recovery_ms;
-      ignore (request (Json.Obj [ ("op", Json.Str "shutdown") ]));
-      Chaos.Client.close cl;
-      let body =
-        Printf.sprintf
-          "{\n\
-          \  \"schema\": \"cheri_c.serve-bench/v1\",\n\
-          \  \"profile\": \"%s\",\n\
-          \  \"quick\": %b,\n\
-          \  \"workers\": %d,\n\
-          \  \"results\": [\n\
-          \    {\"workload\":\"sustained\",\"tenants\":%d,\"jobs_per_s\":%.3f,\"p50_ms\":%.1f,\"p99_ms\":%.1f},\n\
-          \    {\"workload\":\"recovery\",\"tenants\":%d,\"recovery_ms\":%.1f}\n\
-          \  ]\n\
-           }\n"
-          (Json.escape Build_profile.profile)
-          quick cfg.Service.workers tenants jobs_per_s p50_ms p99_ms recovery_batch recovery_ms
-      in
-      let oc = open_out path in
-      output_string oc body;
-      close_out oc;
-      Format.fprintf ppf "wrote %s (2 measurements)@." path)
+  let results =
+    with_serve_session ~label:"serve bench" ~pid:(Chaos.Client.spawn_server cfg) ~dir
+      ~socket:cfg.Service.socket ~fuel:cfg.Service.fuel ~slice:cfg.Service.slice (fun ss ->
+        serve_phases ss ~label:"serve bench" ~over:"2 workers" ~tenants ~recovery_batch
+          ~lineage:"restarts" ~victim:(fun st ->
+            Option.map (fun (_, pid, _) -> pid) (Chaos.busiest st "workers")))
+  in
+  write_serve_report path ~quick ~shape:[ ("workers", jnum cfg.Service.workers) ] results
 
-(* -- sharded-fleet service benchmark (serve --shards) -------------------------- *)
-
-let serve_fleet_output_file = "BENCH_PR10.json"
-
-(* Same shape as [bench_serve] but against a router fleet: phase 1
-   measures sustained throughput and client-observed latency across
-   the shards, phase 2 SIGKILLs a whole shard (supervisor + workers)
-   and times recovery as kill -> first completion carrying a nonzero
-   migration lineage, phase 3 runs repeated admin drain + rebalance
-   cycles under load and reports drain latency (drain request ->
-   manifest absorbed) and per-tenant migration latency (drain request
-   -> tenant observed running on a surviving shard, or done)
-   percentiles. The drain/migration cells are new to the
-   cheri_c.serve-bench family; compare ignores cells absent from the
-   OLD file, so BENCH_PR8 -> BENCH_PR10 gates only the shared
+(* [bench_serve] against a router fleet: phases 1 and 2 as there (the
+   victim is the busiest whole shard, supervisor + workers, and
+   recovery waits for a migrated tenant), then phase 3 runs repeated
+   admin drain + rebalance cycles under load and reports drain latency
+   (drain request -> manifest absorbed) and per-tenant migration
+   latency (drain request -> tenant observed running on a surviving
+   shard, or done) percentiles. The drain/migration cells are new to
+   the cheri_c.serve-bench family; compare ignores cells absent from
+   the OLD file, so BENCH_PR8 -> BENCH_PR10 gates only the shared
    sustained/recovery metrics. *)
 let bench_serve_fleet ~quick ~shards path =
-  let module Service = Cheri_service.Service in
-  let module Router = Cheri_service.Router in
-  let module Chaos = Cheri_service.Chaos in
   let shards = max 3 shards in
   section
     (Printf.sprintf "Sharded fleet service (serve --shards %d%s)" shards
        (if quick then " --quick, test scales" else ", default scales"));
-  if Build_profile.profile <> "release" then
-    Format.fprintf ppf
-      "WARNING: built with the %s profile — sustained throughput and latency@.\
-      \ are pessimistic. Re-run with `dune exec --profile release@.\
-      \ bench/main.exe -- serve --shards` for the numbers a release build gets.@."
-      Build_profile.profile;
-  let mem_int k j = Option.bind (Json.member k j) Json.to_int in
-  let mem_bool k j = Option.bind (Json.member k j) Json.to_bool in
-  let mem_str k j = Option.bind (Json.member k j) Json.to_string in
+  warn_profile ~what:"sustained throughput and latency" "serve --shards";
   let now = Unix.gettimeofday in
   let dir = Printf.sprintf "/tmp/cheri-fleet-bench-%d" (Unix.getpid ()) in
   Chaos.rm_rf dir;
@@ -1018,245 +1035,122 @@ let bench_serve_fleet ~quick ~shards path =
       r_seed = 1;
     }
   in
-  let rt_pid = Chaos.Client.spawn_router rcfg in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill rt_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] rt_pid) with Unix.Unix_error _ -> ());
-      Chaos.rm_rf dir)
-    (fun () ->
-      if not (Chaos.Client.wait_socket rcfg.Router.r_socket ~timeout_s:15.0) then
-        failwith "fleet bench: router socket never came up";
-      let cl = Chaos.Client.connect rcfg.Router.r_socket in
-      let request j =
-        match Chaos.Client.request cl j with
-        | Ok r -> r
-        | Error e -> failwith ("fleet bench: request failed: " ^ e)
-      in
-      let submit ~seed i =
-        let r =
-          request
-            (Json.Obj
-               [
-                 ("op", Json.Str "submit");
-                 ("source", Json.Str (Chaos.tenant_source ~seed ~index:i));
-                 ("abi", Json.Str [| "mips"; "cheriv2"; "cheriv3" |].(i mod 3));
-                 ("fuel", Json.Num (string_of_int rcfg.Router.r_fuel));
-                 ("slice", Json.Num (string_of_int rcfg.Router.r_slice));
-               ])
+  (* busiest shard that is up, admitting and holding work *)
+  let busiest_shard st =
+    Chaos.busiest st "shards" ~ok:(fun row ->
+        Json.mem_bool "draining" row = Some false && Json.mem_bool "held" row = Some false)
+    |> Option.map (fun (row, pid, n) -> (Option.value ~default:(-1) (Json.mem_int "id" row), pid, n))
+  in
+  let label = "fleet bench" in
+  let results =
+    with_serve_session ~label ~pid:(Chaos.Client.spawn_router rcfg) ~dir
+      ~socket:rcfg.Router.r_socket ~fuel:rcfg.Router.r_fuel ~slice:rcfg.Router.r_slice
+      (fun ss ->
+        let shared =
+          serve_phases ss ~label ~over:(Printf.sprintf "%d shards" shards) ~tenants ~recovery_batch
+            ~lineage:"migrations" ~victim:(fun st ->
+              Option.map (fun (_, pid, _) -> pid) (busiest_shard st))
         in
-        match mem_int "tenant" r with
-        | Some tid -> tid
-        | None -> failwith ("fleet bench: submit rejected: " ^ Json.encode r)
-      in
-      let poll tid =
-        request (Json.Obj [ ("op", Json.Str "poll"); ("tenant", Json.Num (string_of_int tid)) ])
-      in
-      let stats () = request (Json.Obj [ ("op", Json.Str "stats") ]) in
-      let shard_rows st =
-        match Json.member "shards" st with Some (Json.Arr rows) -> rows | _ -> []
-      in
-      (* busiest shard that is up, admitting and holding work *)
-      let busiest_shard st =
-        List.fold_left
-          (fun acc row ->
-            match
-              ( mem_int "id" row,
-                mem_int "pid" row,
-                mem_bool "alive" row,
-                mem_bool "draining" row,
-                mem_bool "held" row,
-                mem_int "tenants" row )
-            with
-            | Some id, Some pid, Some true, Some false, Some false, Some n when n >= 1 -> (
-                match acc with Some (_, _, bn) when bn >= n -> acc | _ -> Some (id, pid, n))
-            | _ -> acc)
-          None (shard_rows st)
-      in
-      (* phase 1: sustained throughput + client-observed latency *)
-      let t0 = now () in
-      let batch1 = Array.init tenants (fun i -> (submit ~seed:1 i, ref None)) in
-      let deadline = now () +. 300.0 in
-      while Array.exists (fun (_, r) -> !r = None) batch1 do
-        if now () > deadline then failwith "fleet bench: sustained phase timed out";
-        Array.iter
-          (fun (tid, r) ->
-            if !r = None then
-              let p = poll tid in
-              match mem_str "state" p with
-              | Some "done" -> r := Some (now () -. t0)
-              | Some "failed" -> failwith ("fleet bench: tenant failed: " ^ Json.encode p)
-              | _ -> ())
-          batch1;
-        ignore (Unix.select [] [] [] 0.005)
-      done;
-      let wall = now () -. t0 in
-      let lats =
-        Array.to_list batch1 |> List.filter_map (fun (_, r) -> Option.map (fun x -> x *. 1000.) !r)
-      in
-      let jobs_per_s = float_of_int tenants /. wall in
-      let p50_ms = Obs.quantile_of lats 0.5 in
-      let p99_ms = Obs.quantile_of lats 0.99 in
-      Format.fprintf ppf
-        "sustained: %d tenants over %d shards in %.2fs — %.2f jobs/s, p50 %.0f ms, p99 %.0f ms@."
-        tenants shards wall jobs_per_s p50_ms p99_ms;
-      (* phase 2: SIGKILL the busiest whole shard mid-batch; recovery is
-         kill -> first completion that carries a migration lineage *)
-      let batch2 = Array.init recovery_batch (fun i -> (submit ~seed:77 (1000 + i), ref None)) in
-      let done2 () = Array.fold_left (fun a (_, r) -> if !r = None then a else a + 1) 0 batch2 in
-      let killed = ref false in
-      let t_kill = ref 0.0 in
-      let recovery_ms = ref None in
-      let deadline = now () +. 300.0 in
-      while Array.exists (fun (_, r) -> !r = None) batch2 do
-        if now () > deadline then failwith "fleet bench: recovery phase timed out";
-        (if (not !killed) && done2 () >= recovery_batch / 4 then
-           match busiest_shard (stats ()) with
-           | Some (_, pid, _) ->
-               (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-               t_kill := now ();
-               killed := true
-           | None -> ());
-        Array.iter
-          (fun (tid, r) ->
-            if !r = None then
-              let p = poll tid in
-              match mem_str "state" p with
-              | Some "done" ->
-                  r := Some (now ());
-                  let migrations =
-                    Option.value ~default:0
-                      (Option.bind (Json.member "result" p) (mem_int "migrations"))
-                  in
-                  if !killed && !recovery_ms = None && migrations >= 1 then
-                    recovery_ms := Some ((now () -. !t_kill) *. 1000.)
-              | Some "failed" -> failwith ("fleet bench: tenant failed: " ^ Json.encode p)
-              | _ -> ())
-          batch2;
-        ignore (Unix.select [] [] [] 0.005)
-      done;
-      let recovery_ms =
-        match !recovery_ms with
-        | Some r -> r
-        | None ->
-            (* the killed shard held no tenant that outlived it *)
-            if !killed then (now () -. !t_kill) *. 1000. else 0.0
-      in
-      Format.fprintf ppf "recovery: first migrated tenant completed %.0f ms after shard SIGKILL@."
-        recovery_ms;
-      (* phase 3: drain + rebalance cycles under load; drain latency is
-         drain request -> drains counter bump (the shard's manifest was
-         absorbed), migration latency is drain request -> each parked
-         tenant observed off the drained shard *)
-      let drain_samples = ref [] in
-      let mig_samples = ref [] in
-      let cycle = ref 0 in
-      let next_gid = ref 2000 in
-      let deadline = now () +. 300.0 in
-      while !cycle < drain_cycles && now () < deadline do
-        incr cycle;
-        let batch =
-          Array.init 4 (fun _ ->
-              incr next_gid;
-              submit ~seed:9 !next_gid)
-        in
-        (* wait until one shard actually holds work, then drain it *)
-        let victim = ref None in
-        let spin_deadline = now () +. 30.0 in
-        while !victim = None && now () < spin_deadline do
-          (match busiest_shard (stats ()) with
-          | Some (id, _, _) -> victim := Some id
-          | None -> ());
-          if !victim = None then ignore (Unix.select [] [] [] 0.005)
-        done;
-        match !victim with
-        | None -> () (* the batch drained before any shard was observed busy *)
-        | Some k ->
-            let on_k =
-              Array.to_list batch
-              |> List.filter (fun tid ->
-                     let p = poll tid in
-                     mem_str "state" p = Some "running" && mem_int "shard" p = Some k)
-            in
-            let drains_before =
-              Option.value ~default:0 (mem_int "drains" (stats ()))
-            in
-            let t_drain = now () in
-            let r = request (Json.Obj [ ("op", Json.Str "drain"); ("shard", Json.Num (string_of_int k)) ]) in
-            if mem_bool "ok" r <> Some true then
-              failwith ("fleet bench: drain rejected: " ^ Json.encode r);
-            let drained = ref false in
-            while (not !drained) && now () < deadline do
-              if Option.value ~default:0 (mem_int "drains" (stats ())) > drains_before then
-                drained := true
-              else ignore (Unix.select [] [] [] 0.005)
-            done;
-            if !drained then drain_samples := ((now () -. t_drain) *. 1000.) :: !drain_samples;
-            (* each tenant that was parked: time until it left shard k *)
-            List.iter
-              (fun tid ->
-                let moved = ref false in
-                while (not !moved) && now () < deadline do
-                  let p = poll tid in
-                  match (mem_str "state" p, mem_int "shard" p) with
-                  | Some "done", _ | Some "running", Some _ when mem_int "shard" p <> Some k ->
-                      moved := true;
-                      mig_samples := ((now () -. t_drain) *. 1000.) :: !mig_samples
-                  | Some "failed", _ -> failwith ("fleet bench: tenant failed: " ^ Json.encode p)
-                  | _ -> ignore (Unix.select [] [] [] 0.005)
-                done)
-              on_k;
-            (* revive the held slot so the next cycle has a full fleet *)
-            let r = request (Json.Obj [ ("op", Json.Str "rebalance") ]) in
-            if mem_bool "ok" r <> Some true then
-              failwith ("fleet bench: rebalance rejected: " ^ Json.encode r);
-            let revived = ref false in
-            while (not !revived) && now () < deadline do
-              let alive k' =
-                List.exists
-                  (fun row -> mem_int "id" row = Some k' && mem_bool "alive" row = Some true)
-                  (shard_rows (stats ()))
+        (* phase 3: drain + rebalance cycles under load; drain latency
+           is drain request -> drains counter bump (the shard's
+           manifest was absorbed), migration latency is drain request
+           -> each parked tenant observed off the drained shard *)
+        let drains () = Option.value ~default:0 (Json.mem_int "drains" (ss.stats ())) in
+        let drain_samples = ref [] in
+        let mig_samples = ref [] in
+        let cycle = ref 0 in
+        let next_gid = ref 2000 in
+        let deadline = now () +. 300.0 in
+        while !cycle < drain_cycles && now () < deadline do
+          incr cycle;
+          let batch =
+            Array.init 4 (fun _ ->
+                incr next_gid;
+                ss.submit ~seed:9 !next_gid)
+          in
+          (* wait until one shard actually holds work, then drain it *)
+          let victim = ref None in
+          let spin_deadline = now () +. 30.0 in
+          while !victim = None && now () < spin_deadline do
+            (match busiest_shard (ss.stats ()) with
+            | Some (id, _, _) -> victim := Some id
+            | None -> ());
+            if !victim = None then ignore (Unix.select [] [] [] 0.005)
+          done;
+          match !victim with
+          | None -> () (* the batch drained before any shard was observed busy *)
+          | Some k ->
+              let on_k =
+                Array.to_list batch
+                |> List.filter (fun tid ->
+                       let p = ss.poll tid in
+                       Json.mem_str "state" p = Some "running" && Json.mem_int "shard" p = Some k)
               in
-              if alive k then revived := true else ignore (Unix.select [] [] [] 0.01)
-            done
-      done;
-      let drain_p50 = Obs.quantile_of !drain_samples 0.5 in
-      let drain_p99 = Obs.quantile_of !drain_samples 0.99 in
-      let mig_p50 = Obs.quantile_of !mig_samples 0.5 in
-      let mig_p99 = Obs.quantile_of !mig_samples 0.99 in
-      Format.fprintf ppf
-        "drain: %d cycles — p50 %.0f ms, p99 %.0f ms; migration: %d tenants — p50 %.0f ms, p99 %.0f \
-         ms@."
-        (List.length !drain_samples) drain_p50 drain_p99 (List.length !mig_samples) mig_p50 mig_p99;
-      ignore (request (Json.Obj [ ("op", Json.Str "shutdown") ]));
-      Chaos.Client.close cl;
-      let body =
-        Printf.sprintf
-          "{\n\
-          \  \"schema\": \"cheri_c.serve-bench/v1\",\n\
-          \  \"profile\": \"%s\",\n\
-          \  \"quick\": %b,\n\
-          \  \"shards\": %d,\n\
-          \  \"workers\": %d,\n\
-          \  \"results\": [\n\
-          \    {\"workload\":\"sustained\",\"tenants\":%d,\"jobs_per_s\":%.3f,\"p50_ms\":%.1f,\"p99_ms\":%.1f},\n\
-          \    {\"workload\":\"recovery\",\"tenants\":%d,\"recovery_ms\":%.1f},\n\
-          \    {\"workload\":\"drain\",\"cycles\":%d,\"p50_ms\":%.1f,\"p99_ms\":%.1f},\n\
-          \    {\"workload\":\"migration\",\"samples\":%d,\"p50_ms\":%.1f,\"p99_ms\":%.1f}\n\
-          \  ]\n\
-           }\n"
-          (Json.escape Build_profile.profile)
-          quick shards rcfg.Router.r_workers tenants jobs_per_s p50_ms p99_ms recovery_batch
-          recovery_ms
-          (List.length !drain_samples)
-          drain_p50 drain_p99
-          (List.length !mig_samples)
-          mig_p50 mig_p99
-      in
-      let oc = open_out path in
-      output_string oc body;
-      close_out oc;
-      Format.fprintf ppf "wrote %s (4 measurements)@." path)
+              let drains_before = drains () in
+              let t_drain = now () in
+              let r = ss.request (Json.Obj [ ("op", Json.Str "drain"); ("shard", jnum k) ]) in
+              if Json.mem_bool "ok" r <> Some true then
+                failwith ("fleet bench: drain rejected: " ^ Json.encode r);
+              let drained = ref false in
+              while (not !drained) && now () < deadline do
+                if drains () > drains_before then drained := true
+                else ignore (Unix.select [] [] [] 0.005)
+              done;
+              if !drained then drain_samples := ((now () -. t_drain) *. 1000.) :: !drain_samples;
+              (* each tenant that was parked: time until it left shard k *)
+              List.iter
+                (fun tid ->
+                  let moved = ref false in
+                  while (not !moved) && now () < deadline do
+                    let p = ss.poll tid in
+                    match (Json.mem_str "state" p, Json.mem_int "shard" p) with
+                    | Some "done", _ | Some "running", Some _ when Json.mem_int "shard" p <> Some k
+                      ->
+                        moved := true;
+                        mig_samples := ((now () -. t_drain) *. 1000.) :: !mig_samples
+                    | Some "failed", _ -> failwith ("fleet bench: tenant failed: " ^ Json.encode p)
+                    | _ -> ignore (Unix.select [] [] [] 0.005)
+                  done)
+                on_k;
+              (* revive the held slot so the next cycle has a full fleet *)
+              let r = ss.request (Json.Obj [ ("op", Json.Str "rebalance") ]) in
+              if Json.mem_bool "ok" r <> Some true then
+                failwith ("fleet bench: rebalance rejected: " ^ Json.encode r);
+              let revived = ref false in
+              while (not !revived) && now () < deadline do
+                let alive =
+                  match Json.member "shards" (ss.stats ()) with
+                  | Some (Json.Arr rows) ->
+                      List.exists
+                        (fun row ->
+                          Json.mem_int "id" row = Some k && Json.mem_bool "alive" row = Some true)
+                        rows
+                  | _ -> false
+                in
+                if alive then revived := true else ignore (Unix.select [] [] [] 0.01)
+              done
+        done;
+        let q samples p = Obs.quantile_of !samples p in
+        Format.fprintf ppf
+          "drain: %d cycles — p50 %.0f ms, p99 %.0f ms; migration: %d tenants — p50 %.0f ms, p99 \
+           %.0f ms@."
+          (List.length !drain_samples) (q drain_samples 0.5) (q drain_samples 0.99)
+          (List.length !mig_samples) (q mig_samples 0.5) (q mig_samples 0.99);
+        let pct_cell workload count_key samples =
+          Json.Obj
+            [
+              ("workload", Json.Str workload);
+              (count_key, jnum (List.length !samples));
+              ("p50_ms", jround 1 (q samples 0.5));
+              ("p99_ms", jround 1 (q samples 0.99));
+            ]
+        in
+        shared
+        @ [ pct_cell "drain" "cycles" drain_samples; pct_cell "migration" "samples" mig_samples ])
+  in
+  write_serve_report path ~quick
+    ~shape:[ ("shards", jnum shards); ("workers", jnum rcfg.Router.r_workers) ]
+    results
 
 (* -- telemetry overhead smoke checks (smoke subcommand) ------------------------ *)
 
@@ -1535,6 +1429,11 @@ let () =
     | [] -> []
   in
   let positional = split_jobs (List.tl (Array.to_list Sys.argv)) in
+  (* the --quick flag and output FILE of `JOB [--quick] [FILE]` *)
+  let quick_and_path args default =
+    ( List.mem "--quick" args,
+      match List.filter (fun s -> s <> "--quick") args with f :: _ -> f | [] -> default )
+  in
   let job = match positional with j :: _ -> j | [] -> "all" in
   (try
      match job with
@@ -1553,28 +1452,14 @@ let () =
      | "json" ->
          bench_json (match positional with _ :: f :: _ -> f | _ -> bench_output_file)
      | "perf" ->
-         let rest = List.tl positional in
-         let quick = List.mem "--quick" rest in
-         let path =
-           match List.filter (fun s -> s <> "--quick") rest with
-           | f :: _ -> f
-           | [] -> perf_output_file
-         in
+         let quick, path = quick_and_path (List.tl positional) perf_output_file in
          bench_perf ~quick path
      | "inject" ->
          bench_inject (match positional with _ :: f :: _ -> f | _ -> inject_output_file)
      | "snap" ->
-         let rest = List.tl positional in
-         let quick = List.mem "--quick" rest in
-         let path =
-           match List.filter (fun s -> s <> "--quick") rest with
-           | f :: _ -> f
-           | [] -> snap_output_file
-         in
+         let quick, path = quick_and_path (List.tl positional) snap_output_file in
          bench_snap ~quick path
      | "serve" ->
-         let rest = List.tl positional in
-         let quick = List.mem "--quick" rest in
          (* serve --shards [N]: the sharded-fleet variant (N defaults
             to 3 when omitted, e.g. `serve --shards --quick`) *)
          let rec split_shards = function
@@ -1589,11 +1474,10 @@ let () =
                (sh, x :: rest'')
            | [] -> (None, [])
          in
-         let shards, rest = split_shards rest in
-         let path =
-           match List.filter (fun s -> s <> "--quick") rest with
-           | f :: _ -> f
-           | [] -> ( match shards with Some _ -> serve_fleet_output_file | None -> serve_output_file)
+         let shards, rest = split_shards (List.tl positional) in
+         let quick, path =
+           quick_and_path rest
+             (match shards with Some _ -> serve_fleet_output_file | None -> serve_output_file)
          in
          (match shards with
          | Some n -> bench_serve_fleet ~quick ~shards:n path

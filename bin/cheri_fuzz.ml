@@ -113,7 +113,7 @@ let self_test ~seeds ~jobs =
         status;
       exit 1
   | Ok j -> (
-      match Option.bind (Json.member "tasks_done" j) Json.to_int with
+      match Json.mem_int "tasks_done" j with
       | Some n when n = hb_report.Campaign.seeds -> ()
       | _ ->
           Format.eprintf "self-test FAILED: heartbeat tasks_done disagrees: %s@." status;

@@ -260,7 +260,7 @@ let self_test ~seeds ~jobs =
   (match Json.parse status with
   | Error e -> fail "final heartbeat status is not valid JSON (%s): %s" e status
   | Ok j -> (
-      match Option.bind (Json.member "tasks_done" j) Json.to_int with
+      match Json.mem_int "tasks_done" j with
       | Some n when n = List.length hb_report.Inject.r_records -> ()
       | Some n -> fail "heartbeat reports %d tasks done, campaign ran %d" n
                     (List.length hb_report.Inject.r_records)

@@ -49,10 +49,7 @@ module Cli = Cheri_util.Cli
 
 let admin_request ~socket ~json =
   let fd =
-    try
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      fd
+    try Protocol.connect socket
     with Unix.Unix_error (e, _, _) ->
       Cli.die "cannot connect to %s: %s" socket (Unix.error_message e)
   in
@@ -62,7 +59,7 @@ let admin_request ~socket ~json =
   | Error e -> Cli.die "request failed: %s" e
   | Ok j ->
       print_endline (Json.encode j);
-      exit (match Option.bind (Json.member "ok" j) Json.to_bool with Some true -> 0 | _ -> 1)
+      exit (match Json.mem_bool "ok" j with Some true -> 0 | _ -> 1)
 
 let () =
   (* a process re-executed with a service marker in argv is a worker,

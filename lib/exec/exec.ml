@@ -37,7 +37,7 @@ module Pool = struct
     elapsed_s : float;  (** wall-clock spent on this task alone, all attempts *)
     attempts : int;  (** 1 unless retries were needed *)
     slices : int;
-        (** slice executions under {!map_sliced}; always 1 under {!map} *)
+        (** slice executions; under {!map}, one per attempt *)
   }
 
   exception Worker_failed of error
@@ -91,7 +91,7 @@ module Pool = struct
       !prev
     end
 
-  (* --- the run-to-completion engine (map) --------------------------- *)
+  (* --- shared plumbing ---------------------------------------------- *)
 
   (* metric handles resolved once per map call, not per task; counter
      values (tasks, retries, slices) are jobs-independent by
@@ -129,37 +129,6 @@ module Pool = struct
     Obs.Counter.incr ~by:cell.slices pm.pm_slices;
     Obs.Histogram.observe pm.pm_wall cell.elapsed_s
 
-  let run_task ~retries ~backoff_s ~backoff_seed ~pm ~t_map f inputs results on_result i =
-    let t0 = now () in
-    (* run-to-completion tasks wait in the cursor queue from map start
-       until a domain claims them *)
-    Obs.Histogram.observe pm.pm_wait (t0 -. t_map);
-    let attempt k =
-      try Ok (f inputs.(i))
-      with e ->
-        let backtrace = Printexc.get_backtrace () in
-        Error { task = i; exn = Printexc.to_string e ^ Printf.sprintf " (attempt %d)" k; backtrace }
-    in
-    let rec go k =
-      match attempt k with
-      | Ok _ as ok -> (ok, k)
-      | Error _ as err when k > retries -> (err, k)
-      | Error _ ->
-          (* transient-fault hypothesis: give the host a staggered
-             moment before retrying *)
-          Obs.Counter.incr pm.pm_retry_events;
-          let pause =
-            backoff_duration ~base_s:backoff_s ~seed:backoff_seed ~task:i ~attempt:k ()
-          in
-          if pause > 0. then Unix.sleepf pause;
-          go (k + 1)
-    in
-    let result, attempts = go 1 in
-    let cell = { index = i; result; elapsed_s = now () -. t0; attempts; slices = 1 } in
-    observe_cell pm cell;
-    results.(i) <- Some cell;
-    on_result cell
-
   let serialize_hook on_result =
     match on_result with
     | None -> fun _ -> ()
@@ -182,39 +151,6 @@ module Pool = struct
          | Some cell -> cell
          | None -> assert false (* every index is claimed exactly once *))
 
-  (* [map ~jobs f tasks] runs [f] over every task on up to [jobs]
-     domains (default 1: sequential, in the calling domain — callers
-     opt in to parallelism) and returns the cells in submission order.
-     The work queue is a single atomic cursor: domains claim the next
-     unclaimed index until the list is drained. A failing task is
-     retried up to [retries] times (default 0) with decorrelated-jitter
-     backoff starting at [backoff_s]; the surviving error never aborts
-     the map. [on_result] fires once per finished task, serialized
-     under one mutex, in completion (not submission) order. *)
-  let map ?(jobs = 1) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0) ?(obs = Obs.default)
-      ?on_result f tasks : 'a cell list =
-    let inputs = Array.of_list tasks in
-    let n = Array.length inputs in
-    let results = Array.make n None in
-    if n > 0 then begin
-      let cursor = Atomic.make 0 in
-      let on_result = serialize_hook on_result in
-      let pm = pool_metrics obs in
-      let t_map = now () in
-      let worker () =
-        let rec drain () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < n then begin
-            run_task ~retries ~backoff_s ~backoff_seed ~pm ~t_map f inputs results on_result i;
-            drain ()
-          end
-        in
-        drain ()
-      in
-      spawn_workers ~jobs ~n worker
-    end;
-    collect results
-
   (* --- the preemptive engine (map_sliced) --------------------------- *)
 
   type ('s, 'r) progress = Yield of 's | Done of 'r
@@ -228,6 +164,14 @@ module Pool = struct
     mutable j_elapsed : float;
     mutable j_ready : float;  (** when the job last entered the queue *)
   }
+
+  let new_job i task ready =
+    { j_index = i; j_task = task; j_state = None; j_attempts = 1; j_slices = 0; j_elapsed = 0.;
+      j_ready = ready }
+
+  let cell_of job result =
+    { index = job.j_index; result; elapsed_s = job.j_elapsed; attempts = job.j_attempts;
+      slices = job.j_slices }
 
   (* Advance one job by one slice and route it: back of the queue on
      Yield, the result sink on Done or a spent retry budget, back to
@@ -311,20 +255,7 @@ module Pool = struct
       let q = Queue.create () in
       let qm = Mutex.create () in
       let t_fill = now () in
-      Array.iteri
-        (fun i task ->
-          Queue.push
-            {
-              j_index = i;
-              j_task = task;
-              j_state = None;
-              j_attempts = 1;
-              j_slices = 0;
-              j_elapsed = 0.;
-              j_ready = t_fill;
-            }
-            q)
-        inputs;
+      Array.iteri (fun i task -> Queue.push (new_job i task t_fill) q) inputs;
       let pop () =
         Mutex.protect qm (fun () -> if Queue.is_empty q then None else Some (Queue.pop q))
       in
@@ -333,15 +264,7 @@ module Pool = struct
         Mutex.protect qm (fun () -> Queue.push job q)
       in
       let record job result =
-        let cell =
-          {
-            index = job.j_index;
-            result;
-            elapsed_s = job.j_elapsed;
-            attempts = job.j_attempts;
-            slices = job.j_slices;
-          }
-        in
+        let cell = cell_of job result in
         observe_cell pm cell;
         results.(job.j_index) <- Some cell;
         on_result cell
@@ -359,6 +282,21 @@ module Pool = struct
       spawn_workers ~jobs ~n worker
     end;
     collect results
+
+  (* [map ~jobs f tasks] runs [f] over every task on up to [jobs]
+     domains (default 1: sequential, in the calling domain — callers
+     opt in to parallelism) and returns the cells in submission order.
+     It is [map_sliced] over one-slice tasks, so the two engines share
+     one queue, one retry path and one set of metrics. A failing task
+     is retried up to [retries] times (default 0) with
+     decorrelated-jitter backoff starting at [backoff_s]; the surviving
+     error never aborts the map. [on_result] fires once per finished
+     task, serialized under one mutex, in completion (not submission)
+     order. *)
+  let map ?jobs ?retries ?backoff_s ?backoff_seed ?obs ?on_result f tasks : 'a cell list =
+    map_sliced ?jobs ?retries ?backoff_s ?backoff_seed ?obs ?on_result ~init:Fun.id
+      ~slice:(fun t -> Done (f t))
+      tasks
 
   (* --- the dynamic preemptive engine (Stream) ----------------------- *)
 
@@ -387,17 +325,7 @@ module Pool = struct
           let i = t.st_next in
           t.st_next <- i + 1;
           t.st_live <- t.st_live + 1;
-          Queue.push
-            {
-              j_index = i;
-              j_task = task;
-              j_state = None;
-              j_attempts = 1;
-              j_slices = 0;
-              j_elapsed = 0.;
-              j_ready = now ();
-            }
-            t.st_q;
+          Queue.push (new_job i task (now ())) t.st_q;
           Condition.signal t.st_nonempty;
           i)
 
@@ -425,15 +353,7 @@ module Pool = struct
             Condition.signal t.st_nonempty)
       in
       let record job result =
-        let cell =
-          {
-            index = job.j_index;
-            result;
-            elapsed_s = job.j_elapsed;
-            attempts = job.j_attempts;
-            slices = job.j_slices;
-          }
-        in
+        let cell = cell_of job result in
         observe_cell pm cell;
         on_result cell;
         Mutex.protect t.st_mu (fun () ->

@@ -19,7 +19,7 @@ module Pool : sig
         (** wall-clock spent on this task alone, all attempts/slices *)
     attempts : int;  (** 1 unless retries were needed *)
     slices : int;
-        (** slice executions under {!map_sliced}; always 1 under {!map} *)
+        (** slice executions; under {!map}, one per attempt *)
   }
 
   exception Worker_failed of error
@@ -61,7 +61,9 @@ module Pool : sig
       ([backoff_s] base, default 0.05 s; [backoff_seed] decorrelates
       schedules across runs, default 0); the surviving error is
       recorded, never raised. [on_result] fires once per finished task,
-      serialized under a mutex, in completion order.
+      serialized under a mutex, in completion order. This is
+      {!map_sliced} over one-slice tasks; a retried task re-enters the
+      queue behind the tasks already waiting.
 
       [obs] (default {!Cheri_obs.Obs.default}) receives the pool
       metrics: [pool_tasks_total], [pool_task_retries_total] and

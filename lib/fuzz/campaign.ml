@@ -215,23 +215,22 @@ let seed_json seed (d : divergence option) =
         (String.concat "," (List.map outcome_json d.outcomes))
 
 let seed_of_json j : (int * divergence option) option =
-  let str k o = Option.bind (Json.member k o) Json.to_string in
-  match
-    (Option.bind (Json.member "seed" j) Json.to_int, Option.bind (Json.member "divergent" j) Json.to_bool)
-  with
+  match (Json.mem_int "seed" j, Json.mem_bool "divergent" j) with
   | Some seed, Some false -> Some (seed, None)
   | Some seed, Some true ->
       let outcomes =
         List.filter_map
           (fun o ->
-            match (str "impl" o, Option.bind (str "status" o) status_of_key, str "out" o) with
+            match
+              Json.(mem_str "impl" o, Option.bind (mem_str "status" o) status_of_key, mem_str "out" o)
+            with
             | Some impl, Some status, Some out -> Some { impl; status; out }
             | _ -> None)
           (Option.value ~default:[] (Option.bind (Json.member "outcomes" j) Json.to_list))
       in
       Option.map
-        (fun source -> (seed, Some { seed; source; minimized = str "minimized" j; outcomes }))
-        (str "source" j)
+        (fun source -> (seed, Some { seed; source; minimized = Json.mem_str "minimized" j; outcomes }))
+        (Json.mem_str "source" j)
   | _ -> None
 
 let load_checkpoint path ~first_seed ~seeds ~shrink : (int, divergence option) Hashtbl.t =

@@ -669,8 +669,7 @@ let parse_inflight note =
   match Json.parse note with
   | Error _ -> None
   | Ok j -> (
-      let str k = Option.bind (Json.member k j) Json.to_string in
-      let int k = Option.bind (Json.member k j) Json.to_int in
+      let str k = Json.mem_str k j and int k = Json.mem_int k j in
       match (str "schema", str "task", int "trigger", str "detail", int "fuel_left") with
       | Some schema, Some key, Some trigger, Some detail, Some fuel_left
         when schema = inflight_schema ->

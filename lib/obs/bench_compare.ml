@@ -95,15 +95,12 @@ let family_of_schema schema =
   in
   List.find_opt (fun f -> f.f_name = base) families
 
-let str_member k j = Option.bind (Json.member k j) Json.to_string
-let float_member k j = Option.bind (Json.member k j) Json.to_float
-
 let cell_key spec cell =
-  match str_member "workload" cell with
+  match Json.mem_str "workload" cell with
   | None -> None
   | Some w ->
       if spec.f_key_abi then
-        match str_member "abi" cell with Some a -> Some (w ^ "/" ^ a) | None -> None
+        match Json.mem_str "abi" cell with Some a -> Some (w ^ "/" ^ a) | None -> None
       else Some w
 
 (* (cell key, field, dir, value) for every gated value in the doc *)
@@ -117,7 +114,7 @@ let extract spec doc =
     | Some key ->
         List.filter_map
           (fun (field, dir) ->
-            Option.map (fun v -> (key, field, dir, v)) (float_member field cell))
+            Option.map (fun v -> (key, field, dir, v)) (Json.mem_float field cell))
           spec.f_cell_fields
   in
   let slicing =
@@ -125,7 +122,7 @@ let extract spec doc =
     | Some s when spec.f_slicing <> [] ->
         List.filter_map
           (fun (field, dir) ->
-            Option.map (fun v -> ("slicing", field, dir, v)) (float_member field s))
+            Option.map (fun v -> ("slicing", field, dir, v)) (Json.mem_float field s))
           spec.f_slicing
     | _ -> []
   in
@@ -139,7 +136,7 @@ let diff ?(threshold_pct = 10.) ?(quick = false) ~old_json ~new_json () =
   let* old_doc = parse "OLD" old_json in
   let* new_doc = parse "NEW" new_json in
   let schema_of label doc =
-    match str_member "schema" doc with
+    match Json.mem_str "schema" doc with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "%s: no \"schema\" field" label)
   in
@@ -228,7 +225,7 @@ let doctor_worsen ?(factor = 0.2) s =
   match Json.parse s with
   | Error e -> Error e
   | Ok doc -> (
-      match Option.bind (str_member "schema" doc) family_of_schema with
+      match Option.bind (Json.mem_str "schema" doc) family_of_schema with
       | None -> Error "unsupported schema"
       | Some spec ->
           let worsen dir v =

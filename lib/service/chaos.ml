@@ -27,10 +27,6 @@ module Json = Cheri_util.Json
 
 let jint n = Json.Num (string_of_int n)
 let jstr s = Json.Str s
-let mem_int k j = Option.bind (Json.member k j) Json.to_int
-let mem_float k j = Option.bind (Json.member k j) Json.to_float
-let mem_str k j = Option.bind (Json.member k j) Json.to_string
-let mem_bool k j = Option.bind (Json.member k j) Json.to_bool
 let now = Unix.gettimeofday
 
 let rec rm_rf path =
@@ -49,23 +45,10 @@ let rec rm_rf path =
 module Client = struct
   type t = { fd : Unix.file_descr; rd : Protocol.Reader.t }
 
-  let spawn_server cfg =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; Service.server_marker; Service.config_to_json cfg |]
-      Unix.stdin Unix.stdout Unix.stderr
+  let spawn_server cfg = Supervisor.exec [ Service.server_marker; Service.config_to_json cfg ]
+  let spawn_router rcfg = Supervisor.exec [ Router.router_marker; Router.rconfig_to_json rcfg ]
 
-  let spawn_router rcfg =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; Router.router_marker; Router.rconfig_to_json rcfg |]
-      Unix.stdin Unix.stdout Unix.stderr
-
-  let connect path =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    { fd; rd = Protocol.Reader.create () }
+  let connect path = { fd = Protocol.connect path; rd = Protocol.Reader.create () }
 
   let wait_socket path ~timeout_s =
     let deadline = now () +. timeout_s in
@@ -87,17 +70,26 @@ module Client = struct
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 end
 
+(* The live row of a stats array ([key] = "workers" or "shards")
+   holding the most tenants, as (row, pid, tenants); ties keep the
+   earlier row. *)
+let busiest ?(ok = fun _ -> true) st key =
+  match Json.member key st with
+  | Some (Json.Arr rows) ->
+      List.fold_left
+        (fun acc row ->
+          match (Json.mem_bool "alive" row, Json.mem_int "pid" row, Json.mem_int "tenants" row) with
+          | Some true, Some pid, Some n when n >= 1 && ok row -> (
+              match acc with Some (_, _, best_n) when best_n >= n -> acc | _ -> Some (row, pid, n))
+          | _ -> acc)
+        None rows
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic tenants                                                   *)
 
-(* splitmix-style step, kept in 62 bits so it is identical on any
-   int64-word OCaml *)
-let mix x =
-  let x = (x + 0x1E3779B97F4A7C15) land 0x3FFFFFFFFFFFFFFF in
-  let x = (x lxor (x lsr 30)) * 0x2545F4914F6CDD1D land 0x3FFFFFFFFFFFFFFF in
-  (x lxor (x lsr 27)) land 0x3FFFFFFFFFFFFFFF
-
 let tenant_source ~seed ~index =
+  let mix = Router.mix in
   let r0 = mix ((seed * 1_000_003) + index) in
   let r1 = mix r0 and r2 = mix (mix r0) in
   let iters = 20_000 + (r0 mod 60_000) in
@@ -167,14 +159,224 @@ type spec = {
 
 exception Chaos_failure of string
 
+(* ------------------------------------------------------------------ *)
+(* What both harnesses share once their service is up                  *)
+
+(* [n] tenants over the three ABIs; the last one never terminates, so
+   the fuel watchdog must cut it off deterministically *)
+let make_specs ~seed ~slice n =
+  Array.init n (fun i ->
+      let spin = i = n - 1 in
+      {
+        x_index = i;
+        x_source = (if spin then spin_source else tenant_source ~seed ~index:i);
+        x_abi = (if spin then "cheriv3" else abis.(i mod Array.length abis));
+        x_fuel = (if spin then 150_000 else 50_000_000);
+        x_slice = slice;
+        x_tid = None;
+        x_result = None;
+        x_restarts = 0;
+      })
+
+(* a client session plus the assertion and admission ledgers *)
+type session = {
+  cl : Client.t;
+  label : string;
+  errors : string list ref;
+  mutable rejections : int;
+  mutable best_hint : float;
+}
+
+let err ss fmt = Printf.ksprintf (fun m -> ss.errors := m :: !(ss.errors)) fmt
+
+let request ss j =
+  match Client.request ss.cl j with
+  | Ok r -> r
+  | Error e -> raise (Chaos_failure (ss.label ^ " request failed: " ^ e))
+
+let stats ss = request ss (Json.Obj [ ("op", jstr "stats") ])
+
+(* spawn the service with [spawn], wait for its socket and run [body]
+   on a session; the process is SIGKILLed and reaped whatever happens,
+   and [dir] removed unless [keep] *)
+let with_service ~label ~spawn ~socket ~socket_timeout_s ~dir ~keep body =
+  rm_rf dir;
+  let pid = spawn () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      if not keep then rm_rf dir)
+    (fun () ->
+      if not (Client.wait_socket socket ~timeout_s:socket_timeout_s) then
+        raise (Chaos_failure (label ^ " socket never came up"));
+      body pid
+        {
+          cl = Client.connect socket;
+          label;
+          errors = ref [];
+          rejections = 0;
+          best_hint = 0.0;
+        })
+
+let submit ss sp =
+  let req =
+    Json.Obj
+      [
+        ("op", jstr "submit");
+        ("source", jstr sp.x_source);
+        ("abi", jstr sp.x_abi);
+        ("fuel", jint sp.x_fuel);
+        ("slice", jint sp.x_slice);
+      ]
+  in
+  let r = request ss req in
+  match (Json.mem_bool "ok" r, Json.mem_int "tenant" r, Json.mem_str "error" r) with
+  | Some true, Some tid, _ ->
+      sp.x_tid <- Some tid;
+      `Admitted
+  | Some false, _, Some "overloaded" -> (
+      ss.rejections <- ss.rejections + 1;
+      match Json.mem_float "retry_after_s" r with
+      | Some h when h > 0.0 ->
+          if h > ss.best_hint then ss.best_hint <- h;
+          `Rejected h
+      | _ ->
+          err ss "overloaded rejection without a positive retry_after_s hint";
+          `Rejected 0.05)
+  | _ -> raise (Chaos_failure ("unexpected submit reply: " ^ Json.encode r))
+
+(* The open-loop main loop: submit (burst until rejected, then honor a
+   clamp of the hint so the test stays fast), poll every admitted
+   tenant, and fire the next scheduled disruption once enough tenants
+   are done — until every tenant has finished. [check] sees every
+   stats reply; [fire] returns false when nobody is busy this instant
+   (retried next poll). *)
+let drive ss specs ~limit_s ~check ~disruptions ~fire =
+  let pending = Queue.create () in
+  Array.iter (fun sp -> Queue.add sp pending) specs;
+  let next_submit_t = ref 0.0 in
+  let finished = ref 0 in
+  let n = Array.length specs in
+  let deadline = now () +. limit_s in
+  while !finished < n do
+    if now () > deadline then
+      raise
+        (Chaos_failure
+           (Printf.sprintf "timeout: %d/%d tenants done, stats %s" !finished n
+              (Json.encode (stats ss))));
+    if (not (Queue.is_empty pending)) && now () >= !next_submit_t then begin
+      match submit ss (Queue.peek pending) with
+      | `Admitted -> ignore (Queue.pop pending)
+      | `Rejected hint -> next_submit_t := now () +. Float.min hint 0.1
+    end;
+    let st = stats ss in
+    check st;
+    let done_now = Option.value ~default:0 (Json.mem_int "done" st) in
+    (match !disruptions with
+    | (threshold, kind) :: rest when done_now >= threshold ->
+        if fire st kind then disruptions := rest
+    | _ -> ());
+    Array.iter
+      (fun sp ->
+        match (sp.x_tid, sp.x_result) with
+        | Some tid, None -> (
+            let r = request ss (Json.Obj [ ("op", jstr "poll"); ("tenant", jint tid) ]) in
+            match Json.mem_str "state" r with
+            | Some "done" ->
+                sp.x_result <- Json.member "result" r;
+                sp.x_restarts <-
+                  Option.value ~default:0
+                    (Option.bind (Json.member "result" r) (Json.mem_int "restarts"));
+                incr finished
+            | Some "failed" ->
+                err ss "tenant %d failed: %s" sp.x_index
+                  (Option.value ~default:"?" (Json.mem_str "detail" r));
+                sp.x_result <- Some (Json.Obj []);
+                incr finished
+            | Some _ -> ()
+            | None -> err ss "poll reply without state: %s" (Json.encode r))
+        | _ -> ())
+      specs;
+    ignore (Unix.select [] [] [] 0.02)
+  done;
+  if !disruptions <> [] then
+    err ss "all tenants finished before %d disruption(s) could fire" (List.length !disruptions)
+
+let check_admission ss ~capacity ~tenants =
+  if ss.rejections < 1 then
+    err ss "over-admission burst was never rejected (capacity %d, tenants %d)" capacity tenants;
+  if ss.best_hint <= 0.0 then err ss "no positive retry_after_s hint observed"
+
+(* Byte-identity against the undisturbed serial reference, tenant by
+   tenant; [extra] runs the harness's own checks on a tenant whose
+   reference ran. Slice-count equality IS the <=1-slice-loss bound, in
+   one supervisor and across shard boundaries alike: the counter rides
+   in the checkpoint note, so only the uncheckpointed in-flight slice
+   can be redone (a drain loses zero), and it is counted exactly once
+   either way. *)
+let verify ss specs ~extra =
+  Array.iter
+    (fun sp ->
+      match sp.x_result with
+      | None -> err ss "tenant %d never finished" sp.x_index
+      | Some r -> (
+          match Service.run_serial ~abi:sp.x_abi ~fuel:sp.x_fuel ~slice:sp.x_slice sp.x_source with
+          | Error e -> err ss "tenant %d: serial reference failed: %s" sp.x_index e
+          | Ok expect ->
+              let got_s k = Option.value ~default:"<missing>" (Json.mem_str k r) in
+              let got_i k = Option.value ~default:(-1) (Json.mem_int k r) in
+              let fail_field f want got =
+                err ss "tenant %d (%s): %s diverged: serial=%s disturbed=%s" sp.x_index sp.x_abi f
+                  want got
+              in
+              if got_s "outcome" <> expect.Service.r_outcome then
+                fail_field "outcome" expect.Service.r_outcome (got_s "outcome");
+              if got_s "output" <> expect.Service.r_output then
+                fail_field "output" (String.escaped expect.Service.r_output)
+                  (String.escaped (got_s "output"));
+              List.iter
+                (fun (f, want) ->
+                  if got_i f <> want then fail_field f (string_of_int want) (string_of_int (got_i f)))
+                [
+                  ("cycles", expect.Service.r_cycles);
+                  ("instret", expect.Service.r_instret);
+                  ("slices", expect.Service.r_slices);
+                ];
+              extra sp r))
+    specs
+
+(* wait for the service to exit after [what]; anything but exit 0 fails *)
+let await_exit ss pid ~who ~what ~timeout_s =
+  match Supervisor.wait_exit pid ~timeout_s with
+  | None -> err ss "%s did not exit after %s" who what
+  | Some (Unix.WEXITED 0) -> ()
+  | Some st -> err ss "%s exited abnormally after %s: %s" who what (Supervisor.string_of_status st)
+
+let verdict ~tag ss pass =
+  match List.rev !(ss.errors) with
+  | [] ->
+      Printf.printf "%s: PASS %s\n%!" tag pass;
+      0
+  | es ->
+      List.iter (fun e -> Printf.eprintf "%s: FAIL %s\n" tag e) es;
+      Printf.eprintf "%s: %d assertion(s) failed\n%!" tag (List.length es);
+      1
+
+let guard ~tag f c =
+  try f c
+  with Chaos_failure m ->
+    Printf.eprintf "%s: ABORT %s\n%!" tag m;
+    1
+
+(* ------------------------------------------------------------------ *)
+(* Worker harness: worker-level faults against one supervisor          *)
+
 let run (c : cfg) =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let info fmt =
     Printf.ksprintf (fun m -> if c.ch_verbose then Printf.eprintf "chaos: %s\n%!" m) fmt
   in
   let dir = Printf.sprintf "/tmp/cheri-serve-%d-%d" (Unix.getpid ()) c.ch_seed in
-  rm_rf dir;
   let capacity = max 2 (c.ch_tenants / 4) in
   let scfg =
     {
@@ -191,38 +393,12 @@ let run (c : cfg) =
       corrupt_requeue = (if c.ch_kills > 0 then 1 else 0);
     }
   in
-  let specs =
-    Array.init c.ch_tenants (fun i ->
-        if i = c.ch_tenants - 1 then
-          (* one tenant that never terminates: the fuel watchdog must
-             cut it off deterministically *)
-          { x_index = i; x_source = spin_source; x_abi = "cheriv3"; x_fuel = 150_000;
-            x_slice = c.ch_slice; x_tid = None; x_result = None; x_restarts = 0 }
-        else
-          { x_index = i; x_source = tenant_source ~seed:c.ch_seed ~index:i;
-            x_abi = abis.(i mod Array.length abis); x_fuel = 50_000_000;
-            x_slice = c.ch_slice; x_tid = None; x_result = None; x_restarts = 0 })
-  in
+  let specs = make_specs ~seed:c.ch_seed ~slice:c.ch_slice c.ch_tenants in
   info "state dir %s, capacity %d, %d workers" dir capacity c.ch_workers;
-  let srv_pid = Client.spawn_server scfg in
-  let cleanup_server () =
-    (try Unix.kill srv_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] srv_pid) with Unix.Unix_error _ -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      cleanup_server ();
-      if not c.ch_keep then rm_rf dir)
-    (fun () ->
-      if not (Client.wait_socket scfg.Service.socket ~timeout_s:10.0) then
-        raise (Chaos_failure "server socket never came up");
-      let cl = Client.connect scfg.Service.socket in
-      let request j =
-        match Client.request cl j with
-        | Ok r -> r
-        | Error e -> raise (Chaos_failure ("request failed: " ^ e))
-      in
-      let stats () = request (Json.Obj [ ("op", jstr "stats") ]) in
+  with_service ~label:"server" ~dir ~keep:c.ch_keep ~socket:scfg.Service.socket
+    ~socket_timeout_s:10.0
+    ~spawn:(fun () -> Client.spawn_server scfg)
+    (fun srv_pid ss ->
       (* Idle soak: sit past the spawn grace plus several staleness
          windows before submitting anything. An idle worker beats no
          slices, so if it ever stops beating on its own it is
@@ -231,45 +407,17 @@ let run (c : cfg) =
          before the first job is even submitted. *)
       let hb = scfg.Service.heartbeat_s in
       Unix.sleepf ((2.0 *. hb) +. 1.0 +. (6.0 *. hb));
-      (let st = stats () in
-       match (mem_int "worker_deaths" st, mem_int "stall_kills" st) with
+      (let st = stats ss in
+       match (Json.mem_int "worker_deaths" st, Json.mem_int "stall_kills" st) with
        | Some 0, Some 0 -> ()
-       | Some d, Some s -> err "idle workers were reaped before any work: deaths=%d stalls=%d" d s
-       | _ -> err "stats reply missing worker_deaths/stall_kills");
-      let rejections = ref 0 in
-      let best_hint = ref 0.0 in
+       | Some d, Some s ->
+           err ss "idle workers were reaped before any work: deaths=%d stalls=%d" d s
+       | _ -> err ss "stats reply missing worker_deaths/stall_kills");
       let check_stats st =
-        (match (mem_int "live" st, mem_int "capacity" st) with
+        match (Json.mem_int "live" st, Json.mem_int "capacity" st) with
         | Some live, Some cap ->
-            if live > cap then err "admission over cap: live=%d capacity=%d" live cap
-        | _ -> err "stats reply missing live/capacity")
-      in
-      let submit sp =
-        let req =
-          Json.Obj
-            [
-              ("op", jstr "submit");
-              ("source", jstr sp.x_source);
-              ("abi", jstr sp.x_abi);
-              ("fuel", jint sp.x_fuel);
-              ("slice", jint sp.x_slice);
-            ]
-        in
-        let r = request req in
-        match (mem_bool "ok" r, mem_int "tenant" r, mem_str "error" r) with
-        | Some true, Some tid, _ ->
-            sp.x_tid <- Some tid;
-            `Admitted
-        | Some false, _, Some "overloaded" -> (
-            incr rejections;
-            match mem_float "retry_after_s" r with
-            | Some h when h > 0.0 ->
-                if h > !best_hint then best_hint := h;
-                `Rejected h
-            | _ ->
-                err "overloaded rejection without a positive retry_after_s hint";
-                `Rejected 0.05)
-        | _ -> raise (Chaos_failure ("unexpected submit reply: " ^ Json.encode r))
+            if live > cap then err ss "admission over cap: live=%d capacity=%d" live cap
+        | _ -> err ss "stats reply missing live/capacity"
       in
       (* ---- disruption schedule, fired against done-counts ---- *)
       let deaths_seen = ref 0 in
@@ -279,26 +427,12 @@ let run (c : cfg) =
           :: List.init c.ch_kills (fun k ->
                  (((k + 2) * c.ch_tenants / (c.ch_kills + 3)) + 1, `Kill)))
       in
-      let busiest_worker st =
-        match Json.member "workers" st with
-        | Some (Json.Arr ws) ->
-            List.fold_left
-              (fun acc w ->
-                match (mem_bool "alive" w, mem_int "pid" w, mem_int "tenants" w) with
-                | Some true, Some pid, Some n when n >= 1 -> (
-                    match acc with
-                    | Some (_, best_n) when best_n >= n -> acc
-                    | _ -> Some (pid, n))
-                | _ -> acc)
-              None ws
-        | _ -> None
-      in
       let await_death ~label deaths_before =
         let deadline = now () +. 15.0 in
         let rec go () =
-          let st = stats () in
+          let st = stats ss in
           check_stats st;
-          match mem_int "worker_deaths" st with
+          match Json.mem_int "worker_deaths" st with
           | Some d when d > deaths_before -> deaths_seen := d
           | _ ->
               if now () > deadline then
@@ -310,11 +444,11 @@ let run (c : cfg) =
         in
         go ()
       in
-      let fire_disruption st kind =
-        match busiest_worker st with
-        | None -> false (* nobody busy this instant; retry next poll *)
-        | Some (pid, n) ->
-            let before = Option.value ~default:!deaths_seen (mem_int "worker_deaths" st) in
+      let fire st kind =
+        match busiest st "workers" with
+        | None -> false
+        | Some (_, pid, n) ->
+            let before = Option.value ~default:!deaths_seen (Json.mem_int "worker_deaths" st) in
             (match kind with
             | `Stall ->
                 info "SIGSTOP worker pid %d (%d tenants)" pid n;
@@ -326,61 +460,11 @@ let run (c : cfg) =
                 await_death ~label:"kill" before);
             true
       in
-      (* ---- main loop: submit (riding rejection hints), poll, disrupt ---- *)
-      let pending = Queue.create () in
-      Array.iter (fun sp -> Queue.add sp pending) specs;
-      let next_submit_t = ref 0.0 in
-      let finished = ref 0 in
-      let deadline = now () +. 120.0 in
-      while !finished < c.ch_tenants do
-        if now () > deadline then
-          raise
-            (Chaos_failure
-               (Printf.sprintf "timeout: %d/%d tenants done, stats %s" !finished c.ch_tenants
-                  (Json.encode (stats ()))));
-        (* submissions: burst until rejected, then honor (a clamp of)
-           the hint so the test stays fast *)
-        if (not (Queue.is_empty pending)) && now () >= !next_submit_t then begin
-          match submit (Queue.peek pending) with
-          | `Admitted -> ignore (Queue.pop pending)
-          | `Rejected hint -> next_submit_t := now () +. Float.min hint 0.1
-        end;
-        let st = stats () in
-        check_stats st;
-        let done_now = Option.value ~default:0 (mem_int "done" st) in
-        (match !disruptions with
-        | (threshold, kind) :: rest when done_now >= threshold ->
-            if fire_disruption st kind then disruptions := rest
-        | _ -> ());
-        Array.iter
-          (fun sp ->
-            match (sp.x_tid, sp.x_result) with
-            | Some tid, None -> (
-                let r = request (Json.Obj [ ("op", jstr "poll"); ("tenant", jint tid) ]) in
-                match mem_str "state" r with
-                | Some "done" ->
-                    sp.x_result <- Json.member "result" r;
-                    sp.x_restarts <-
-                      Option.value ~default:0
-                        (Option.bind (Json.member "result" r) (mem_int "restarts"));
-                    incr finished
-                | Some "failed" ->
-                    err "tenant %d failed: %s" sp.x_index
-                      (Option.value ~default:"?" (mem_str "detail" r));
-                    sp.x_result <- Some (Json.Obj []);
-                    incr finished
-                | Some _ -> ()
-                | None -> err "poll reply without state: %s" (Json.encode r))
-            | _ -> ())
-          specs;
-        ignore (Unix.select [] [] [] 0.02)
-      done;
-      if !disruptions <> [] then
-        err "all tenants finished before %d disruption(s) could fire" (List.length !disruptions);
+      drive ss specs ~limit_s:120.0 ~check:check_stats ~disruptions ~fire;
       (* ---- final ledger ---- *)
-      let st = stats () in
+      let st = stats ss in
       check_stats st;
-      let stat k = Option.value ~default:(-1) (mem_int k st) in
+      let stat k = Option.value ~default:(-1) (Json.mem_int k st) in
       let worker_deaths = stat "worker_deaths" in
       let stall_kills = stat "stall_kills" in
       let requeues = stat "requeues" in
@@ -391,113 +475,48 @@ let run (c : cfg) =
         | _ -> []
       in
       info "deaths=%d stalls=%d requeues=%d corruptions=%d rejections=%d" worker_deaths
-        stall_kills requeues corruptions !rejections;
+        stall_kills requeues corruptions ss.rejections;
       if !disruptions = [] then begin
         if worker_deaths <> c.ch_kills + 1 then
-          err "expected exactly %d worker deaths (%d kills + 1 stall), saw %d" (c.ch_kills + 1)
+          err ss "expected exactly %d worker deaths (%d kills + 1 stall), saw %d" (c.ch_kills + 1)
             c.ch_kills worker_deaths;
-        if stall_kills <> 1 then err "expected exactly 1 stall kill, saw %d" stall_kills;
-        if requeues < 1 then err "disruptions displaced no tenants (requeues = 0)"
+        if stall_kills <> 1 then err ss "expected exactly 1 stall kill, saw %d" stall_kills;
+        if requeues < 1 then err ss "disruptions displaced no tenants (requeues = 0)"
       end;
       if requeues > worker_deaths * capacity then
-        err "requeues %d exceed deaths(%d) x capacity(%d)" requeues worker_deaths capacity;
+        err ss "requeues %d exceed deaths(%d) x capacity(%d)" requeues worker_deaths capacity;
       if c.ch_kills > 0 && corruptions <> 1 then
-        err "expected exactly 1 injected checkpoint corruption, saw %d" corruptions;
-      if !rejections < 1 then
-        err "over-admission burst was never rejected (capacity %d, tenants %d)" capacity
-          c.ch_tenants;
-      if !best_hint <= 0.0 then err "no positive retry_after_s hint observed";
+        err ss "expected exactly 1 injected checkpoint corruption, saw %d" corruptions;
+      check_admission ss ~capacity ~tenants:c.ch_tenants;
       let restart_sum = Array.fold_left (fun a sp -> a + sp.x_restarts) 0 specs in
       if restart_sum <> requeues then
-        err "per-tenant restart counters sum to %d but supervisor counted %d requeues"
+        err ss "per-tenant restart counters sum to %d but supervisor counted %d requeues"
           restart_sum requeues;
       (* ---- byte-identity against the undisturbed serial reference ---- *)
       let resumed_seen = ref 0 in
-      Array.iter
-        (fun sp ->
-          match sp.x_result with
-          | None -> err "tenant %d never finished" sp.x_index
-          | Some r -> (
-              match
-                Service.run_serial ~abi:sp.x_abi ~fuel:sp.x_fuel ~slice:sp.x_slice sp.x_source
-              with
-              | Error e -> err "tenant %d: serial reference failed: %s" sp.x_index e
-              | Ok expect ->
-                  let got_s k = Option.value ~default:"<missing>" (mem_str k r) in
-                  let got_i k = Option.value ~default:(-1) (mem_int k r) in
-                  let fail_field f want got =
-                    err "tenant %d (%s): %s diverged: serial=%s disturbed=%s" sp.x_index
-                      sp.x_abi f want got
-                  in
-                  if got_s "outcome" <> expect.Service.r_outcome then
-                    fail_field "outcome" expect.Service.r_outcome (got_s "outcome");
-                  if got_s "output" <> expect.Service.r_output then
-                    fail_field "output" (String.escaped expect.Service.r_output)
-                      (String.escaped (got_s "output"));
-                  if got_i "cycles" <> expect.Service.r_cycles then
-                    fail_field "cycles" (string_of_int expect.Service.r_cycles)
-                      (string_of_int (got_i "cycles"));
-                  if got_i "instret" <> expect.Service.r_instret then
-                    fail_field "instret" (string_of_int expect.Service.r_instret)
-                      (string_of_int (got_i "instret"));
-                  (* slice-count equality IS the <=1-slice-loss bound:
-                     the counter rides in the checkpoint note, so only
-                     the uncheckpointed in-flight slice can be redone,
-                     and it is counted exactly once either way *)
-                  if got_i "slices" <> expect.Service.r_slices then
-                    fail_field "slices" (string_of_int expect.Service.r_slices)
-                      (string_of_int (got_i "slices"));
-                  if Option.value ~default:false (mem_bool "resumed" r) then incr resumed_seen;
-                  (match sp.x_tid with
-                  | Some tid when List.mem tid corrupted ->
-                      if not (Option.value ~default:false (mem_bool "scratch" r)) then
-                        err
-                          "tenant %d had its checkpoint corrupted but was not restarted from \
-                           scratch"
-                          sp.x_index
-                  | _ -> ())))
-        specs;
+      verify ss specs ~extra:(fun sp r ->
+          if Option.value ~default:false (Json.mem_bool "resumed" r) then incr resumed_seen;
+          match sp.x_tid with
+          | Some tid when List.mem tid corrupted ->
+              if not (Option.value ~default:false (Json.mem_bool "scratch" r)) then
+                err ss "tenant %d had its checkpoint corrupted but was not restarted from scratch"
+                  sp.x_index
+          | _ -> ());
       if worker_deaths > 0 && requeues > corruptions && !resumed_seen = 0 then
-        err "no tenant ever resumed from a checkpoint despite %d requeues" requeues;
+        err ss "no tenant ever resumed from a checkpoint despite %d requeues" requeues;
       (* ---- shutdown ---- *)
-      (match Client.request cl (Json.Obj [ ("op", jstr "shutdown") ]) with
+      (match Client.request ss.cl (Json.Obj [ ("op", jstr "shutdown") ]) with
       | Ok _ -> ()
-      | Error e -> err "shutdown request failed: %s" e);
-      Client.close cl;
-      let sdeadline = now () +. 10.0 in
-      let rec reap () =
-        match Unix.waitpid [ Unix.WNOHANG ] srv_pid with
-        | 0, _ ->
-            if now () > sdeadline then err "server did not exit after shutdown"
-            else begin
-              ignore (Unix.select [] [] [] 0.05);
-              reap ()
-            end
-        | _, Unix.WEXITED 0 -> ()
-        | _, status ->
-            err "server exited abnormally: %s"
-              (match status with
-              | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-              | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-              | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)
-        | exception Unix.Unix_error _ -> ()
-      in
-      reap ();
-      match List.rev !errors with
-      | [] ->
-          Printf.printf
-            "chaos: PASS %d tenants byte-identical through %d worker deaths (%d SIGKILL + %d \
-             stall), %d requeues, %d corrupted checkpoint(s), %d admission rejections\n%!"
-            c.ch_tenants worker_deaths c.ch_kills stall_kills requeues corruptions !rejections;
-          0
-      | es ->
-          List.iter (fun e -> Printf.eprintf "chaos: FAIL %s\n" e) es;
-          Printf.eprintf "chaos: %d assertion(s) failed\n%!" (List.length es);
-          1)
+      | Error e -> err ss "shutdown request failed: %s" e);
+      Client.close ss.cl;
+      await_exit ss srv_pid ~who:"server" ~what:"shutdown" ~timeout_s:10.0;
+      verdict ~tag:"chaos" ss
+        (Printf.sprintf
+           "%d tenants byte-identical through %d worker deaths (%d SIGKILL + %d stall), %d \
+            requeues, %d corrupted checkpoint(s), %d admission rejections"
+           c.ch_tenants worker_deaths c.ch_kills stall_kills requeues corruptions ss.rejections))
 
-let run c = try run c with Chaos_failure m ->
-  Printf.eprintf "chaos: ABORT %s\n%!" m;
-  1
+let run = guard ~tag:"chaos" run
 
 (* ------------------------------------------------------------------ *)
 (* Fleet harness: shard-level faults against the router                *)
@@ -537,23 +556,13 @@ let fleet_default =
   }
 
 let read_manifest path =
-  match
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  with
-  | exception (Sys_error _ | End_of_file) -> None
-  | s -> ( match Service.manifest_of_json s with Ok es -> Some es | Error _ -> None)
+  Option.bind (Supervisor.read_file path) (fun s -> Result.to_option (Service.manifest_of_json s))
 
 let run_fleet (c : fleet_cfg) =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let info fmt =
     Printf.ksprintf (fun m -> if c.f_verbose then Printf.eprintf "chaos-fleet: %s\n%!" m) fmt
   in
   let dir = Printf.sprintf "/tmp/cheri-fleet-%d-%d" (Unix.getpid ()) c.f_seed in
-  rm_rf dir;
   let capacity = max 2 (c.f_tenants / 4) in
   let rcfg =
     {
@@ -573,96 +582,32 @@ let run_fleet (c : fleet_cfg) =
       r_seed = c.f_seed;
     }
   in
-  let specs =
-    Array.init c.f_tenants (fun i ->
-        if i = c.f_tenants - 1 then
-          { x_index = i; x_source = spin_source; x_abi = "cheriv3"; x_fuel = 150_000;
-            x_slice = c.f_slice; x_tid = None; x_result = None; x_restarts = 0 }
-        else
-          { x_index = i; x_source = tenant_source ~seed:c.f_seed ~index:i;
-            x_abi = abis.(i mod Array.length abis); x_fuel = 50_000_000;
-            x_slice = c.f_slice; x_tid = None; x_result = None; x_restarts = 0 })
-  in
+  let specs = make_specs ~seed:c.f_seed ~slice:c.f_slice c.f_tenants in
   info "fleet dir %s, %d shards, capacity %d" dir rcfg.Router.r_shards capacity;
-  let router_pid = Client.spawn_router rcfg in
-  let cleanup_router () =
-    (try Unix.kill router_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] router_pid) with Unix.Unix_error _ -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      cleanup_router ();
-      if not c.f_keep then rm_rf dir)
-    (fun () ->
-      if not (Client.wait_socket rcfg.Router.r_socket ~timeout_s:15.0) then
-        raise (Chaos_failure "fleet socket never came up");
-      let cl = Client.connect rcfg.Router.r_socket in
-      let request j =
-        match Client.request cl j with
-        | Ok r -> r
-        | Error e -> raise (Chaos_failure ("fleet request failed: " ^ e))
-      in
-      let stats () = request (Json.Obj [ ("op", jstr "stats") ]) in
+  with_service ~label:"fleet" ~dir ~keep:c.f_keep ~socket:rcfg.Router.r_socket
+    ~socket_timeout_s:15.0
+    ~spawn:(fun () -> Client.spawn_router rcfg)
+    (fun router_pid ss ->
       (* idle soak past the shard spawn grace plus staleness windows: a
          router that reaps healthy idle shards fails here *)
       Unix.sleepf (3.0 +. (2.0 *. rcfg.Router.r_status_s) +. 1.5);
-      (let st = stats () in
-       match (mem_int "shard_deaths" st, mem_int "stall_kills" st) with
+      (let st = stats ss in
+       match (Json.mem_int "shard_deaths" st, Json.mem_int "stall_kills" st) with
        | Some 0, Some 0 -> ()
-       | Some d, Some s -> err "idle shards were reaped before any work: deaths=%d stalls=%d" d s
-       | _ -> err "fleet stats missing shard_deaths/stall_kills");
-      let rejections = ref 0 in
-      let best_hint = ref 0.0 in
-      let submit sp =
-        let req =
-          Json.Obj
-            [
-              ("op", jstr "submit");
-              ("source", jstr sp.x_source);
-              ("abi", jstr sp.x_abi);
-              ("fuel", jint sp.x_fuel);
-              ("slice", jint sp.x_slice);
-            ]
-        in
-        let r = request req in
-        match (mem_bool "ok" r, mem_int "tenant" r, mem_str "error" r) with
-        | Some true, Some tid, _ ->
-            sp.x_tid <- Some tid;
-            `Admitted
-        | Some false, _, Some "overloaded" -> (
-            incr rejections;
-            match mem_float "retry_after_s" r with
-            | Some h when h > 0.0 ->
-                if h > !best_hint then best_hint := h;
-                `Rejected h
-            | _ ->
-                err "overloaded rejection without a positive retry_after_s hint";
-                `Rejected 0.05)
-        | _ -> raise (Chaos_failure ("unexpected submit reply: " ^ Json.encode r))
-      in
+       | Some d, Some s ->
+           err ss "idle shards were reaped before any work: deaths=%d stalls=%d" d s
+       | _ -> err ss "fleet stats missing shard_deaths/stall_kills");
       (* ---- shard-level disruption schedule, fired on done counts ---- *)
-      let stat st k = Option.value ~default:(-1) (mem_int k st) in
+      let stat st k = Option.value ~default:(-1) (Json.mem_int k st) in
       let busiest_shard st =
-        match Json.member "shards" st with
-        | Some (Json.Arr ss) ->
-            List.fold_left
-              (fun acc s ->
-                match
-                  (mem_bool "alive" s, mem_bool "draining" s, mem_int "id" s, mem_int "pid" s,
-                   mem_int "tenants" s)
-                with
-                | Some true, Some false, Some id, Some pid, Some n when n >= 1 -> (
-                    match acc with
-                    | Some (_, _, best_n) when best_n >= n -> acc
-                    | _ -> Some (id, pid, n))
-                | _ -> acc)
-              None ss
-        | _ -> None
+        busiest st "shards" ~ok:(fun row ->
+            Json.mem_bool "draining" row = Some false && Json.mem_int "id" row <> None)
+        |> Option.map (fun (row, pid, n) -> (Option.get (Json.mem_int "id" row), pid, n))
       in
       let await ~label ~deadline_s pred =
         let deadline = now () +. deadline_s in
         let rec go () =
-          let st = stats () in
+          let st = stats ss in
           if pred st then ()
           else if now () > deadline then
             raise
@@ -676,9 +621,9 @@ let run_fleet (c : fleet_cfg) =
         go ()
       in
       let disruptions = ref [ (1, `StopShard); (4, `TermShard); (7, `KillShard); (10, `AdminDrain) ] in
-      let fire_disruption st kind =
+      let fire st kind =
         match busiest_shard st with
-        | None -> false (* nobody loaded this instant; retry next poll *)
+        | None -> false
         | Some (id, pid, n) ->
             let deaths0 = stat st "shard_deaths" in
             let stalls0 = stat st "stall_kills" in
@@ -692,8 +637,7 @@ let run_fleet (c : fleet_cfg) =
             | `TermShard ->
                 info "SIGTERM shard %d pid %d (%d tenants)" id pid n;
                 (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-                await ~label:"shard drain" ~deadline_s:30.0 (fun st ->
-                    stat st "drains" > drains0)
+                await ~label:"shard drain" ~deadline_s:30.0 (fun st -> stat st "drains" > drains0)
             | `KillShard ->
                 info "SIGKILL shard %d pid %d (%d tenants)" id pid n;
                 (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -701,186 +645,77 @@ let run_fleet (c : fleet_cfg) =
                     stat st "shard_deaths" > deaths0)
             | `AdminDrain ->
                 info "admin drain shard %d (%d tenants), then rebalance" id n;
-                (let r = request (Json.Obj [ ("op", jstr "drain"); ("shard", jint id) ]) in
-                 if mem_bool "ok" r <> Some true then
-                   err "admin drain refused: %s" (Json.encode r));
-                await ~label:"admin drain" ~deadline_s:30.0 (fun st ->
-                    stat st "drains" > drains0);
-                let r = request (Json.Obj [ ("op", jstr "rebalance") ]) in
-                if mem_bool "ok" r <> Some true then err "rebalance refused: %s" (Json.encode r)
-                else if Option.value ~default:0 (mem_int "revived" r) < 1 then
-                  err "rebalance revived no held shard slot: %s" (Json.encode r));
+                (let r = request ss (Json.Obj [ ("op", jstr "drain"); ("shard", jint id) ]) in
+                 if Json.mem_bool "ok" r <> Some true then
+                   err ss "admin drain refused: %s" (Json.encode r));
+                await ~label:"admin drain" ~deadline_s:30.0 (fun st -> stat st "drains" > drains0);
+                let r = request ss (Json.Obj [ ("op", jstr "rebalance") ]) in
+                if Json.mem_bool "ok" r <> Some true then
+                  err ss "rebalance refused: %s" (Json.encode r)
+                else if Option.value ~default:0 (Json.mem_int "revived" r) < 1 then
+                  err ss "rebalance revived no held shard slot: %s" (Json.encode r));
             true
       in
-      (* ---- main loop: submit (riding hints), poll, disrupt ---- *)
-      let pending = Queue.create () in
-      Array.iter (fun sp -> Queue.add sp pending) specs;
-      let next_submit_t = ref 0.0 in
-      let finished = ref 0 in
-      let deadline = now () +. 240.0 in
-      while !finished < c.f_tenants do
-        if now () > deadline then
-          raise
-            (Chaos_failure
-               (Printf.sprintf "timeout: %d/%d tenants done, stats %s" !finished c.f_tenants
-                  (Json.encode (stats ()))));
-        if (not (Queue.is_empty pending)) && now () >= !next_submit_t then begin
-          match submit (Queue.peek pending) with
-          | `Admitted -> ignore (Queue.pop pending)
-          | `Rejected hint -> next_submit_t := now () +. Float.min hint 0.1
-        end;
-        let st = stats () in
-        let done_now = Option.value ~default:0 (mem_int "done" st) in
-        (match !disruptions with
-        | (threshold, kind) :: rest when done_now >= threshold ->
-            if fire_disruption st kind then disruptions := rest
-        | _ -> ());
-        Array.iter
-          (fun sp ->
-            match (sp.x_tid, sp.x_result) with
-            | Some tid, None -> (
-                let r = request (Json.Obj [ ("op", jstr "poll"); ("tenant", jint tid) ]) in
-                match mem_str "state" r with
-                | Some "done" ->
-                    sp.x_result <- Json.member "result" r;
-                    sp.x_restarts <-
-                      Option.value ~default:0
-                        (Option.bind (Json.member "result" r) (mem_int "restarts"));
-                    incr finished
-                | Some "failed" ->
-                    err "tenant %d failed: %s" sp.x_index
-                      (Option.value ~default:"?" (mem_str "detail" r));
-                    sp.x_result <- Some (Json.Obj []);
-                    incr finished
-                | Some _ -> ()
-                | None -> err "poll reply without state: %s" (Json.encode r))
-            | _ -> ())
-          specs;
-        ignore (Unix.select [] [] [] 0.02)
-      done;
-      if !disruptions <> [] then
-        err "all tenants finished before %d disruption(s) could fire" (List.length !disruptions);
+      drive ss specs ~limit_s:240.0 ~check:ignore ~disruptions ~fire;
       (* ---- final ledger: exact migration and drain accounting ---- *)
-      let st = stats () in
+      let st = stats ss in
       let shard_deaths = stat st "shard_deaths" in
       let stall_kills = stat st "stall_kills" in
       let drains = stat st "drains" in
       let migrations = stat st "migrations" in
       let failed = stat st "failed" in
       info "deaths=%d stalls=%d drains=%d migrations=%d rejections=%d" shard_deaths stall_kills
-        drains migrations !rejections;
-      if failed <> 0 then err "%d tenant(s) failed at the router" failed;
+        drains migrations ss.rejections;
+      if failed <> 0 then err ss "%d tenant(s) failed at the router" failed;
       if !disruptions = [] then begin
         (* SIGSTOP (stall-killed) + SIGKILL are the dirty deaths; the
            SIGTERM drain and the admin drain each reaped one manifest *)
         if shard_deaths <> 2 then
-          err "expected exactly 2 shard deaths (1 stall + 1 SIGKILL), saw %d" shard_deaths;
-        if stall_kills <> 1 then err "expected exactly 1 shard stall kill, saw %d" stall_kills;
+          err ss "expected exactly 2 shard deaths (1 stall + 1 SIGKILL), saw %d" shard_deaths;
+        if stall_kills <> 1 then err ss "expected exactly 1 shard stall kill, saw %d" stall_kills;
         if drains <> 2 then
-          err "expected exactly 2 shard drains (1 SIGTERM + 1 admin), saw %d" drains;
-        if migrations < 1 then err "shard faults displaced no tenants (migrations = 0)"
+          err ss "expected exactly 2 shard drains (1 SIGTERM + 1 admin), saw %d" drains;
+        if migrations < 1 then err ss "shard faults displaced no tenants (migrations = 0)"
       end;
-      if !rejections < 1 then
-        err "over-admission burst was never rejected (capacity %d, tenants %d)" capacity
-          c.f_tenants;
-      if !best_hint <= 0.0 then err "no positive retry_after_s hint observed";
-      if !best_hint > Admission.hint_cap_s +. 1e-9 then
-        err "retry_after_s hint %.3f exceeds the %.0f s ceiling" !best_hint Admission.hint_cap_s;
+      check_admission ss ~capacity ~tenants:c.f_tenants;
+      if ss.best_hint > Admission.hint_cap_s +. 1e-9 then
+        err ss "retry_after_s hint %.3f exceeds the %.0f s ceiling" ss.best_hint
+          Admission.hint_cap_s;
       (* sum of per-tenant migration lineages = migrations the router
          performed: nothing double-migrated, nothing lost *)
       let mig_sum =
         Array.fold_left
           (fun acc sp ->
             acc
-            + match sp.x_result with Some r -> Option.value ~default:0 (mem_int "migrations" r) | None -> 0)
+            + match sp.x_result with
+              | Some r -> Option.value ~default:0 (Json.mem_int "migrations" r)
+              | None -> 0)
           0 specs
       in
       if mig_sum <> migrations then
-        err "per-tenant migration counters sum to %d but the router performed %d" mig_sum
+        err ss "per-tenant migration counters sum to %d but the router performed %d" mig_sum
           migrations;
       (* ---- byte-identity against the undisturbed serial reference ---- *)
       let migrated_seen = ref 0 in
-      Array.iter
-        (fun sp ->
-          match sp.x_result with
-          | None -> err "tenant %d never finished" sp.x_index
-          | Some r -> (
-              match
-                Service.run_serial ~abi:sp.x_abi ~fuel:sp.x_fuel ~slice:sp.x_slice sp.x_source
-              with
-              | Error e -> err "tenant %d: serial reference failed: %s" sp.x_index e
-              | Ok expect ->
-                  let got_s k = Option.value ~default:"<missing>" (mem_str k r) in
-                  let got_i k = Option.value ~default:(-1) (mem_int k r) in
-                  let fail_field f want got =
-                    err "tenant %d (%s): %s diverged: serial=%s disturbed=%s" sp.x_index
-                      sp.x_abi f want got
-                  in
-                  if got_s "outcome" <> expect.Service.r_outcome then
-                    fail_field "outcome" expect.Service.r_outcome (got_s "outcome");
-                  if got_s "output" <> expect.Service.r_output then
-                    fail_field "output" (String.escaped expect.Service.r_output)
-                      (String.escaped (got_s "output"));
-                  if got_i "cycles" <> expect.Service.r_cycles then
-                    fail_field "cycles" (string_of_int expect.Service.r_cycles)
-                      (string_of_int (got_i "cycles"));
-                  if got_i "instret" <> expect.Service.r_instret then
-                    fail_field "instret" (string_of_int expect.Service.r_instret)
-                      (string_of_int (got_i "instret"));
-                  (* slice-count equality makes the <=1-slice-loss bound
-                     observable across shard boundaries too: a migrated
-                     tenant's slice counter rides in its checkpoint
-                     note, so a drain loses zero and a shard SIGKILL
-                     loses only the uncounted in-flight slice *)
-                  if got_i "slices" <> expect.Service.r_slices then
-                    fail_field "slices" (string_of_int expect.Service.r_slices)
-                      (string_of_int (got_i "slices"));
-                  if got_i "migrations" > 0 then incr migrated_seen))
-        specs;
+      verify ss specs ~extra:(fun _ r ->
+          if Option.value ~default:(-1) (Json.mem_int "migrations" r) > 0 then incr migrated_seen);
       if migrations > 0 && !migrated_seen = 0 then
-        err "router performed %d migrations but no finished tenant carries one" migrations;
+        err ss "router performed %d migrations but no finished tenant carries one" migrations;
       (* ---- graceful fleet shutdown: SIGTERM -> drain -> exit 0 ---- *)
-      Client.close cl;
+      Client.close ss.cl;
       (try Unix.kill router_pid Sys.sigterm with Unix.Unix_error _ -> ());
-      let sdeadline = now () +. 20.0 in
-      let rec reap () =
-        match Unix.waitpid [ Unix.WNOHANG ] router_pid with
-        | 0, _ ->
-            if now () > sdeadline then err "router did not exit after SIGTERM"
-            else begin
-              ignore (Unix.select [] [] [] 0.05);
-              reap ()
-            end
-        | _, Unix.WEXITED 0 -> ()
-        | _, status ->
-            err "router exited abnormally after SIGTERM: %s"
-              (match status with
-              | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-              | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-              | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)
-        | exception Unix.Unix_error _ -> ()
-      in
-      reap ();
+      await_exit ss router_pid ~who:"router" ~what:"SIGTERM" ~timeout_s:20.0;
       (* the fleet manifest is the router's will: every admitted tenant
          accounted for (here all terminal, so all T_done entries) *)
       (match read_manifest (Service.manifest_path ~dir) with
       | Some entries ->
           if List.length entries <> c.f_tenants then
-            err "fleet manifest lists %d tenants, expected %d" (List.length entries) c.f_tenants
-      | None -> err "router left no parseable fleet manifest at %s" (Service.manifest_path ~dir));
-      match List.rev !errors with
-      | [] ->
-          Printf.printf
-            "chaos-fleet: PASS %d tenants byte-identical across %d shards through 1 stall, 1 \
-             SIGKILL, 1 SIGTERM drain, 1 admin drain+rebalance; %d migrations exactly \
-             accounted, %d rejections\n%!"
-            c.f_tenants rcfg.Router.r_shards migrations !rejections;
-          0
-      | es ->
-          List.iter (fun e -> Printf.eprintf "chaos-fleet: FAIL %s\n" e) es;
-          Printf.eprintf "chaos-fleet: %d assertion(s) failed\n%!" (List.length es);
-          1)
+            err ss "fleet manifest lists %d tenants, expected %d" (List.length entries) c.f_tenants
+      | None -> err ss "router left no parseable fleet manifest at %s" (Service.manifest_path ~dir));
+      verdict ~tag:"chaos-fleet" ss
+        (Printf.sprintf
+           "%d tenants byte-identical across %d shards through 1 stall, 1 SIGKILL, 1 SIGTERM \
+            drain, 1 admin drain+rebalance; %d migrations exactly accounted, %d rejections"
+           c.f_tenants rcfg.Router.r_shards migrations ss.rejections))
 
-let run_fleet c = try run_fleet c with Chaos_failure m ->
-  Printf.eprintf "chaos-fleet: ABORT %s\n%!" m;
-  1
+let run_fleet = guard ~tag:"chaos-fleet" run_fleet

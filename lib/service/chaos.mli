@@ -74,4 +74,14 @@ module Client : sig
   val close : t -> unit
 end
 
+val busiest :
+  ?ok:(Cheri_util.Json.t -> bool) ->
+  Cheri_util.Json.t ->
+  string ->
+  (Cheri_util.Json.t * int * int) option
+(** [busiest st key]: of the rows in the [key] array of a [stats]
+    reply ("workers" or "shards"), the live one holding the most
+    tenants (at least one) and passing [ok], as [(row, pid, tenants)];
+    ties keep the earlier row. Shared with [bench serve]. *)
+
 val rm_rf : string -> unit

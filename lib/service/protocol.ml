@@ -83,6 +83,14 @@ let read_frame fd reader =
   go ()
 
 (* One blocking request/response round trip (the client side). *)
+let connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
 let request fd reader json =
   write_frame fd (Cheri_util.Json.encode json);
   match read_frame fd reader with

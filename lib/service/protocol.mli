@@ -45,6 +45,10 @@ val read_frame :
 (** Blocking read of one frame (client and worker sides); surplus bytes
     stay buffered in the reader for the next call. *)
 
+val connect : string -> Unix.file_descr
+(** A connected (close-on-exec) client socket to a Unix-domain path;
+    [Unix_error] escapes with no fd leaked. *)
+
 val request :
   Unix.file_descr -> Reader.t -> Cheri_util.Json.t -> (Cheri_util.Json.t, string) result
 (** One blocking request/response round trip: frame and send the

@@ -47,17 +47,7 @@ let jint n = Json.Num (string_of_int n)
 let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
 let jbool b = Json.Bool b
 let jstr s = Json.Str s
-let mem_int k j = Option.bind (Json.member k j) Json.to_int
-let mem_float k j = Option.bind (Json.member k j) Json.to_float
-let mem_str k j = Option.bind (Json.member k j) Json.to_string
-let mem_bool k j = Option.bind (Json.member k j) Json.to_bool
 let now = Unix.gettimeofday
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -124,16 +114,16 @@ let rconfig_of_json s =
   match Json.parse s with
   | Error e -> Error ("rconfig: " ^ e)
   | Ok j -> (
-      match mem_str "dir" j with
+      match Json.mem_str "dir" j with
       | None -> Error "rconfig: missing dir"
       | Some dir ->
           let d = default_rconfig ~dir in
-          let i k dflt = Option.value ~default:dflt (mem_int k j) in
-          let f k dflt = Option.value ~default:dflt (mem_float k j) in
+          let i k dflt = Option.value ~default:dflt (Json.mem_int k j) in
+          let f k dflt = Option.value ~default:dflt (Json.mem_float k j) in
           Ok
             {
               r_dir = dir;
-              r_socket = Option.value ~default:d.r_socket (mem_str "socket" j);
+              r_socket = Option.value ~default:d.r_socket (Json.mem_str "socket" j);
               r_shards = i "shards" d.r_shards;
               r_workers = i "workers" d.r_workers;
               r_worker_jobs = i "worker_jobs" d.r_worker_jobs;
@@ -194,15 +184,14 @@ let hrw_order ~seed ~shards gid =
 (* ------------------------------------------------------------------ *)
 (* Router state                                                        *)
 
+(* a shard slot's own state; pid and liveness live in its
+   Supervisor.child *)
 type shard = {
   sh_id : int;
   sh_cfg : Service.config;
-  mutable sh_pid : int;
   mutable sh_conn : (Unix.file_descr * Protocol.Reader.t) option;
-  mutable sh_alive : bool;
   mutable sh_draining : bool;
   mutable sh_held : bool;  (** admin-drained slot: do not respawn *)
-  mutable sh_spawned : float;
   mutable sh_drain_t : float;  (** 0. unless a router-initiated drain is in flight *)
   mutable sh_timeouts : int;  (** consecutive wire timeouts *)
   mutable sh_last_take : float;
@@ -229,16 +218,13 @@ type rtenant = {
   mutable rt_mig_t : float;  (** un-placement time, for migration latency *)
 }
 
-type client = { c_fd : Unix.file_descr; c_reader : Protocol.Reader.t }
-
 type router = {
   cfg : rconfig;
   adm : Admission.t;
-  listen : Unix.file_descr;
-  mutable clients : client list;
+  fe : Frontend.t;
   tenants : (int, rtenant) Hashtbl.t;
   mutable next_gid : int;
-  shards : shard array;
+  shards : shard Supervisor.t;
   hb : Obs.Heartbeat.t;
   t0 : float;
   mutable shutdown : bool;
@@ -275,7 +261,8 @@ let placed_on r k =
     (fun _ t acc -> match t.rt_place with P_shard s when s = k -> acc + 1 | _ -> acc)
     r.tenants 0
 
-let eligible _r sh = sh.sh_alive && (not sh.sh_draining) && not sh.sh_held
+let eligible (c : shard Supervisor.child) =
+  c.alive && (not c.data.sh_draining) && not c.data.sh_held
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint staging                                                  *)
@@ -320,21 +307,12 @@ let drop_conn sh =
 
 let shard_status_path cfg k = Filename.concat (shard_dir cfg k) "status.json"
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let b = really_input_string ic n in
-    close_in ic;
-    Some b
-  with Sys_error _ | End_of_file -> None
-
 (* worker pids of a shard, from its (atomically written) status file —
    used to finish off a SIGKILLed shard's workers so no orphan can
    keep writing checkpoints into a directory the router has already
    harvested *)
 let shard_worker_pids cfg k =
-  match read_file (shard_status_path cfg k) with
+  match Supervisor.read_file (shard_status_path cfg k) with
   | None -> []
   | Some s -> (
       match Json.parse s with
@@ -344,16 +322,16 @@ let shard_worker_pids cfg k =
           | Some (Json.Arr ws) ->
               List.filter_map
                 (fun w ->
-                  match (mem_bool "alive" w, mem_int "pid" w) with
+                  match (Json.mem_bool "alive" w, Json.mem_int "pid" w) with
                   | Some true, Some pid when pid > 0 -> Some pid
                   | _ -> None)
                 ws
           | _ -> []))
 
-let spawn_shard r sh =
+let spawn_shard r (c : shard Supervisor.child) =
+  let sh = c.data in
   let dir = sh.sh_cfg.Service.dir in
-  mkdir_p dir;
-  mkdir_p (Filename.concat dir "checkpoints");
+  Supervisor.mkdir_p (Filename.concat dir "checkpoints");
   (* the router owns tenant placement: a respawned shard must come up
      empty, not orphan-adopt leftovers of its previous incarnation
      (those checkpoints were staged at failover; anything left is a
@@ -369,47 +347,31 @@ let spawn_shard r sh =
   | exception Sys_error _ -> ());
   (try Sys.remove (shard_status_path r.cfg sh.sh_id) with Sys_error _ -> ());
   (try Sys.remove (Service.manifest_path ~dir) with Sys_error _ -> ());
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; Service.server_marker; Service.config_to_json sh.sh_cfg |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  sh.sh_pid <- pid;
-  sh.sh_alive <- true;
+  Supervisor.spawn c [ Service.server_marker; Service.config_to_json sh.sh_cfg ];
   sh.sh_draining <- false;
-  sh.sh_spawned <- now ();
   sh.sh_drain_t <- 0.;
   sh.sh_timeouts <- 0;
   sh.sh_last_take <- now ()
 
-let kill_shard r sh ~stall =
-  if sh.sh_alive && sh.sh_pid > 0 then begin
-    if stall then begin
-      r.stall_kills <- r.stall_kills + 1;
-      tick c_stall_kills
-    end;
-    (* workers first: after these kills return, nothing can write into
-       the shard's checkpoint directory while we harvest it at reap *)
-    List.iter
-      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      (shard_worker_pids r.cfg sh.sh_id);
-    (try Unix.kill sh.sh_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    drop_conn sh
-  end
+(* run before a shard is SIGKILLed (and again at its reap): after
+   these kills return, nothing can write into the shard's checkpoint
+   directory while we harvest it *)
+let kill_workers r sh =
+  List.iter
+    (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+    (shard_worker_pids r.cfg sh.sh_id);
+  drop_conn sh
 
 let connect_shard sh =
   match sh.sh_conn with
   | Some c -> Some c
   | None -> (
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX sh.sh_cfg.Service.socket) with
-      | () ->
+      match Protocol.connect sh.sh_cfg.Service.socket with
+      | fd ->
           let c = (fd, Protocol.Reader.create ()) in
           sh.sh_conn <- Some c;
           Some c
-      | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          None)
+      | exception Unix.Unix_error _ -> None)
 
 (* one request/response on the shard's long-lived connection; a
    timeout poisons the connection (a late reply would desynchronize
@@ -434,17 +396,16 @@ let shard_request r sh json =
    [shutdown], whose replies are deferred or unwanted — they must not
    ride the paired request/response connection *)
 let shard_send_oneway sh json =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_UNIX sh.sh_cfg.Service.socket);
-    Protocol.write_frame fd (Json.encode json)
-  with
-  | () ->
+  match Protocol.connect sh.sh_cfg.Service.socket with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      let sent =
+        match Protocol.write_frame fd (Json.encode json) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false
+      in
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      true
-  | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      false
+      sent
 
 (* ------------------------------------------------------------------ *)
 (* Migration bookkeeping                                               *)
@@ -524,78 +485,69 @@ let process_manifest r sh entries =
   end;
   List.iter (absorb_entry r sh) entries
 
-let reap_shards r =
-  Array.iter
-    (fun sh ->
-      if sh.sh_alive && sh.sh_pid > 0 then
-        match Unix.waitpid [ Unix.WNOHANG ] sh.sh_pid with
-        | 0, _ -> ()
-        | _, status ->
-            drop_conn sh;
-            sh.sh_alive <- false;
-            sh.sh_pid <- -1;
-            let dir = sh.sh_cfg.Service.dir in
-            let manifest =
-              match read_file (Service.manifest_path ~dir) with
-              | None -> None
-              | Some s -> (
-                  match Service.manifest_of_json s with Ok es -> Some es | Error _ -> None)
-            in
-            (try Sys.remove (Service.manifest_path ~dir) with Sys_error _ -> ());
-            (match (manifest, status) with
-            | Some entries, Unix.WEXITED 0 ->
-                (* clean drain: the manifest is the complete hand-off *)
-                process_manifest r sh entries;
-                (* belt and braces: anything the manifest somehow missed *)
-                failover_tenants r sh
-            | Some entries, _ ->
-                (* died mid-drain wrap-up: honor what was written, crash
-                   the rest *)
-                process_manifest r sh entries;
-                failover_tenants r sh
-            | None, _ ->
-                (* dirty death (SIGKILL, crash): stage and requeue *)
-                r.shard_deaths <- r.shard_deaths + 1;
-                tick c_shard_deaths;
-                (* finish off any workers the dead supervisor left: an
-                   orphan would keep checkpointing into a directory we
-                   are about to harvest and hand to a new incarnation *)
-                List.iter
-                  (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-                  (shard_worker_pids r.cfg sh.sh_id);
-                failover_tenants r sh);
-            sh.sh_draining <- false)
-    r.shards
+(* the reap callback: [c] is already marked dead *)
+let on_shard_exit r (c : shard Supervisor.child) status =
+  let sh = c.data in
+  drop_conn sh;
+  c.pid <- -1;
+  let dir = sh.sh_cfg.Service.dir in
+  let manifest =
+    match Supervisor.read_file (Service.manifest_path ~dir) with
+    | None -> None
+    | Some s -> ( match Service.manifest_of_json s with Ok es -> Some es | Error _ -> None)
+  in
+  (try Sys.remove (Service.manifest_path ~dir) with Sys_error _ -> ());
+  (match (manifest, status) with
+  | Some entries, Unix.WEXITED 0 ->
+      (* clean drain: the manifest is the complete hand-off *)
+      process_manifest r sh entries;
+      (* belt and braces: anything the manifest somehow missed *)
+      failover_tenants r sh
+  | Some entries, _ ->
+      (* died mid-drain wrap-up: honor what was written, crash the rest *)
+      process_manifest r sh entries;
+      failover_tenants r sh
+  | None, _ ->
+      (* dirty death (SIGKILL, crash): stage and requeue *)
+      r.shard_deaths <- r.shard_deaths + 1;
+      tick c_shard_deaths;
+      (* finish off any workers the dead supervisor left: an orphan
+         would keep checkpointing into a directory we are about to
+         harvest and hand to a new incarnation *)
+      kill_workers r sh;
+      failover_tenants r sh);
+  sh.sh_draining <- false
+
+let reap_shards r = Supervisor.reap r.shards ~on_exit:(on_shard_exit r)
 
 let respawn_shards r =
   if not (r.draining || r.shutdown) then
     Array.iter
-      (fun sh -> if (not sh.sh_alive) && not sh.sh_held then spawn_shard r sh)
+      (fun (c : shard Supervisor.child) ->
+        if (not c.alive) && not c.data.sh_held then spawn_shard r c)
       r.shards
 
 (* ------------------------------------------------------------------ *)
 (* Health probing and harvesting                                       *)
 
-let spawn_grace_s r = 3.0 +. (2. *. r.cfg.r_status_s)
-
+(* every live shard is probed, and one whose wire stopped answering
+   counts as stale too: beating stopped or requests time out while the
+   process is alive — SIGSTOP or a wedged supervisor — and reap turns
+   the kill into a failover *)
 let probe_shards r =
-  Array.iter
-    (fun sh ->
-      if sh.sh_alive && now () -. sh.sh_spawned > spawn_grace_s r then begin
-        (match
-           Obs.Heartbeat.probe ~interval_s:r.cfg.r_status_s (shard_status_path r.cfg sh.sh_id)
-         with
-        | `Fresh -> ()
-        | `Stale _ | `Missing ->
-            (* beating stopped but the process is alive: SIGSTOP or a
-               wedged supervisor — reap turns this into a failover *)
-            kill_shard r sh ~stall:true);
-        if sh.sh_alive && sh.sh_timeouts >= 3 then kill_shard r sh ~stall:true
-      end)
-    r.shards
+  Supervisor.probe r.shards
+    ~wedged:(fun c -> c.data.sh_timeouts >= 3)
+    ~grace_s:(3.0 +. (2. *. r.cfg.r_status_s))
+    ~interval_s:r.cfg.r_status_s
+    ~path:(fun c -> shard_status_path r.cfg c.data.sh_id)
+    ~on_stale:(fun c ->
+      r.stall_kills <- r.stall_kills + 1;
+      tick c_stall_kills;
+      kill_workers r c.data)
 
-let take_from r sh =
-  if sh.sh_alive && now () -. sh.sh_last_take >= r.cfg.r_take_s then begin
+let take_from r (c : shard Supervisor.child) =
+  let sh = c.data in
+  if c.alive && now () -. sh.sh_last_take >= r.cfg.r_take_s then begin
     sh.sh_last_take <- now ();
     match shard_request r sh (Json.Obj [ ("op", jstr "take") ]) with
     | `Ok j -> (
@@ -631,7 +583,7 @@ let submit_to_shard r sh (t : rtenant) =
       @ match t.rt_deadline_s with Some d -> [ ("deadline_s", jfloat d) ] | None -> [])
   in
   match shard_request r sh req with
-  | `Ok j when mem_bool "ok" j = Some true ->
+  | `Ok j when Json.mem_bool "ok" j = Some true ->
       t.rt_place <- P_shard sh.sh_id;
       if t.rt_mig_t > 0. then begin
         Obs.Histogram.observe r.mig_h (now () -. t.rt_mig_t);
@@ -654,8 +606,8 @@ let schedule r =
         ignore
           (List.exists
              (fun k ->
-               let sh = r.shards.(k) in
-               eligible r sh && submit_to_shard r sh t)
+               let c = r.shards.(k) in
+               eligible c && submit_to_shard r c.data t)
              order
             : bool))
       queued
@@ -665,30 +617,31 @@ let schedule r =
    shard fraction, so retry-after hints stretch exactly when capacity
    actually shrank *)
 let update_capacity r =
-  let live = Array.fold_left (fun a sh -> if eligible r sh then a + 1 else a) 0 r.shards in
+  let live = Array.fold_left (fun a c -> if eligible c then a + 1 else a) 0 r.shards in
   let cap = max 1 (r.cfg.r_capacity * max 1 live / max 1 r.cfg.r_shards) in
   Admission.set_capacity r.adm cap;
   Obs.Gauge.set (Lazy.force g_shards_live) (float_of_int live);
-  Array.iter
-    (fun sh -> Obs.Gauge.set (g_shard_tenants sh.sh_id) (float_of_int (placed_on r sh.sh_id)))
-    r.shards
+  for k = 0 to Array.length r.shards - 1 do
+    Obs.Gauge.set (g_shard_tenants k) (float_of_int (placed_on r k))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Drain verbs                                                         *)
 
-let drain_shard _r sh ~hold =
-  if sh.sh_alive && not sh.sh_draining then begin
+let drain_shard (c : shard Supervisor.child) ~hold =
+  let sh = c.data in
+  if c.alive && not sh.sh_draining then begin
     sh.sh_draining <- true;
     sh.sh_drain_t <- now ();
     if hold then sh.sh_held <- true;
     ignore (shard_send_oneway sh (Json.Obj [ ("op", jstr "drain") ]) : bool)
   end
-  else if (not sh.sh_alive) && hold then sh.sh_held <- true
+  else if (not c.alive) && hold then sh.sh_held <- true
 
 let initiate_fleet_drain r =
   if not r.draining then begin
     r.draining <- true;
-    Array.iter (fun sh -> drain_shard r sh ~hold:true) r.shards
+    Array.iter (drain_shard ~hold:true) r.shards
   end
 
 (* the fleet analog of the shard manifest: queued tenants (with their
@@ -734,23 +687,14 @@ let fleet_manifest_entries r =
 
 let write_fleet_manifest r =
   let entries = fleet_manifest_entries r in
-  let json =
-    Json.encode
-      (Json.Obj
-         [
-           ("schema", jstr Service.manifest_schema);
-           ("entries", Json.Arr (List.map Service.taken_to_json entries));
-         ])
-  in
-  (try Obs.Heartbeat.write_atomic ~path:(Service.manifest_path ~dir:r.cfg.r_dir) json
-   with Sys_error _ | Unix.Unix_error _ -> ());
+  Service.write_manifest ~dir:r.cfg.r_dir entries;
   List.length entries
 
 (* a SIGTERM fleet drain is finished once every shard has exited (their
    manifests absorbed): everything live is parked in staging *)
 let maybe_finish_fleet_drain r =
   if r.draining && not r.shutdown then
-    if Array.for_all (fun sh -> not sh.sh_alive) r.shards then begin
+    if Array.for_all (fun (c : shard Supervisor.child) -> not c.alive) r.shards then begin
       ignore (write_fleet_manifest r : int);
       r.shutdown <- true
     end
@@ -758,20 +702,20 @@ let maybe_finish_fleet_drain r =
 (* ------------------------------------------------------------------ *)
 (* Client requests                                                     *)
 
-let err ?(extra = []) code = Json.Obj (("ok", jbool false) :: ("error", jstr code) :: extra)
+let err = Frontend.err
 
 let handle_submit r j =
   if r.draining then err "draining"
   else
-    match mem_str "source" j with
+    match Json.mem_str "source" j with
     | None -> err "bad_request" ~extra:[ ("detail", jstr "missing source") ]
     | Some source -> (
-        let abi = Option.value ~default:"CHERIv3" (mem_str "abi" j) in
+        let abi = Option.value ~default:"CHERIv3" (Json.mem_str "abi" j) in
         match Cheri_compiler.Abi.of_key abi with
         | None -> err "bad_request" ~extra:[ ("detail", jstr (Printf.sprintf "unknown abi %S" abi)) ]
         | Some a -> (
-            let fuel = Option.value ~default:r.cfg.r_fuel (mem_int "fuel" j) in
-            let slice = Option.value ~default:r.cfg.r_slice (mem_int "slice" j) in
+            let fuel = Option.value ~default:r.cfg.r_fuel (Json.mem_int "fuel" j) in
+            let slice = Option.value ~default:r.cfg.r_slice (Json.mem_int "slice" j) in
             if fuel < 1 || slice < 1 then
               err "bad_request" ~extra:[ ("detail", jstr "fuel and slice must be >= 1") ]
             else
@@ -788,7 +732,7 @@ let handle_submit r j =
                       rt_abi = Cheri_compiler.Abi.name a;
                       rt_fuel = fuel;
                       rt_slice = slice;
-                      rt_deadline_s = mem_float "deadline_s" j;
+                      rt_deadline_s = Json.mem_float "deadline_s" j;
                       rt_place = P_queued;
                       rt_restarts = 0;
                       rt_migrations = 0;
@@ -799,7 +743,7 @@ let handle_submit r j =
                   Json.Obj [ ("ok", jbool true); ("tenant", jint gid) ]))
 
 let handle_poll r j =
-  match mem_int "tenant" j with
+  match Json.mem_int "tenant" j with
   | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
   | Some gid -> (
       match Hashtbl.find_opt r.tenants gid with
@@ -811,13 +755,7 @@ let handle_poll r j =
             | P_queued -> ("queued", [])
             | P_shard k -> ("running", [ ("shard", jint k) ])
             | P_done { pd_restarts; pd_result } ->
-                ( "done",
-                  [
-                    ( "result",
-                      Json.Obj
-                        (Service.tresult_fields pd_result @ [ ("restarts", jint pd_restarts) ])
-                    );
-                  ] )
+                ("done", [ ("result", Service.result_json pd_result ~restarts:pd_restarts) ])
             | P_failed d -> ("failed", [ ("detail", jstr d) ])
           in
           Json.Obj (base @ [ ("state", jstr state) ] @ extra))
@@ -832,7 +770,9 @@ let status_fields r =
       | P_done _ -> incr done_
       | P_failed _ -> incr failed)
     r.tenants;
-  let live_shards = Array.fold_left (fun a sh -> if sh.sh_alive then a + 1 else a) 0 r.shards in
+  let live_shards =
+    Array.fold_left (fun a (c : shard Supervisor.child) -> if c.alive then a + 1 else a) 0 r.shards
+  in
   [
     ("schema", jstr "cheri_c.serve-fleet-status/v1");
     ("pid", jint (Unix.getpid ()));
@@ -854,12 +794,13 @@ let status_fields r =
     ( "shards",
       Json.Arr
         (Array.to_list r.shards
-        |> List.map (fun sh ->
+        |> List.map (fun (c : shard Supervisor.child) ->
+               let sh = c.data in
                Json.Obj
                  [
                    ("id", jint sh.sh_id);
-                   ("pid", jint sh.sh_pid);
-                   ("alive", jbool sh.sh_alive);
+                   ("pid", jint c.pid);
+                   ("alive", jbool c.alive);
                    ("draining", jbool sh.sh_draining);
                    ("held", jbool sh.sh_held);
                    ("tenants", jint (placed_on r sh.sh_id));
@@ -870,15 +811,15 @@ let status_fields r =
 let status_payload r () = Json.encode (Json.Obj (status_fields r))
 
 let handle_admin_drain r j =
-  match mem_int "shard" j with
+  match Json.mem_int "shard" j with
   | None -> err "bad_request" ~extra:[ ("detail", jstr "missing shard") ]
   | Some k when k < 0 || k >= r.cfg.r_shards -> err "unknown_shard"
   | Some k ->
-      let sh = r.shards.(k) in
-      if not sh.sh_alive then
+      let c = r.shards.(k) in
+      if not c.alive then
         Json.Obj [ ("ok", jbool true); ("shard", jint k); ("state", jstr "down") ]
       else begin
-        drain_shard r sh ~hold:true;
+        drain_shard c ~hold:true;
         Json.Obj [ ("ok", jbool true); ("shard", jint k); ("state", jstr "draining") ]
       end
 
@@ -888,9 +829,9 @@ let handle_admin_drain r j =
 let handle_rebalance r =
   let revived = ref 0 in
   Array.iter
-    (fun sh ->
-      if sh.sh_held then begin
-        sh.sh_held <- false;
+    (fun (c : shard Supervisor.child) ->
+      if c.data.sh_held then begin
+        c.data.sh_held <- false;
         incr revived
       end)
     r.shards;
@@ -901,12 +842,12 @@ let handle_rebalance r =
       match t.rt_place with
       | P_shard k -> (
           let order = hrw_order ~seed:r.cfg.r_seed ~shards:r.cfg.r_shards t.rt_gid in
-          match List.find_opt (fun s -> eligible r r.shards.(s)) order with
+          match List.find_opt (fun s -> eligible r.shards.(s)) order with
           | Some owner when owner <> k ->
-              let sh = r.shards.(k) in
-              if sh.sh_alive then begin
+              let c = r.shards.(k) in
+              if c.alive then begin
                 match
-                  shard_request r sh
+                  shard_request r c.data
                     (Json.Obj [ ("op", jstr "evict"); ("tenant", jint t.rt_gid) ])
                 with
                 | `Ok _ -> incr evictions
@@ -918,87 +859,34 @@ let handle_rebalance r =
   Json.Obj
     [ ("ok", jbool true); ("revived", jint !revived); ("evictions", jint !evictions) ]
 
-let handle_request r req =
-  match Json.parse req with
-  | Error e -> err "bad_request" ~extra:[ ("detail", jstr ("unparseable request: " ^ e)) ]
-  | Ok j -> (
-      match mem_str "op" j with
-      | Some "submit" -> handle_submit r j
-      | Some "poll" -> handle_poll r j
-      | Some "stats" -> Json.Obj (("ok", jbool true) :: status_fields r)
-      | Some "drain" -> handle_admin_drain r j
-      | Some "rebalance" -> handle_rebalance r
-      | Some "metrics" ->
-          Json.Obj [ ("ok", jbool true); ("metrics", jstr (Obs.to_prometheus Obs.default)) ]
-      | Some "shutdown" ->
-          r.shutdown <- true;
-          Json.Obj [ ("ok", jbool true); ("shutting_down", jbool true) ]
-      | Some op -> err "bad_request" ~extra:[ ("detail", jstr ("unknown op " ^ op)) ]
-      | None -> err "bad_request" ~extra:[ ("detail", jstr "missing op") ])
-
-let drop_client r client =
-  (try Unix.close client.c_fd with Unix.Unix_error _ -> ());
-  r.clients <- List.filter (fun c -> c.c_fd <> client.c_fd) r.clients
-
-let pump_client r client =
-  let buf = Bytes.create 65536 in
-  match Unix.read client.c_fd buf 0 (Bytes.length buf) with
-  | 0 -> drop_client r client
-  | n ->
-      Protocol.Reader.feed client.c_reader (Bytes.sub_string buf 0 n);
-      let reply json =
-        try
-          Protocol.write_frame client.c_fd (Json.encode json);
-          true
-        with Unix.Unix_error _ -> false
-      in
-      let rec frames () =
-        match Protocol.Reader.next client.c_reader with
-        | `Frame f -> if reply (handle_request r f) then frames () else drop_client r client
-        | `Awaiting -> ()
-        | `Corrupt m ->
-            ignore (reply (err "bad_request" ~extra:[ ("detail", jstr m) ]) : bool);
-            drop_client r client
-      in
-      frames ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> drop_client r client
-
-let accept_client r =
-  match Unix.accept ~cloexec:true r.listen with
-  | fd, _ -> r.clients <- { c_fd = fd; c_reader = Protocol.Reader.create () } :: r.clients
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+(* the router's own ops; stats, metrics and shutdown are the
+   Frontend's *)
+let handlers r =
+  let reply f j = Some (Frontend.Reply (f j)) in
+  {
+    Frontend.status = (fun () -> status_fields r);
+    shutdown = (fun () -> r.shutdown <- true);
+    request =
+      (fun op j ->
+        match op with
+        | "submit" -> reply (handle_submit r) j
+        | "poll" -> reply (handle_poll r) j
+        | "drain" -> reply (handle_admin_drain r) j
+        | "rebalance" -> reply (fun _ -> handle_rebalance r) j
+        | _ -> None);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
 
+(* ask every live shard to shut down; stragglers past the deadline
+   lose their workers and then their own process *)
 let shutdown_shards r =
-  Array.iter
-    (fun sh ->
-      if sh.sh_alive then ignore (shard_send_oneway sh (Json.Obj [ ("op", jstr "shutdown") ]) : bool))
-    r.shards;
-  let deadline = now () +. 5.0 in
-  let rec wait_all () =
-    reap_shards r;
-    if Array.exists (fun sh -> sh.sh_alive) r.shards then
-      if now () > deadline then
-        Array.iter (fun sh -> kill_shard r sh ~stall:false) r.shards
-      else begin
-        ignore (Unix.select [] [] [] 0.05);
-        wait_all ()
-      end
-  in
-  wait_all ();
-  (* one last reap so SIGKILLed stragglers do not linger as zombies *)
-  let final = now () +. 2.0 in
-  let rec drain_zombies () =
-    reap_shards r;
-    if Array.exists (fun sh -> sh.sh_alive) r.shards && now () < final then begin
-      ignore (Unix.select [] [] [] 0.05);
-      drain_zombies ()
-    end
-  in
-  drain_zombies ()
+  Supervisor.stop r.shards ~deadline_s:5.0
+    ~quit:(fun c ->
+      ignore (shard_send_oneway c.data (Json.Obj [ ("op", jstr "shutdown") ]) : bool))
+    ~on_kill:(fun c -> kill_workers r c.data)
+    ~on_exit:(on_shard_exit r)
 
 let router_main (cfg : rconfig) =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1009,40 +897,26 @@ let router_main (cfg : rconfig) =
     (fun c -> ignore (Lazy.force c))
     [ c_migrations; c_drains; c_shard_deaths; c_stall_kills ];
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> sigterm_fleet := true));
-  mkdir_p cfg.r_dir;
-  mkdir_p (Filename.concat cfg.r_dir "staging");
+  Supervisor.mkdir_p (Filename.concat cfg.r_dir "staging");
   (try Sys.remove (Service.manifest_path ~dir:cfg.r_dir) with Sys_error _ -> ());
-  let listen =
-    match Service.bind_listener cfg.r_socket with
-    | Ok fd -> fd
-    | Error detail ->
-        prerr_endline
-          (Json.encode
-             (Json.Obj
-                [ ("error", jstr "socket_in_use"); ("detail", jstr detail); ("exit", jint 2) ]));
-        exit 2
-  in
+  let fe = Frontend.listen cfg.r_socket in
   let r =
     {
       cfg;
       adm =
         Admission.create ~seed:cfg.r_seed ~retry_base_s:cfg.r_retry_base_s
           ~capacity:(max 1 cfg.r_capacity) ();
-      listen;
-      clients = [];
+      fe;
       tenants = Hashtbl.create 64;
       next_gid = 0;
       shards =
-        Array.init (max 1 cfg.r_shards) (fun k ->
+        Supervisor.create (max 1 cfg.r_shards) (fun k ->
             {
               sh_id = k;
               sh_cfg = shard_config cfg k;
-              sh_pid = -1;
               sh_conn = None;
-              sh_alive = false;
               sh_draining = false;
               sh_held = false;
-              sh_spawned = 0.;
               sh_drain_t = 0.;
               sh_timeouts = 0;
               sh_last_take = 0.;
@@ -1062,29 +936,16 @@ let router_main (cfg : rconfig) =
       drain_h = Obs.histogram Obs.default "service_drain_seconds";
     }
   in
-  Array.iter (fun sh -> spawn_shard r sh) r.shards;
+  Array.iter (spawn_shard r) r.shards;
   Obs.Heartbeat.force r.hb (status_payload r);
+  let h = handlers r in
   let rec loop () =
     if not r.shutdown then begin
-      let client_fds = List.map (fun c -> c.c_fd) r.clients in
-      let readable, _, _ =
-        match Unix.select (r.listen :: client_fds) [] [] cfg.r_tick_s with
-        | rs -> rs
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun fd ->
-          if fd = r.listen then accept_client r
-          else
-            match List.find_opt (fun c -> c.c_fd = fd) r.clients with
-            | Some c -> pump_client r c
-            | None -> ())
-        readable;
+      Frontend.tick r.fe h ~timeout_s:cfg.r_tick_s;
       if !sigterm_fleet then initiate_fleet_drain r;
       reap_shards r;
       probe_shards r;
-      Array.iter (fun sh -> take_from r sh) r.shards;
+      Array.iter (take_from r) r.shards;
       respawn_shards r;
       schedule r;
       update_capacity r;
@@ -1096,9 +957,7 @@ let router_main (cfg : rconfig) =
   loop ();
   if not r.draining then shutdown_shards r;
   Obs.Heartbeat.force r.hb (status_payload r);
-  List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) r.clients;
-  (try Unix.close r.listen with Unix.Unix_error _ -> ());
-  try Unix.unlink cfg.r_socket with Unix.Unix_error _ -> ()
+  Frontend.close r.fe
 
 (* ------------------------------------------------------------------ *)
 (* Child dispatch                                                      *)

@@ -54,6 +54,11 @@ val rconfig_of_json : string -> (rconfig, string) result
 val shard_dir : rconfig -> int -> string
 val shard_config : rconfig -> int -> Service.config
 
+val mix : int -> int
+(** The splitmix-style step behind placement (and the chaos harness's
+    synthetic tenants): kept in 62 bits, identical on any 64-bit-word
+    OCaml. *)
+
 val hrw_order : seed:int -> shards:int -> int -> int list
 (** All shard ids ranked for a tenant id, best first — the head is the
     rendezvous owner, the tail the deterministic fallback order.

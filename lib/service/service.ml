@@ -7,7 +7,10 @@
    the supervisor admits tenants under a bounded cap (Admission),
    assigns them to the least-loaded worker, and multiplexes everything
    — listen socket, client connections, worker event pipes — under one
-   select loop.
+   select loop. The process mechanics are shared with the Router:
+   Supervisor spawns, reaps, probes and stops the workers, Frontend
+   owns the socket, the clients and the select tick; this module keeps
+   only the policy (requeue on death, probe only busy workers).
 
    Workers run tenants preemptively on an Exec.Pool.Stream: every
    slice is [Machine.run ~yield:true] for a bounded fuel budget, and
@@ -26,7 +29,7 @@
 
    Liveness is the PR 6 heartbeat plane: workers beat a status file
    every slice (interval-gated), the supervisor probes file age with
-   Obs.Heartbeat.probe each tick, and a stalled-but-alive worker
+   Supervisor.probe each tick, and a stalled-but-alive worker
    (stuck syscall, SIGSTOP) is SIGKILLed and treated exactly like a
    crashed one. *)
 
@@ -42,16 +45,7 @@ let jint n = Json.Num (string_of_int n)
 let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
 let jbool b = Json.Bool b
 let jstr s = Json.Str s
-let mem_int k j = Option.bind (Json.member k j) Json.to_int
-let mem_float k j = Option.bind (Json.member k j) Json.to_float
-let mem_str k j = Option.bind (Json.member k j) Json.to_string
 let now = Unix.gettimeofday
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -115,11 +109,11 @@ let config_of_json s =
   match Json.parse s with
   | Error e -> Error ("config: " ^ e)
   | Ok j -> (
-      match (mem_str "dir" j, mem_str "socket" j) with
+      match (Json.mem_str "dir" j, Json.mem_str "socket" j) with
       | Some dir, Some socket ->
           let d = default_config ~dir in
-          let i k dflt = Option.value ~default:dflt (mem_int k j) in
-          let f k dflt = Option.value ~default:dflt (mem_float k j) in
+          let i k dflt = Option.value ~default:dflt (Json.mem_int k j) in
+          let f k dflt = Option.value ~default:dflt (Json.mem_float k j) in
           Ok
             {
               dir;
@@ -154,7 +148,7 @@ let worker_config_of_json s =
   match Json.parse s with
   | Error e -> Error ("worker config: " ^ e)
   | Ok j -> (
-      match (mem_str "dir" j, mem_int "id" j, mem_int "jobs" j, mem_float "heartbeat_s" j) with
+      match Json.(mem_str "dir" j, mem_int "id" j, mem_int "jobs" j, mem_float "heartbeat_s" j) with
       | Some w_dir, Some w_id, Some w_jobs, Some w_heartbeat_s ->
           Ok { w_dir; w_id; w_jobs; w_heartbeat_s }
       | _ -> Error "worker config: missing field")
@@ -189,7 +183,7 @@ let assignment_to_json a =
 
 let assignment_of_json j =
   match
-    (mem_int "tenant" j, mem_str "source" j, mem_str "abi" j, mem_int "fuel" j, mem_int "slice" j)
+    Json.(mem_int "tenant" j, mem_str "source" j, mem_str "abi" j, mem_int "fuel" j, mem_int "slice" j)
   with
   | Some a_tenant, Some a_source, Some a_abi, Some a_fuel, Some a_slice ->
       Ok
@@ -199,9 +193,9 @@ let assignment_of_json j =
           a_abi;
           a_fuel;
           a_slice;
-          a_deadline_s = mem_float "deadline_s" j;
-          a_restarts = Option.value ~default:0 (mem_int "restarts" j);
-          a_migrations = Option.value ~default:0 (mem_int "migrations" j);
+          a_deadline_s = Json.mem_float "deadline_s" j;
+          a_restarts = Option.value ~default:0 (Json.mem_int "restarts" j);
+          a_migrations = Option.value ~default:0 (Json.mem_int "migrations" j);
         }
   | _ -> Error "assignment: missing field"
 
@@ -228,13 +222,15 @@ let tresult_fields r =
     ("migrations", jint r.r_migrations);
   ]
 
+let result_json r ~restarts = Json.Obj (tresult_fields r @ [ ("restarts", jint restarts) ])
+
 let tresult_of_json j =
   match
-    ( mem_str "outcome" j,
-      mem_str "output" j,
-      mem_int "cycles" j,
-      mem_int "instret" j,
-      mem_int "slices" j )
+    ( Json.mem_str "outcome" j,
+      Json.mem_str "output" j,
+      Json.mem_int "cycles" j,
+      Json.mem_int "instret" j,
+      Json.mem_int "slices" j )
   with
   | Some r_outcome, Some r_output, Some r_cycles, Some r_instret, Some r_slices ->
       Ok
@@ -244,11 +240,9 @@ let tresult_of_json j =
           r_cycles;
           r_instret;
           r_slices;
-          r_resumed =
-            Option.value ~default:false (Option.bind (Json.member "resumed" j) Json.to_bool);
-          r_scratch =
-            Option.value ~default:false (Option.bind (Json.member "scratch" j) Json.to_bool);
-          r_migrations = Option.value ~default:0 (mem_int "migrations" j);
+          r_resumed = Option.value ~default:false (Json.mem_bool "resumed" j);
+          r_scratch = Option.value ~default:false (Json.mem_bool "scratch" j);
+          r_migrations = Option.value ~default:0 (Json.mem_int "migrations" j);
         }
   | _ -> Error "result: missing field"
 
@@ -319,14 +313,12 @@ module Checkpoint = struct
     match Json.parse s with
     | Error e -> Error ("checkpoint note: " ^ e)
     | Ok j -> (
-        match mem_str "schema" j with
+        match Json.mem_str "schema" j with
         | Some sch when sch = schema -> (
-            match (mem_int "tenant" j, mem_int "slices" j, mem_float "wall_s" j) with
+            match (Json.mem_int "tenant" j, Json.mem_int "slices" j, Json.mem_float "wall_s" j) with
             | Some ck_tenant, Some ck_slices, Some ck_wall_s ->
-                let b k =
-                  Option.value ~default:false (Option.bind (Json.member k j) Json.to_bool)
-                in
-                let i k = Option.value ~default:0 (mem_int k j) in
+                let b k = Option.value ~default:false (Json.mem_bool k j) in
+                let i k = Option.value ~default:0 (Json.mem_int k j) in
                 Ok
                   {
                     ck_tenant;
@@ -336,11 +328,11 @@ module Checkpoint = struct
                     ck_scratch = b "scratch";
                     ck_migrations = i "migrations";
                     ck_restarts = i "restarts";
-                    ck_source = Option.value ~default:"" (mem_str "source" j);
-                    ck_abi = Option.value ~default:"" (mem_str "abi" j);
+                    ck_source = Option.value ~default:"" (Json.mem_str "source" j);
+                    ck_abi = Option.value ~default:"" (Json.mem_str "abi" j);
                     ck_fuel = i "fuel";
                     ck_slice = i "slice";
-                    ck_deadline_s = mem_float "deadline_s" j;
+                    ck_deadline_s = Json.mem_float "deadline_s" j;
                   }
             | _ -> Error "checkpoint note: missing field")
         | Some sch -> Error ("checkpoint note: foreign schema " ^ sch)
@@ -608,7 +600,7 @@ let worker_main (w : worker_config) =
     match Json.parse f with
     | Error _ -> exit 3
     | Ok j -> (
-        match mem_str "op" j with
+        match Json.mem_str "op" j with
         | Some "run" -> (
             match assignment_of_json j with
             | Error _ -> exit 3
@@ -622,7 +614,7 @@ let worker_main (w : worker_config) =
                is empty the main loop exits 0 (clean drain) *)
             Atomic.set draining true
         | Some "evict" -> (
-            match mem_int "tenant" j with
+            match Json.mem_int "tenant" j with
             | Some tid -> Mutex.protect evict_mu (fun () -> Hashtbl.replace evicted tid ())
             | None -> ())
         | Some "quit" -> exit 0
@@ -666,16 +658,14 @@ let worker_main (w : worker_config) =
 let worker_marker = "serve-worker-child"
 let server_marker = "serve-server-child"
 
+(* a worker slot's own state; pid, liveness and stall live in its
+   Supervisor.child *)
 type worker = {
   wk_id : int;
-  mutable wk_pid : int;
   mutable wk_to : Unix.file_descr;
   mutable wk_from : Unix.file_descr;
   mutable wk_reader : Protocol.Reader.t;
-  mutable wk_alive : bool;
-  mutable wk_stalled : bool;  (* stale heartbeat: SIGKILL sent, reap pending *)
   mutable wk_tenants : int list;
-  mutable wk_spawned : float;
 }
 
 (* a tenant parked at a checkpoint, waiting for the router to move it *)
@@ -706,16 +696,13 @@ type tenant = {
   mutable t_done_t : float;
 }
 
-type client = { c_fd : Unix.file_descr; c_reader : Protocol.Reader.t }
-
 type server = {
   s_cfg : config;
   s_adm : Admission.t;
-  s_listen : Unix.file_descr;
-  mutable s_clients : client list;
+  s_fe : Frontend.t;
   s_tenants : (int, tenant) Hashtbl.t;
   mutable s_next_tenant : int;
-  s_workers : worker array;
+  s_workers : worker Supervisor.t;
   s_hb : Obs.Heartbeat.t;
   s_t0 : float;
   s_job_seconds : Obs.Histogram.t;
@@ -729,9 +716,6 @@ type server = {
   mutable s_corrupt_armed : int;  (* counts down; 0 = fired/disarmed *)
   mutable s_shutdown : bool;
   mutable s_draining : bool;
-  mutable s_drain_client : Unix.file_descr option;
-      (* the admin client owed the drain report, if the drain came over
-         the wire rather than from SIGTERM *)
   mutable s_orphans_requeued : int;
   mutable s_orphans_discarded : int;
 }
@@ -754,8 +738,8 @@ let c_orphans_requeued = lazy (Obs.counter Obs.default "service_orphans_requeued
 let c_orphans_discarded = lazy (Obs.counter Obs.default "service_orphans_discarded_total")
 let tick c = Obs.Counter.incr (Lazy.force c)
 
-let spawn_worker s (wk : worker) =
-  let cfg = s.s_cfg in
+let spawn_worker s (c : worker Supervisor.child) =
+  let cfg = s.s_cfg and wk = c.data in
   (* drop the dead incarnation's status file so staleness never blames
      the new worker for its predecessor's silence *)
   (try Sys.remove (worker_hb_path ~dir:cfg.dir ~id:wk.wk_id) with Sys_error _ -> ());
@@ -765,22 +749,14 @@ let spawn_worker s (wk : worker) =
     worker_config_to_json
       { w_dir = cfg.dir; w_id = wk.wk_id; w_jobs = cfg.worker_jobs; w_heartbeat_s = cfg.heartbeat_s }
   in
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; worker_marker; wcfg |]
-      to_r from_w Unix.stderr
-  in
+  Supervisor.spawn c ~stdin:to_r ~stdout:from_w [ worker_marker; wcfg ];
   Unix.close to_r;
   Unix.close from_w;
   Unix.set_nonblock from_r;
-  wk.wk_pid <- pid;
   wk.wk_to <- to_w;
   wk.wk_from <- from_r;
   wk.wk_reader <- Protocol.Reader.create ();
-  wk.wk_alive <- true;
-  wk.wk_stalled <- false;
-  wk.wk_tenants <- [];
-  wk.wk_spawned <- now ()
+  wk.wk_tenants <- []
 
 let tenant_of_id s tid = Hashtbl.find_opt s.s_tenants tid
 
@@ -817,13 +793,13 @@ let status_fields s =
     ( "workers",
       Json.Arr
         (Array.to_list s.s_workers
-        |> List.map (fun wk ->
+        |> List.map (fun (c : worker Supervisor.child) ->
                Json.Obj
                  [
-                   ("id", jint wk.wk_id);
-                   ("pid", jint wk.wk_pid);
-                   ("alive", jbool wk.wk_alive);
-                   ("tenants", jint (List.length wk.wk_tenants));
+                   ("id", jint c.data.wk_id);
+                   ("pid", jint c.pid);
+                   ("alive", jbool c.alive);
+                   ("tenants", jint (List.length c.data.wk_tenants));
                  ])) );
     ("elapsed_s", jfloat (now () -. s.s_t0));
   ]
@@ -911,7 +887,8 @@ let requeue s tid =
 
 let least_loaded s =
   Array.to_list s.s_workers
-  |> List.filter (fun wk -> wk.wk_alive && not wk.wk_stalled)
+  |> List.filter_map (fun (c : worker Supervisor.child) ->
+         if c.alive && not c.stalled then Some c.data else None)
   |> List.fold_left
        (fun acc wk ->
          match acc with
@@ -980,7 +957,7 @@ let handle_worker_frame s wk frame =
   match Json.parse frame with
   | Error _ -> ()
   | Ok j -> (
-      match (mem_str "event" j, mem_int "tenant" j) with
+      match (Json.mem_str "event" j, Json.mem_int "tenant" j) with
       | Some "done", Some tid -> (
           match tresult_of_json j with
           | Ok r -> finish_tenant s wk tid (Ok r)
@@ -995,15 +972,15 @@ let handle_worker_frame s wk frame =
                   let ckpt = Checkpoint.path ~dir:s.s_cfg.dir ~tenant:tid in
                   mark_drained s t
                     {
-                      dr_slices = Option.value ~default:0 (mem_int "slices" j);
+                      dr_slices = Option.value ~default:0 (Json.mem_int "slices" j);
                       dr_migrations =
-                        Option.value ~default:t.t_migrations (mem_int "migrations" j);
+                        Option.value ~default:t.t_migrations (Json.mem_int "migrations" j);
                       dr_checkpoint = Sys.file_exists ckpt;
                     }
               | _ -> ()))
       | Some "error", Some tid ->
           finish_tenant s wk tid
-            (Error (Option.value ~default:"worker error" (mem_str "detail" j)))
+            (Error (Option.value ~default:"worker error" (Json.mem_str "detail" j)))
       | _ -> ())
 
 let drain_worker_frames s wk =
@@ -1034,8 +1011,9 @@ let pump_worker s wk =
   drain_worker_frames s wk;
   state
 
-let on_worker_death s wk =
-  wk.wk_alive <- false;
+(* the reap callback: [c] is already marked dead *)
+let on_worker_death s (c : worker Supervisor.child) =
+  let wk = c.data in
   (* a worker exiting 0 because its drain completed is not a death *)
   if not s.s_draining then begin
     s.s_worker_deaths <- s.s_worker_deaths + 1;
@@ -1054,53 +1032,22 @@ let on_worker_death s wk =
   (* a draining supervisor is going away: no respawn, the parked
      tenants leave with the manifest *)
   if not s.s_draining then begin
-    spawn_worker s wk;
+    spawn_worker s c;
     schedule s
   end
 
-let reap_workers s =
-  Array.iter
-    (fun wk ->
-      if wk.wk_alive then
-        match Unix.waitpid [ Unix.WNOHANG ] wk.wk_pid with
-        | 0, _ -> ()
-        | _, _ -> on_worker_death s wk
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> on_worker_death s wk)
-    s.s_workers
-
+(* only workers holding tenants are probed: an idle worker has nothing
+   a stall could cost *)
 let probe_workers s =
-  let t_now = now () in
-  Array.iter
-    (fun wk ->
-      (* spawn grace: a fresh worker owns the status-file path of its
-         dead predecessor until its own first heartbeat lands; probing
-         inside the grace would read the old incarnation's mtime and
-         kill-loop the slot *)
-      if
-        wk.wk_alive
-        && (not wk.wk_stalled)
-        && wk.wk_tenants <> []
-        && t_now -. wk.wk_spawned > (2. *. s.s_cfg.heartbeat_s) +. 1.0
-      then begin
-        let stale =
-          match
-            Obs.Heartbeat.probe ~now:t_now ~interval_s:s.s_cfg.heartbeat_s
-              (worker_hb_path ~dir:s.s_cfg.dir ~id:wk.wk_id)
-          with
-          | `Stale _ -> true
-          | `Missing -> t_now -. wk.wk_spawned > (2. *. s.s_cfg.heartbeat_s) +. 1.0
-          | `Fresh -> false
-        in
-        if stale then begin
-          (* stalled but alive (stuck syscall, SIGSTOP): reap it like a
-             crash — its tenants resume from checkpoints elsewhere *)
-          wk.wk_stalled <- true;
-          s.s_stall_kills <- s.s_stall_kills + 1;
-          tick c_stalls;
-          try Unix.kill wk.wk_pid Sys.sigkill with Unix.Unix_error _ -> ()
-        end
-      end)
-    s.s_workers
+  let cfg = s.s_cfg in
+  Supervisor.probe s.s_workers
+    ~eligible:(fun c -> c.data.wk_tenants <> [])
+    ~grace_s:((2. *. cfg.heartbeat_s) +. 1.0)
+    ~interval_s:cfg.heartbeat_s
+    ~path:(fun c -> worker_hb_path ~dir:cfg.dir ~id:c.data.wk_id)
+    ~on_stale:(fun _ ->
+      s.s_stall_kills <- s.s_stall_kills + 1;
+      tick c_stalls)
 
 (* ---------- hand-off entries ---------- *)
 
@@ -1161,8 +1108,8 @@ let taken_to_json = function
         ]
 
 let taken_of_json j =
-  let i k = Option.value ~default:0 (mem_int k j) in
-  match (mem_int "tenant" j, mem_str "state" j) with
+  let i k = Option.value ~default:0 (Json.mem_int k j) in
+  match (Json.mem_int "tenant" j, Json.mem_str "state" j) with
   | Some tid, Some "done" -> (
       match tresult_of_json j with
       | Ok r -> Ok (T_done { tk_tenant = tid; tk_restarts = i "restarts"; tk_result = r })
@@ -1174,10 +1121,10 @@ let taken_of_json j =
              tk_tenant = tid;
              tk_restarts = i "restarts";
              tk_migrations = i "migrations";
-             tk_detail = Option.value ~default:"failed" (mem_str "detail" j);
+             tk_detail = Option.value ~default:"failed" (Json.mem_str "detail" j);
            })
   | Some tid, Some "drained" -> (
-      match (mem_str "source" j, mem_str "abi" j) with
+      match (Json.mem_str "source" j, Json.mem_str "abi" j) with
       | Some tk_source, Some tk_abi ->
           Ok
             (T_drained
@@ -1187,13 +1134,11 @@ let taken_of_json j =
                  tk_abi;
                  tk_fuel = i "fuel";
                  tk_slice = i "slice";
-                 tk_deadline_s = mem_float "deadline_s" j;
+                 tk_deadline_s = Json.mem_float "deadline_s" j;
                  tk_restarts = i "restarts";
                  tk_migrations = i "migrations";
                  tk_slices = i "slices";
-                 tk_checkpoint =
-                   Option.value ~default:false
-                     (Option.bind (Json.member "checkpoint" j) Json.to_bool);
+                 tk_checkpoint = Option.value ~default:false (Json.mem_bool "checkpoint" j);
                })
       | _ -> Error "taken entry: drained without source/abi")
   | Some _, Some st -> Error ("taken entry: unknown state " ^ st)
@@ -1244,7 +1189,7 @@ let manifest_of_json s =
   match Json.parse s with
   | Error e -> Error ("drain manifest: " ^ e)
   | Ok j -> (
-      match mem_str "schema" j with
+      match Json.mem_str "schema" j with
       | Some sch when sch = manifest_schema -> (
           match Json.member "entries" j with
           | Some (Json.Arr l) ->
@@ -1260,46 +1205,27 @@ let manifest_of_json s =
       | Some sch -> Error ("drain manifest: foreign schema " ^ sch)
       | None -> Error "drain manifest: no schema")
 
-let write_manifest s =
-  let entries =
-    Hashtbl.fold
-      (fun _ t acc -> match taken_of_tenant t with Some e -> e :: acc | None -> acc)
-      s.s_tenants []
-    |> List.sort (fun a b -> compare (taken_tenant a) (taken_tenant b))
-  in
-  let path = manifest_path ~dir:s.s_cfg.dir in
-  let tmp = path ^ ".tmp" in
-  (try
-     let oc = open_out_bin tmp in
-     output_string oc (Json.encode (manifest_to_json entries));
-     close_out oc;
-     Sys.rename tmp path
-   with Sys_error _ -> ());
-  entries
+let write_manifest ~dir entries =
+  try Obs.Heartbeat.write_atomic ~path:(manifest_path ~dir) (Json.encode (manifest_to_json entries))
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* ---------- client requests ---------- *)
 
-let reply_to client json =
-  try
-    Protocol.write_frame client.c_fd (Json.encode json);
-    true
-  with Unix.Unix_error _ -> false
-
-let err ?(extra = []) code = Json.Obj ((("ok", jbool false) :: ("error", jstr code) :: extra))
+let err = Frontend.err
 
 let handle_submit s j =
   if s.s_draining then err "draining"
   else
-    match mem_str "source" j with
+    match Json.mem_str "source" j with
     | None -> err "bad_request" ~extra:[ ("detail", jstr "missing source") ]
     | Some source -> (
-        let abi = Option.value ~default:"CHERIv3" (mem_str "abi" j) in
+        let abi = Option.value ~default:"CHERIv3" (Json.mem_str "abi" j) in
         match Abi.of_key abi with
         | None ->
             err "bad_request" ~extra:[ ("detail", jstr (Printf.sprintf "unknown abi %S" abi)) ]
         | Some a -> (
-            let fuel = Option.value ~default:s.s_cfg.fuel (mem_int "fuel" j) in
-            let slice = Option.value ~default:s.s_cfg.slice (mem_int "slice" j) in
+            let fuel = Option.value ~default:s.s_cfg.fuel (Json.mem_int "fuel" j) in
+            let slice = Option.value ~default:s.s_cfg.slice (Json.mem_int "slice" j) in
             if fuel < 1 || slice < 1 then
               err "bad_request" ~extra:[ ("detail", jstr "fuel and slice must be >= 1") ]
             else
@@ -1308,7 +1234,7 @@ let handle_submit s j =
                  per-shard admission must not bounce it — capacity was
                  charged at first admission, and a rejection here would
                  strand a tenant that already holds a fleet slot *)
-              let explicit = mem_int "tenant" j in
+              let explicit = Json.mem_int "tenant" j in
               match explicit with
               | Some tid when Hashtbl.mem s.s_tenants tid ->
                   err "tenant_exists" ~extra:[ ("tenant", jint tid) ]
@@ -1337,10 +1263,10 @@ let handle_submit s j =
                           t_abi = Abi.name a;
                           t_fuel = fuel;
                           t_slice = slice;
-                          t_deadline_s = mem_float "deadline_s" j;
+                          t_deadline_s = Json.mem_float "deadline_s" j;
                           t_status = Queued;
-                          t_restarts = Option.value ~default:0 (mem_int "restarts" j);
-                          t_migrations = Option.value ~default:0 (mem_int "migrations" j);
+                          t_restarts = Option.value ~default:0 (Json.mem_int "restarts" j);
+                          t_migrations = Option.value ~default:0 (Json.mem_int "migrations" j);
                           t_submit_t = now ();
                           t_done_t = 0.;
                         };
@@ -1348,7 +1274,7 @@ let handle_submit s j =
                       Json.Obj [ ("ok", jbool true); ("tenant", jint tid) ])))
 
 let handle_poll s j =
-  match mem_int "tenant" j with
+  match Json.mem_int "tenant" j with
   | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
   | Some tid -> (
       match tenant_of_id s tid with
@@ -1359,12 +1285,7 @@ let handle_poll s j =
             match t.t_status with
             | Queued -> ("queued", [])
             | Running w -> ("running", [ ("worker", jint w) ])
-            | Finished r ->
-                ( "done",
-                  [
-                    ( "result",
-                      Json.Obj (tresult_fields r @ [ ("restarts", jint t.t_restarts) ]) );
-                  ] )
+            | Finished r -> ("done", [ ("result", result_json r ~restarts:t.t_restarts) ])
             | Failed d -> ("failed", [ ("detail", jstr d) ])
             | Drained i ->
                 ( "drained",
@@ -1377,6 +1298,11 @@ let handle_poll s j =
    running ones at their next yield. Completion is detected by the main
    loop once nothing is Running; nothing is interrupted mid-slice, so
    drained checkpoints are exact, not torn. *)
+(* a control frame down a worker's pipe; a dead pipe is the reap
+   pass's business *)
+let tell wk fields =
+  try Protocol.write_frame wk.wk_to (Json.encode (Json.Obj fields)) with Unix.Unix_error _ -> ()
+
 let initiate_drain s =
   if not s.s_draining then begin
     s.s_draining <- true;
@@ -1387,15 +1313,12 @@ let initiate_drain s =
         | _ -> ())
       s.s_tenants;
     Array.iter
-      (fun wk ->
-        if wk.wk_alive then
-          try Protocol.write_frame wk.wk_to (Json.encode (Json.Obj [ ("op", jstr "drain") ]))
-          with Unix.Unix_error _ -> ())
+      (fun (c : worker Supervisor.child) -> if c.alive then tell c.data [ ("op", jstr "drain") ])
       s.s_workers
   end
 
 let handle_evict s j =
-  match mem_int "tenant" j with
+  match Json.mem_int "tenant" j with
   | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
   | Some tid -> (
       match tenant_of_id s tid with
@@ -1407,21 +1330,15 @@ let handle_evict s j =
               mark_drained s t (drained_from_disk s t);
               ok "drained"
           | Running w -> (
-              match
-                Array.to_list s.s_workers
-                |> List.find_opt (fun wk -> wk.wk_alive && wk.wk_id = w)
-              with
-              | Some wk -> (
-                  match
-                    Protocol.write_frame wk.wk_to
-                      (Json.encode (Json.Obj [ ("op", jstr "evict"); ("tenant", jint tid) ]))
-                  with
-                  | () -> ok "evicting"
-                  | exception Unix.Unix_error _ ->
-                      (* dying worker: the reap pass will requeue the
-                         tenant; the router's next evict finds it Queued *)
-                      ok "evicting")
-              | None -> ok "evicting")
+              (* a dying worker drops the frame: the reap pass will
+                 requeue the tenant; the router's next evict finds it
+                 Queued *)
+              Array.iter
+                (fun (c : worker Supervisor.child) ->
+                  if c.alive && c.data.wk_id = w then
+                    tell c.data [ ("op", jstr "evict"); ("tenant", jint tid) ])
+                s.s_workers;
+              ok "evicting")
           | Drained _ -> ok "drained"
           | Finished _ -> ok "done"
           | Failed _ -> ok "failed"))
@@ -1439,140 +1356,27 @@ let handle_take s =
   Json.Obj
     [ ("ok", jbool true); ("entries", Json.Arr (List.map (fun (_, e) -> taken_to_json e) taken)) ]
 
-(* [None] means the reply is deferred (drain: answered at completion) *)
-let handle_request s client req =
-  match Json.parse req with
-  | Error e -> Some (err "bad_request" ~extra:[ ("detail", jstr ("unparseable request: " ^ e)) ])
-  | Ok j -> (
-      match mem_str "op" j with
-      | Some "submit" -> Some (handle_submit s j)
-      | Some "poll" -> Some (handle_poll s j)
-      | Some "take" -> Some (handle_take s)
-      | Some "evict" -> Some (handle_evict s j)
-      | Some "drain" ->
-          initiate_drain s;
-          s.s_drain_client <- Some client.c_fd;
-          None
-      | Some "stats" -> Some (Json.Obj (("ok", jbool true) :: status_fields s))
-      | Some "metrics" ->
-          Some
-            (Json.Obj
-               [ ("ok", jbool true); ("metrics", jstr (Obs.to_prometheus Obs.default)) ])
-      | Some "shutdown" ->
-          s.s_shutdown <- true;
-          Some (Json.Obj [ ("ok", jbool true); ("shutting_down", jbool true) ])
-      | Some op -> Some (err "bad_request" ~extra:[ ("detail", jstr ("unknown op " ^ op)) ])
-      | None -> Some (err "bad_request" ~extra:[ ("detail", jstr "missing op") ]))
+(* the supervisor's own ops; stats, metrics and shutdown are the
+   Frontend's. A drain is answered when it completes. *)
+let handlers s =
+  let reply r = Some (Frontend.Reply r) in
+  {
+    Frontend.status = (fun () -> status_fields s);
+    shutdown = (fun () -> s.s_shutdown <- true);
+    request =
+      (fun op j ->
+        match op with
+        | "submit" -> reply (handle_submit s j)
+        | "poll" -> reply (handle_poll s j)
+        | "take" -> reply (handle_take s)
+        | "evict" -> reply (handle_evict s j)
+        | "drain" ->
+            initiate_drain s;
+            Some (Frontend.Defer "drain")
+        | _ -> None);
+  }
 
-let drop_client s client =
-  (try Unix.close client.c_fd with Unix.Unix_error _ -> ());
-  s.s_clients <- List.filter (fun c -> c.c_fd <> client.c_fd) s.s_clients
-
-let pump_client s client =
-  let buf = Bytes.create 65536 in
-  match Unix.read client.c_fd buf 0 (Bytes.length buf) with
-  | 0 -> drop_client s client
-  | n ->
-      Protocol.Reader.feed client.c_reader (Bytes.sub_string buf 0 n);
-      let rec frames () =
-        match Protocol.Reader.next client.c_reader with
-        | `Frame f -> (
-            match handle_request s client f with
-            | Some resp -> if reply_to client resp then frames () else drop_client s client
-            | None -> frames ())
-        | `Awaiting -> ()
-        | `Corrupt m ->
-            ignore (reply_to client (err "bad_request" ~extra:[ ("detail", jstr m) ]));
-            drop_client s client
-      in
-      frames ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> drop_client s client
-
-let accept_client s =
-  match Unix.accept ~cloexec:true s.s_listen with
-  | fd, _ -> s.s_clients <- { c_fd = fd; c_reader = Protocol.Reader.create () } :: s.s_clients
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-
-let shutdown_workers s =
-  Array.iter
-    (fun wk ->
-      if wk.wk_alive then (
-        (try Protocol.write_frame wk.wk_to (Json.encode (Json.Obj [ ("op", jstr "quit") ]))
-         with Unix.Unix_error _ -> ());
-        try Unix.close wk.wk_to with Unix.Unix_error _ -> ()))
-    s.s_workers;
-  let deadline = now () +. 2.0 in
-  let rec wait_all () =
-    let pending =
-      Array.to_list s.s_workers
-      |> List.filter (fun wk ->
-             wk.wk_alive
-             &&
-             match Unix.waitpid [ Unix.WNOHANG ] wk.wk_pid with
-             | 0, _ -> true
-             | _, _ -> false
-             | exception Unix.Unix_error _ -> false)
-    in
-    if pending <> [] then
-      if now () > deadline then
-        List.iter
-          (fun wk ->
-            (try Unix.kill wk.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] wk.wk_pid) with Unix.Unix_error _ -> ())
-          pending
-      else begin
-        ignore (Unix.select [] [] [] 0.05);
-        wait_all ()
-      end
-  in
-  wait_all ();
-  Array.iter
-    (fun wk -> try Unix.close wk.wk_from with Unix.Unix_error _ -> ())
-    s.s_workers
-
-(* ---------- startup: socket claim and orphan sweep ---------- *)
-
-(* Claim a Unix-domain listen socket path. A leftover file at the path
-   is only an error if something still answers on it: probe with a
-   connect — a live listener accepts (the path is genuinely in use); a
-   dead leftover (crashed server, stale tmpdir) refuses, and is safe to
-   unlink and rebind. The old behavior (unlink unconditionally) could
-   steal a running server's socket; raw bind would crash on any
-   leftover with an unstructured Unix_error. *)
-let bind_listener path =
-  let bind_fresh () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (* workers (and shards, under the router) are spawned after the
-       bind: without close-on-exec they would inherit the listener, and
-       a SIGKILLed server's children would keep the socket answering
-       connect probes — making an honest respawn refuse to start *)
-    Unix.set_close_on_exec fd;
-    match
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64
-    with
-    | () -> Ok fd
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e))
-  in
-  if not (Sys.file_exists path) then bind_fresh ()
-  else begin
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect probe (Unix.ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error (_, _, _) -> false
-    in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
-    if live then
-      Error (Printf.sprintf "socket %s is in use: another server is listening on it" path)
-    else begin
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      bind_fresh ()
-    end
-  end
+(* ---------- startup: orphan sweep ---------- *)
 
 (* Sweep the checkpoints directory for orphans — tenants whose
    supervisor was SIGKILLed out from under them. Each file is
@@ -1608,7 +1412,7 @@ let sweep_checkpoints ~dir =
   (List.rev valid, discarded)
 
 (* drain finished: everything is parked or terminal — write the will,
-   answer the admin who asked (if any), and let the loop fall out *)
+   answer every admin who asked, and let the loop fall out *)
 let maybe_finish_drain s =
   if s.s_draining && not s.s_shutdown then begin
     let all_parked =
@@ -1617,19 +1421,16 @@ let maybe_finish_drain s =
         s.s_tenants true
     in
     if all_parked then begin
-      let entries = write_manifest s in
-      (match s.s_drain_client with
-      | Some fd -> (
-          let resp =
-            Json.Obj
-              [
-                ("ok", jbool true);
-                ("drained", jbool true);
-                ("tenants", jint (List.length entries));
-              ]
-          in
-          try Protocol.write_frame fd (Json.encode resp) with Unix.Unix_error _ -> ())
-      | None -> ());
+      let entries =
+        Hashtbl.fold
+          (fun _ t acc -> match taken_of_tenant t with Some e -> e :: acc | None -> acc)
+          s.s_tenants []
+        |> List.sort (fun a b -> compare (taken_tenant a) (taken_tenant b))
+      in
+      write_manifest ~dir:s.s_cfg.dir entries;
+      Frontend.resolve s.s_fe "drain"
+        (Json.Obj
+           [ ("ok", jbool true); ("drained", jbool true); ("tenants", jint (List.length entries)) ]);
       s.s_shutdown <- true
     end
   end
@@ -1638,41 +1439,26 @@ let server_main (cfg : config) =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   sigterm_drain := false;
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> sigterm_drain := true));
-  mkdir_p cfg.dir;
-  mkdir_p (Filename.concat cfg.dir "workers");
-  mkdir_p (Filename.concat cfg.dir "checkpoints");
+  Supervisor.mkdir_p (Filename.concat cfg.dir "workers");
+  Supervisor.mkdir_p (Filename.concat cfg.dir "checkpoints");
   (try Sys.remove (manifest_path ~dir:cfg.dir) with Sys_error _ -> ());
-  let listen =
-    match bind_listener cfg.socket with
-    | Ok fd -> fd
-    | Error detail ->
-        prerr_endline
-          (Json.encode
-             (Json.Obj
-                [ ("error", jstr "socket_in_use"); ("detail", jstr detail); ("exit", jint 2) ]));
-        exit 2
-  in
+  let fe = Frontend.listen cfg.socket in
   let s =
     {
       s_cfg = cfg;
       s_adm =
         Admission.create ~seed:cfg.seed ~retry_base_s:cfg.retry_base_s ~capacity:cfg.capacity ();
-      s_listen = listen;
-      s_clients = [];
+      s_fe = fe;
       s_tenants = Hashtbl.create 64;
       s_next_tenant = 0;
       s_workers =
-        Array.init (max 1 cfg.workers) (fun i ->
+        Supervisor.create (max 1 cfg.workers) (fun i ->
             {
               wk_id = i;
-              wk_pid = -1;
               wk_to = Unix.stderr;
               wk_from = Unix.stderr;
               wk_reader = Protocol.Reader.create ();
-              wk_alive = false;
-              wk_stalled = false;
               wk_tenants = [];
-              wk_spawned = 0.;
             });
       s_hb =
         Obs.Heartbeat.create
@@ -1690,7 +1476,6 @@ let server_main (cfg : config) =
       s_corrupt_armed = cfg.corrupt_requeue;
       s_shutdown = false;
       s_draining = false;
-      s_drain_client = None;
       s_orphans_requeued = 0;
       s_orphans_discarded = 0;
     }
@@ -1726,34 +1511,25 @@ let server_main (cfg : config) =
   for _ = 1 to discarded do
     tick c_orphans_discarded
   done;
-  Array.iter (fun wk -> spawn_worker s wk) s.s_workers;
+  Array.iter (spawn_worker s) s.s_workers;
   schedule s;
   Obs.Heartbeat.force s.s_hb (status_payload s);
+  let h = handlers s in
+  let pump_fd fd =
+    Array.iter
+      (fun (c : worker Supervisor.child) ->
+        if c.alive && c.data.wk_from = fd then ignore (pump_worker s c.data : [ `Eof | `Open ]))
+      s.s_workers
+  in
   let rec loop () =
     if not s.s_shutdown then begin
       let worker_fds =
         Array.to_list s.s_workers
-        |> List.filter_map (fun wk -> if wk.wk_alive then Some wk.wk_from else None)
+        |> List.filter_map (fun (c : worker Supervisor.child) ->
+               if c.alive then Some c.data.wk_from else None)
       in
-      let client_fds = List.map (fun c -> c.c_fd) s.s_clients in
-      let readable, _, _ =
-        match Unix.select ((s.s_listen :: worker_fds) @ client_fds) [] [] cfg.tick_s with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun fd ->
-          if fd = s.s_listen then accept_client s
-          else
-            match Array.to_list s.s_workers |> List.find_opt (fun wk -> wk.wk_alive && wk.wk_from = fd) with
-            | Some wk -> ignore (pump_worker s wk : [ `Eof | `Open ])
-            | None -> (
-                match List.find_opt (fun c -> c.c_fd = fd) s.s_clients with
-                | Some c -> pump_client s c
-                | None -> ()))
-        readable;
-      reap_workers s;
+      Frontend.tick s.s_fe h ~timeout_s:cfg.tick_s ~extra:worker_fds ~on_extra:pump_fd;
+      Supervisor.reap s.s_workers ~on_exit:(fun c _ -> on_worker_death s c);
       probe_workers s;
       if !sigterm_drain then initiate_drain s;
       schedule s;
@@ -1764,10 +1540,16 @@ let server_main (cfg : config) =
   in
   loop ();
   Obs.Heartbeat.force s.s_hb (status_payload s);
-  shutdown_workers s;
-  List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) s.s_clients;
-  (try Unix.close s.s_listen with Unix.Unix_error _ -> ());
-  try Unix.unlink cfg.socket with Unix.Unix_error _ -> ()
+  Supervisor.stop s.s_workers ~deadline_s:2.0
+    ~quit:(fun c ->
+      tell c.data [ ("op", jstr "quit") ];
+      try Unix.close c.data.wk_to with Unix.Unix_error _ -> ())
+    ~on_exit:(fun _ _ -> ());
+  Array.iter
+    (fun (c : worker Supervisor.child) ->
+      try Unix.close c.data.wk_from with Unix.Unix_error _ -> ())
+    s.s_workers;
+  Frontend.close s.s_fe
 
 (* ------------------------------------------------------------------ *)
 (* Child dispatch                                                      *)

@@ -83,6 +83,9 @@ type tresult = {
 val tresult_fields : tresult -> (string * Cheri_util.Json.t) list
 val tresult_of_json : Cheri_util.Json.t -> (tresult, string) result
 
+val result_json : tresult -> restarts:int -> Cheri_util.Json.t
+(** The [result] object of a [done] poll reply, in both tiers. *)
+
 (** {1 Checkpoint sidecars} *)
 
 module Checkpoint : sig
@@ -168,12 +171,12 @@ val manifest_path : dir:string -> string
 
 val manifest_of_json : string -> (taken list, string) result
 
-(** {1 Startup helpers} (exposed for the router and tests) *)
+val write_manifest : dir:string -> taken list -> unit
+(** Write {!manifest_path} (temp+rename, so never torn); a write
+    failure is swallowed. The router writes its fleet manifest with
+    this too. *)
 
-val bind_listener : string -> (Unix.file_descr, string) result
-(** Claim a Unix-domain listen socket path. A leftover file is probed
-    with a connect: a live listener makes this [Error] ("truly in
-    use"); a dead leftover is unlinked and rebound. *)
+(** {1 Startup helpers} (exposed for tests) *)
 
 val sweep_checkpoints : dir:string -> Checkpoint.meta list * int
 (** Scan [dir/checkpoints] for orphaned [*.snap] files: load-verify

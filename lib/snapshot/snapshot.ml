@@ -192,7 +192,7 @@ let header_of_json j =
         h_code_digest = str "code_digest";
         h_body_bytes = int "body_bytes";
         h_note =
-          (match Option.bind (Json.member "note" j) Json.to_string with
+          (match Json.mem_str "note" j with
           | Some v -> v
           | None -> "");
       }

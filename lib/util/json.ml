@@ -187,6 +187,11 @@ let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
 
+(* one member accessor, instantiated per value shape *)
+let mem_str, mem_int, mem_float, mem_bool =
+  let mem to_x k j = Option.bind (member k j) to_x in
+  (mem to_string, mem to_int, mem to_float, mem to_bool)
+
 let escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

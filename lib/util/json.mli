@@ -34,6 +34,13 @@ val to_string : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
 
+val mem_int : string -> t -> int option
+(** [mem_int k j] is [member k j] read as an int; likewise below. *)
+
+val mem_float : string -> t -> float option
+val mem_str : string -> t -> string option
+val mem_bool : string -> t -> bool option
+
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output:
     backslash, quote, and control characters (\n, \t, ..., \u00XX).

@@ -1,4 +1,8 @@
 let () =
+  (* the service tests spawn real supervisors of this binary, which
+     in turn spawn their workers: such a re-executed child is never a
+     test run *)
+  Cheri_service.Service.child_dispatch ();
   Alcotest.run "cheri_c"
     [
       ("bits", Test_bits.suite);
@@ -24,4 +28,5 @@ let () =
       ("perf_equiv", Test_perf_equiv.suite);
       ("obs", Test_obs.suite);
       ("service", Test_service.suite);
+      ("supervisor", Test_supervisor.suite);
     ]

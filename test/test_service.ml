@@ -1,5 +1,6 @@
 (* The multi-tenant service's pure pieces: wire framing, admission
-   control, and the checkpoint/config/assignment JSON round trips. The
+   control, and the checkpoint/config/assignment JSON round trips, plus
+   one real supervisor process for the drain reply. The rest of the
    process-level behavior (worker SIGKILL, heartbeat reaping,
    checkpoint corruption) is covered by the cheri-serve --chaos rule
    in bin/dune. *)
@@ -7,6 +8,8 @@
 module Protocol = Cheri_service.Protocol
 module Admission = Cheri_service.Admission
 module Service = Cheri_service.Service
+module Frontend = Cheri_service.Frontend
+module Chaos = Cheri_service.Chaos
 module Json = Cheri_util.Json
 
 let check_int = Alcotest.(check int)
@@ -427,27 +430,121 @@ let test_bind_listener () =
       let path = Filename.concat dir "probe.sock" in
       (* fresh path binds *)
       let fd =
-        match Service.bind_listener path with
+        match Frontend.bind_listener path with
         | Ok fd -> fd
         | Error e -> Alcotest.failf "fresh bind failed: %s" e
       in
       (* a live listener is detected, not stolen *)
-      (match Service.bind_listener path with
+      (match Frontend.bind_listener path with
       | Ok _ -> Alcotest.fail "second bind stole a live listener's socket"
       | Error msg -> check_bool "error names the path" true (String.length msg > 0));
       Unix.close fd;
       (* the leftover file is now a dead socket: unlink and rebind *)
       check_bool "socket file left behind" true (Sys.file_exists path);
-      (match Service.bind_listener path with
+      (match Frontend.bind_listener path with
       | Ok fd2 -> Unix.close fd2
       | Error e -> Alcotest.failf "dead leftover not reclaimed: %s" e);
       (* a stale regular file at the path is also reclaimed *)
       let oc = open_out (Filename.concat dir "stale.sock") in
       output_string oc "junk";
       close_out oc;
-      match Service.bind_listener (Filename.concat dir "stale.sock") with
+      match Frontend.bind_listener (Filename.concat dir "stale.sock") with
       | Ok fd3 -> Unix.close fd3
       | Error e -> Alcotest.failf "stale regular file not reclaimed: %s" e)
+
+(* -- deferred drain replies belong to the asking connection ---------------------- *)
+
+(* A drain report is owed to the connection that asked, and to every
+   one that asked. Admin X asks and waits; admin A asks and hangs up;
+   then client B connects (in the server it reuses A's fd number) and
+   asks nothing. X must get the report; B must get only the EOF of the
+   server going away. A tenant in a long slice keeps the drain open
+   across all three connections. Needs the test binary to dispatch
+   service children (see test_main.ml). *)
+let test_drain_reply_per_client () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        {
+          (Service.default_config ~dir) with
+          Service.workers = 1;
+          slice = 200_000_000;
+          fuel = 2_000_000_000;
+          tick_s = 0.02;
+        }
+      in
+      let pid =
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; Service.server_marker; Service.config_to_json cfg |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          check_bool "server socket came up" true
+            (Chaos.Client.wait_socket cfg.Service.socket ~timeout_s:15.0);
+          let dial () =
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX cfg.Service.socket);
+            fd
+          in
+          let send fd fields = Protocol.write_frame fd (Json.encode (Json.Obj fields)) in
+          let next fd ~timeout_s =
+            match Unix.select [ fd ] [] [] timeout_s with
+            | [], _, _ -> `Timeout
+            | _ ->
+                (Protocol.read_frame fd (Protocol.Reader.create ())
+                  :> [ `Frame of string | `Eof | `Corrupt of string | `Timeout ])
+          in
+          let c0 = dial () in
+          let spin = "int main(void) { long i = 0; while (1) { i = i + 1; } return 0; }" in
+          send c0
+            [ ("op", Json.Str "submit"); ("source", Json.Str spin); ("abi", Json.Str "cheriv3") ];
+          (match next c0 ~timeout_s:10.0 with
+          | `Frame f -> check_bool "tenant admitted" true (String.length f > 0 && f.[0] = '{')
+          | _ -> Alcotest.fail "no submit reply");
+          (* let the worker get well into the tenant's first long slice *)
+          let rec await_running n =
+            send c0 [ ("op", Json.Str "poll"); ("tenant", Json.Num "0") ];
+            match next c0 ~timeout_s:10.0 with
+            | `Frame f when Json.(mem_str "state" (Result.get_ok (parse f))) = Some "running" -> ()
+            | _ when n > 0 ->
+                Unix.sleepf 0.05;
+                await_running (n - 1)
+            | _ -> Alcotest.fail "tenant never started running"
+          in
+          await_running 200;
+          Unix.sleepf 0.5;
+          let x = dial () in
+          send x [ ("op", Json.Str "drain") ];
+          let a = dial () in
+          send a [ ("op", Json.Str "drain") ];
+          Unix.sleepf 0.1;
+          Unix.close a;
+          Unix.sleepf 0.2;
+          let b = dial () in
+          (match next x ~timeout_s:60.0 with
+          | `Frame f -> (
+              match Json.parse f with
+              | Ok j ->
+                  check_bool "waiting admin gets the drain report" true
+                    (Json.mem_bool "drained" j = Some true);
+                  check_int "report counts the parked tenant" 1
+                    (Option.value ~default:(-1) (Json.mem_int "tenants" j))
+              | Error e -> Alcotest.failf "unparseable drain report: %s" e)
+          | `Eof -> Alcotest.fail "waiting admin got EOF instead of the drain report"
+          | `Corrupt m -> Alcotest.failf "corrupt drain report: %s" m
+          | `Timeout -> Alcotest.fail "waiting admin never got the drain report");
+          (match next b ~timeout_s:30.0 with
+          | `Eof -> ()
+          | `Frame f -> Alcotest.failf "a client that never asked got a reply: %s" f
+          | `Corrupt m -> Alcotest.failf "corrupt frame to a bystander: %s" m
+          | `Timeout -> Alcotest.fail "drained server never closed the bystander");
+          List.iter Unix.close [ c0; x; b ];
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.fail "drained server did not exit 0"))
 
 let suite =
   [
@@ -471,4 +568,6 @@ let suite =
     Alcotest.test_case "socket claim probes before unlinking" `Quick test_bind_listener;
     Alcotest.test_case "run_serial deterministic slicing" `Quick
       test_run_serial_slicing_invariant;
+    Alcotest.test_case "drain report reaches every asking admin, no bystander" `Quick
+      test_drain_reply_per_client;
   ]
