@@ -1378,8 +1378,7 @@ module Snap = struct
   let page_bytes = 4096
 end
 
-let snapshot t : Snap.t =
-  let data_pages, tag_pages = Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes in
+let state t ~data_pages ~tag_pages : Snap.t =
   {
     Snap.s_gprs = Bytes.to_string t.gprs;
     s_caps = Array.init 32 (fun i -> cap_get_idx t i);
@@ -1408,6 +1407,14 @@ let snapshot t : Snap.t =
     s_data_pages = data_pages;
     s_tag_pages = tag_pages;
   }
+
+let snapshot t =
+  let data_pages, tag_pages = Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes in
+  state t ~data_pages ~tag_pages
+
+let snapshot_sparse t =
+  let data_pages, tag_pages = Mem.scan_pages t.memory ~page_bytes:Snap.page_bytes in
+  (state t ~data_pages:[] ~tag_pages, data_pages)
 
 let restore t (s : Snap.t) =
   if String.length s.Snap.s_gprs <> Bytes.length t.gprs then

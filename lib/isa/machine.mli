@@ -182,6 +182,13 @@ val snapshot : t -> Snap.t
 (** Capture every mutable architectural and model field. Never taken
     mid-instruction, so staged terminal outcomes are always empty. *)
 
+val snapshot_sparse : t -> Snap.t * (int * int) list
+(** {!snapshot} with the data pages left in memory: [s_data_pages] is
+    empty, and the (index, length) of every nonzero data page comes
+    back beside it, for the caller to copy out of {!mem} with
+    {!Cheri_tagmem.Tagmem.blit_data_page} before the machine runs
+    again. The one page scan of a streaming save. *)
+
 val restore : t -> Snap.t -> unit
 (** Overwrite [t]'s state with the snapshot's. [t] must have been
     created from the same config and code as the snapshotted machine

@@ -230,27 +230,18 @@ let wints b a =
   w32 b (Array.length a);
   Array.iter (fun v -> wint b v) a
 
-(* The body as a list of pieces whose concatenation is the encoding:
-   the small fields accumulate in one buffer, and each memory page is a
-   piece of its own after its 8-byte (index, length) prefix, so the
-   pages — the bulk of an image — are never copied into a buffer. *)
-let body_pieces (s : Machine.Snap.t) =
+(* The body's length and a writer that hands it to [emit] in order.
+   The data-page section comes from a page source, not from
+   [s.s_data_pages]: [pages] lists the (index, length) of each page,
+   ascending, and [blit idx buf pos] copies one into [buf] at [pos] —
+   a save reads them straight out of the machine's memory. The small
+   fields accumulate in two strings, before and after the data pages;
+   each page is copied behind its 8-byte (index, length) prefix into
+   one reusable buffer. A save therefore allocates nothing per page: a
+   fresh string per page made 1.57 MB of garbage per save on the
+   tenant workload, and that garbage set the major GC's pace. *)
+let encode_body (s : Machine.Snap.t) ~pages ~blit =
   let b = Buffer.create 4096 in
-  let pieces = ref [] in
-  let flush () =
-    pieces := Buffer.contents b :: !pieces;
-    Buffer.clear b
-  in
-  let wpages l =
-    w32 b (List.length l);
-    List.iter
-      (fun (idx, page) ->
-        w32 b idx;
-        w32 b (String.length page);
-        flush ();
-        pieces := page :: !pieces)
-      l
-  in
   wstr b s.s_gprs;
   Array.iter (wcap b) s.s_caps;
   wcap b s.s_pcc;
@@ -273,10 +264,30 @@ let body_pieces (s : Machine.Snap.t) =
   wints b s.s_icache;
   wints b s.s_l1;
   wints b s.s_l2;
-  wpages s.s_data_pages;
-  wpages s.s_tag_pages;
-  flush ();
-  List.rev !pieces
+  w32 b (List.length pages);
+  let head = Buffer.contents b in
+  Buffer.clear b;
+  w32 b (List.length s.s_tag_pages);
+  List.iter
+    (fun (idx, page) ->
+      w32 b idx;
+      wstr b page)
+    s.s_tag_pages;
+  let tail = Buffer.contents b in
+  let data_bytes = List.fold_left (fun n (_, len) -> n + 8 + len) 0 pages in
+  let write emit =
+    emit head 0 (String.length head);
+    let buf = Bytes.create (8 + Machine.Snap.page_bytes) in
+    List.iter
+      (fun (idx, len) ->
+        Bytes.set_int32_le buf 0 (Int32.of_int idx);
+        Bytes.set_int32_le buf 4 (Int32.of_int len);
+        blit idx buf 8;
+        emit (Bytes.unsafe_to_string buf) 0 (8 + len))
+      pages;
+    emit tail 0 (String.length tail)
+  in
+  (String.length head + data_bytes + String.length tail, write)
 
 (* ------------------------------------------------------------------ *)
 (* Body decoding                                                       *)
@@ -405,26 +416,28 @@ let le32 v =
 
 let save ?(note = "") ~abi ~path m =
   timed m_saves m_save_s "snapshot.save" @@ fun () ->
-  let scanned0 = Tagmem.pages_scanned (Machine.mem m) in
-  let body = body_pieces (Machine.snapshot m) in
-  Obs.Counter.incr ~by:(Tagmem.pages_scanned (Machine.mem m) - scanned0) m_pages_scanned;
-  let body_bytes = List.fold_left (fun n p -> n + String.length p) 0 body in
+  let mem = Machine.mem m in
+  let scanned0 = Tagmem.pages_scanned mem in
+  let snap, pages = Machine.snapshot_sparse m in
+  Obs.Counter.incr ~by:(Tagmem.pages_scanned mem - scanned0) m_pages_scanned;
+  let blit = Tagmem.blit_data_page mem ~page_bytes:Machine.Snap.page_bytes in
+  let body_bytes, write_body = encode_body snap ~pages ~blit in
   let header = header_to_json (header_of_machine ~abi ~note ~body_bytes m) in
   let lead = magic ^ le32 (String.length header) ^ header in
   let size = String.length lead + body_bytes + 4 in
-  (* stream the pieces to the file, folding each into the CRC as it
-     goes out, instead of assembling the image in memory first *)
+  (* stream the image to the file, folding each piece into the CRC as
+     it goes out, instead of assembling it in memory first *)
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out_bin tmp in
-    let crc =
-      List.fold_left
-        (fun crc piece ->
-          output_string oc piece;
-          Crc32.update crc piece)
-        0 (lead :: body)
+    let crc = ref 0 in
+    let emit s pos len =
+      output_substring oc s pos len;
+      crc := Crc32.update_sub !crc s ~pos ~len
     in
-    output_string oc (le32 crc);
+    emit lead 0 (String.length lead);
+    write_body emit;
+    output_string oc (le32 !crc);
     close_out oc;
     Sys.rename tmp path;
     Obs.Counter.incr ~by:size m_save_bytes;
@@ -532,10 +545,13 @@ let load path =
 
 let mismatchf fmt = Printf.ksprintf (fun s -> Error (Machine_mismatch s)) fmt
 
+(* Subtraction form, as in [Tagmem.restore_pages]: the sum
+   [idx * page_bytes + length] could wrap for a huge [idx]. *)
 let pages_fit ~store_bytes ~page_bytes pages =
   List.for_all
     (fun (idx, page) ->
-      idx >= 0 && (idx * page_bytes) + String.length page <= store_bytes)
+      let len = String.length page in
+      idx >= 0 && len <= store_bytes && idx <= (store_bytes - len) / page_bytes)
     pages
 
 let restore m ~abi image =

@@ -1,11 +1,15 @@
 module Telemetry = Cheri_telemetry.Telemetry
 
+type store = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  data : Bytes.t;
+  data : store;
+      (* a private mapping of /dev/zero: the kernel hands out a zero page
+         on first touch, so an untouched page costs nothing *)
   tags : Bytes.t;  (* one bit per granule, packed *)
   granule : int;
   granule_shift : int;
-  size64 : int64;  (* Bytes.length data, precomputed for the i64 range check *)
+  size64 : int64;  (* the data size, precomputed for the i64 range check *)
   mutable sink : Telemetry.Sink.t;
   dirty : Bytes.t;
       (* one byte per [chunk_bytes] of data, nonzero once the chunk may
@@ -28,6 +32,70 @@ let log2 n =
 let chunk_shift = 12
 let chunk_bytes = 1 lsl chunk_shift
 
+(* Unchecked native-endian accessors: every call site sits behind
+   [check_range] (or copies within a range already validated), and
+   [le64]/[le32]/[le16] put the bytes in the little-endian order the
+   store is defined in. [Sys.big_endian] is a constant, so on a
+   little-endian host the swap compiles away. *)
+external get16 : store -> int -> int = "%caml_bigstring_get16u"
+external get32 : store -> int -> int32 = "%caml_bigstring_get32u"
+external get64 : store -> int -> int64 = "%caml_bigstring_get64u"
+external set16 : store -> int -> int -> unit = "%caml_bigstring_set16u"
+external set32 : store -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external set64 : store -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+
+let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
+let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
+let[@inline] le64 v = if Sys.big_endian then bswap64 v else v
+let[@inline] get_byte d a = Bigarray.Array1.unsafe_get d a
+let[@inline] set_byte d a c = Bigarray.Array1.unsafe_set d a c
+
+(* Copies between the store and OCaml bytes move 8 bytes at a time, in
+   native order on both sides (so no swap); only a tail shorter than a
+   word goes byte by byte. The caller has validated both ranges. *)
+let blit_out d off buf pos len =
+  let words = len lsr 3 in
+  for i = 0 to words - 1 do
+    bytes_set64 buf (pos + (i lsl 3)) (get64 d (off + (i lsl 3)))
+  done;
+  for j = words lsl 3 to len - 1 do
+    Bytes.unsafe_set buf (pos + j) (get_byte d (off + j))
+  done
+
+let blit_in src pos d off len =
+  let words = len lsr 3 in
+  for i = 0 to words - 1 do
+    set64 d (off + (i lsl 3)) (string_get64 src (pos + (i lsl 3)))
+  done;
+  for j = words lsl 3 to len - 1 do
+    set_byte d (off + j) (String.unsafe_get src (pos + j))
+  done
+
+(* A private (copy-on-write) mapping of /dev/zero: the kernel supplies
+   zero pages on first touch, so creating a memory costs O(1) and a
+   program pays only for the pages it uses. [Unix.map_file] grows the
+   "file" to the requested size by writing its last byte, which
+   /dev/zero accepts and discards — hence O_RDWR. The descriptor is not
+   needed once the mapping exists; the GC unmaps it with the bigarray. *)
+let map_zeroed size =
+  match Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+      failwith ("Tagmem.create: cannot open /dev/zero: " ^ Unix.error_message e)
+  | fd -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+          failwith ("Tagmem.create: cannot map /dev/zero: " ^ Unix.error_message e)
+      | g -> Bigarray.array1_of_genarray g)
+
 let create ?(granule = 32) ~size_bytes () =
   if granule <= 0 || granule land (granule - 1) <> 0 then
     invalid_arg "Tagmem.create: granule must be a power of two";
@@ -35,7 +103,7 @@ let create ?(granule = 32) ~size_bytes () =
     invalid_arg "Tagmem.create: size must be a positive multiple of the granule";
   let granules = size_bytes / granule in
   {
-    data = Bytes.make size_bytes '\000';
+    data = map_zeroed size_bytes;
     tags = Bytes.make ((granules + 7) / 8) '\000';
     granule;
     granule_shift = log2 granule;
@@ -45,7 +113,7 @@ let create ?(granule = 32) ~size_bytes () =
     scanned = 0;
   }
 
-let size t = Bytes.length t.data
+let size t = Bigarray.Array1.dim t.data
 let granule t = t.granule
 let set_sink t sink = t.sink <- sink
 let sink t = t.sink
@@ -56,7 +124,7 @@ let sink t = t.sink
    profile compiles with -opaque, which defeats cross-module inlining,
    so an int64 argument would cost one allocation per call). *)
 let[@inline] check_range t a len =
-  if a < 0 || len < 0 || a + len > size t then raise (Bus_error (Int64.of_int a))
+  if a < 0 || len < 0 || a > size t - len then raise (Bus_error (Int64.of_int a))
 
 let[@inline] granule_index t a = a lsr t.granule_shift
 
@@ -134,30 +202,30 @@ let clear_tags_in_range ?(collateral = true) t a len =
 
 let load_byte t a =
   check_range t a 1;
-  Char.code (Bytes.get t.data a)
+  Char.code (get_byte t.data a)
 
 let store_byte t a v =
   check_range t a 1;
-  Bytes.set t.data a (Char.chr (v land 0xff));
+  set_byte t.data a (Char.unsafe_chr (v land 0xff));
   mark t a;
   clear_tags_in_range t a 1
 
 let[@inline] load_int t a ~size:sz =
   check_range t a sz;
   match sz with
-  | 1 -> Int64.of_int (Char.code (Bytes.get t.data a))
-  | 2 -> Int64.of_int (Bytes.get_uint16_le t.data a)
-  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.data a)) 0xffffffffL
-  | 8 -> Bytes.get_int64_le t.data a
+  | 1 -> Int64.of_int (Char.code (get_byte t.data a))
+  | 2 -> Int64.of_int (le16 (get16 t.data a))
+  | 4 -> Int64.logand (Int64.of_int32 (le32 (get32 t.data a))) 0xffffffffL
+  | 8 -> le64 (get64 t.data a)
   | _ -> invalid_arg "Tagmem.load_int: size must be 1, 2, 4 or 8"
 
 let[@inline] store_int t a ~size:sz v =
   check_range t a sz;
   (match sz with
-  | 1 -> Bytes.set t.data a (Char.chr (Int64.to_int (Int64.logand v 0xffL)))
-  | 2 -> Bytes.set_uint16_le t.data a (Int64.to_int (Int64.logand v 0xffffL))
-  | 4 -> Bytes.set_int32_le t.data a (Int64.to_int32 v)
-  | 8 -> Bytes.set_int64_le t.data a v
+  | 1 -> set_byte t.data a (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
+  | 2 -> set16 t.data a (le16 (Int64.to_int (Int64.logand v 0xffffL)))
+  | 4 -> set32 t.data a (le32 (Int64.to_int32 v))
+  | 8 -> set64 t.data a (le64 v)
   | _ -> invalid_arg "Tagmem.store_int: size must be 1, 2, 4 or 8");
   mark t a;
   mark t (a + sz - 1);
@@ -169,23 +237,25 @@ let[@inline] store_int t a ~size:sz v =
    [~size:8]. *)
 let[@inline] load_word t a =
   check_range t a 8;
-  Bytes.get_int64_le t.data a
+  le64 (get64 t.data a)
 
 let[@inline] store_word t a v =
   check_range t a 8;
-  Bytes.set_int64_le t.data a v;
+  set64 t.data a (le64 v);
   mark t a;
   mark t (a + 7);
   clear_tags_in_range t a 8
 
 let load_bytes t a ~len =
   check_range t a len;
-  Bytes.sub t.data a len
+  let b = Bytes.create len in
+  blit_out t.data a b 0 len;
+  b
 
 let store_bytes t a b =
   let len = Bytes.length b in
   check_range t a len;
-  Bytes.blit b 0 t.data a len;
+  blit_in (Bytes.unsafe_to_string b) 0 t.data a len;
   mark_range t a len;
   clear_tags_in_range t a len
 
@@ -200,7 +270,7 @@ let cap_width = Cheri_core.Capability.byte_width
    [a] has already been bounds-checked for the full 32-byte capability,
    so the byte reads at a+24 .. a+29 are in range. *)
 let[@inline] meta_int t a =
-  let g i = Char.code (Bytes.unsafe_get t.data (a + 24 + i)) in
+  let g i = Char.code (get_byte t.data (a + 24 + i)) in
   g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24) lor (g 4 lsl 32) lor (g 5 lsl 40)
 
 let load_cap t a =
@@ -209,19 +279,19 @@ let load_cap t a =
   check_range t a cap_width;
   Cheri_core.Capability.of_raw_words
     ~tag:(tag_bit t (granule_index t a))
-    ~base:(Bytes.get_int64_le t.data a)
-    ~length:(Bytes.get_int64_le t.data (a + 8))
-    ~offset:(Bytes.get_int64_le t.data (a + 16))
+    ~base:(le64 (get64 t.data a))
+    ~length:(le64 (get64 t.data (a + 8)))
+    ~offset:(le64 (get64 t.data (a + 16)))
     ~meta:(meta_int t a)
 
 let store_cap t a cap =
   if a land (cap_width - 1) <> 0 then
     invalid_arg "Tagmem.store_cap: address must be capability-aligned";
   check_range t a cap_width;
-  Bytes.set_int64_le t.data a cap.Cheri_core.Capability.base;
-  Bytes.set_int64_le t.data (a + 8) cap.Cheri_core.Capability.length;
-  Bytes.set_int64_le t.data (a + 16) cap.Cheri_core.Capability.offset;
-  Bytes.set_int64_le t.data (a + 24) (Cheri_core.Capability.meta_word cap);
+  set64 t.data a (le64 cap.Cheri_core.Capability.base);
+  set64 t.data (a + 8) (le64 cap.Cheri_core.Capability.length);
+  set64 t.data (a + 16) (le64 cap.Cheri_core.Capability.offset);
+  set64 t.data (a + 24) (le64 (Cheri_core.Capability.meta_word cap));
   mark t a;
   (* A capability store touches exactly one granule when the granule is
      >= the capability width; clear everything it covers first, then
@@ -245,9 +315,9 @@ let load_cap_fields t a ~base ~len ~off ~otype ~pos =
   if a land (cap_width - 1) <> 0 then
     invalid_arg "Tagmem.load_cap: address must be capability-aligned";
   check_range t a cap_width;
-  Bytes.set_int64_le base pos (Bytes.get_int64_le t.data a);
-  Bytes.set_int64_le len pos (Bytes.get_int64_le t.data (a + 8));
-  Bytes.set_int64_le off pos (Bytes.get_int64_le t.data (a + 16));
+  Bytes.set_int64_le base pos (le64 (get64 t.data a));
+  Bytes.set_int64_le len pos (le64 (get64 t.data (a + 8)));
+  Bytes.set_int64_le off pos (le64 (get64 t.data (a + 16)));
   let m = meta_int t a in
   Bytes.set_int64_le otype pos (Int64.of_int ((m lsr 16) land 0xffffffff));
   (m land 0x1ff) lor (if tag_bit t (granule_index t a) then 0x200 else 0)
@@ -256,13 +326,13 @@ let store_cap_fields t a ~base ~len ~off ~pos ~meta ~otype =
   if a land (cap_width - 1) <> 0 then
     invalid_arg "Tagmem.store_cap: address must be capability-aligned";
   check_range t a cap_width;
-  Bytes.set_int64_le t.data a (Bytes.get_int64_le base pos);
-  Bytes.set_int64_le t.data (a + 8) (Bytes.get_int64_le len pos);
-  Bytes.set_int64_le t.data (a + 16) (Bytes.get_int64_le off pos);
+  set64 t.data a (le64 (Bytes.get_int64_le base pos));
+  set64 t.data (a + 8) (le64 (Bytes.get_int64_le len pos));
+  set64 t.data (a + 16) (le64 (Bytes.get_int64_le off pos));
   (* spill meta word: perms + sealed in the low 9 bits, otype's low 32
      bits in bits 16-47 — exactly [Capability.meta_word] *)
-  Bytes.set_int64_le t.data (a + 24)
-    (Int64.of_int ((meta land 0x1ff) lor ((otype land 0xffffffff) lsl 16)));
+  set64 t.data (a + 24)
+    (le64 (Int64.of_int ((meta land 0x1ff) lor ((otype land 0xffffffff) lsl 16))));
   mark t a;
   clear_tags_in_range ~collateral:false t a cap_width;
   let tag = meta land 0x200 <> 0 in
@@ -289,7 +359,7 @@ let set_tag_at t a =
 
 let poke_raw t a v =
   check_range t a 1;
-  Bytes.set t.data a (Char.chr (v land 0xff));
+  set_byte t.data a (Char.unsafe_chr (v land 0xff));
   mark t a
 
 (* -- legacy int64-addressed wrappers ------------------------------------- *)
@@ -330,30 +400,35 @@ let any_marked t lo hi =
   let rec go c last = c <= last && (Bytes.unsafe_get t.dirty c <> '\000' || go (c + 1) last) in
   go (lo lsr chunk_shift) (hi lsr chunk_shift)
 
-(* Is [buf.[off .. off+len)] all zero? Scan 8 bytes at a time; [len] is
-   a whole page except possibly the last page of an odd-sized store. *)
-let page_is_zero buf off len =
-  let words = len / 8 in
+(* Is [off .. off+len) all zero? Scan 8 bytes at a time; [len] is a
+   whole page except possibly the last page of an odd-sized store. *)
+let data_is_zero d off len =
+  let words = len lsr 3 in
   let rec go i =
-    if i < words then Bytes.get_int64_le buf (off + (i * 8)) = 0L && go (i + 1)
+    if i < words then get64 d (off + (i lsl 3)) = 0L && go (i + 1)
     else
-      let rec tail j = j >= len || (Bytes.get buf (off + j) = '\000' && tail (j + 1)) in
-      tail (words * 8)
+      let rec tail j = j >= len || (get_byte d (off + j) = '\000' && tail (j + 1)) in
+      tail (words lsl 3)
   in
   go 0
 
-(* The nonzero pages of [buf], zero-scanning only those for which
-   [live off len] holds — the rest are zero by the dirty invariant. *)
-let dump_pages t buf ~page_bytes ~live =
-  let n = Bytes.length buf in
+(* The tag store is 1/256 of the data, and a save scans one or two of
+   its pages: byte by byte is fast enough. *)
+let bytes_is_zero buf off len =
+  let rec go j = j >= len || (Bytes.unsafe_get buf (off + j) = '\000' && go (j + 1)) in
+  go 0
+
+(* The (index, length) of every nonzero page of an [n]-byte store,
+   ascending, zero-scanning only those for which [live off len] holds —
+   the rest are zero by the dirty invariant. *)
+let nonzero_pages t n ~page_bytes ~live ~is_zero =
   let acc = ref [] in
   for idx = ((n + page_bytes - 1) / page_bytes) - 1 downto 0 do
     let off = idx * page_bytes in
     let len = min page_bytes (n - off) in
     if live off len then begin
       t.scanned <- t.scanned + 1;
-      if not (page_is_zero buf off len) then
-        acc := (idx, Bytes.sub_string buf off len) :: !acc
+      if not (is_zero off len) then acc := (idx, len) :: !acc
     end
   done;
   !acc
@@ -362,37 +437,71 @@ let check_page_bytes who page_bytes =
   if page_bytes <= 0 || page_bytes mod 8 <> 0 then
     invalid_arg (who ^ ": page size must be a positive multiple of 8")
 
-let snapshot_pages t ~page_bytes =
-  check_page_bytes "Tagmem.snapshot_pages" page_bytes;
+let scan_pages t ~page_bytes =
+  check_page_bytes "Tagmem.scan_pages" page_bytes;
   let n = size t in
   (* tag byte [i] holds the bits of the 8 granules from [i * 8] *)
   let tag_data_range off len =
     let lo = (off * 8) lsl t.granule_shift in
     any_marked t lo (min (((off + len) * 8) lsl t.granule_shift) n - 1)
   in
-  ( dump_pages t t.data ~page_bytes ~live:(fun off len -> any_marked t off (off + len - 1)),
-    dump_pages t t.tags ~page_bytes ~live:tag_data_range )
+  let data =
+    nonzero_pages t n ~page_bytes
+      ~live:(fun off len -> any_marked t off (off + len - 1))
+      ~is_zero:(data_is_zero t.data)
+  in
+  let tags =
+    nonzero_pages t (Bytes.length t.tags) ~page_bytes ~live:tag_data_range
+      ~is_zero:(bytes_is_zero t.tags)
+  in
+  (data, List.map (fun (idx, len) -> (idx, Bytes.sub_string t.tags (idx * page_bytes) len)) tags)
+
+let blit_data_page t ~page_bytes idx buf pos =
+  check_page_bytes "Tagmem.blit_data_page" page_bytes;
+  let n = size t in
+  if idx < 0 || idx > (n - 1) / page_bytes then
+    invalid_arg "Tagmem.blit_data_page: page outside the store";
+  let off = idx * page_bytes in
+  let len = min page_bytes (n - off) in
+  if pos < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Tagmem.blit_data_page: page does not fit the buffer";
+  blit_out t.data off buf pos len
+
+let snapshot_pages t ~page_bytes =
+  let data, tags = scan_pages t ~page_bytes in
+  let copy (idx, len) =
+    let b = Bytes.create len in
+    blit_out t.data (idx * page_bytes) b 0 len;
+    (idx, Bytes.unsafe_to_string b)
+  in
+  (List.map copy data, tags)
 
 let pages_scanned t = t.scanned
 
+(* Does page [idx] of [len] bytes lie inside a store of [n] bytes?
+   Subtraction form: [idx * page_bytes + len] can wrap for a huge
+   [idx], and a wrapped sum would pass. *)
+let page_fits ~page_bytes n (idx, page) =
+  let len = String.length page in
+  idx >= 0 && len <= n && idx <= (n - len) / page_bytes
+
 let restore_pages t ~page_bytes ~data ~tags =
   check_page_bytes "Tagmem.restore_pages" page_bytes;
-  let fits buf =
-    List.for_all (fun (idx, (page : string)) ->
-        idx >= 0 && (idx * page_bytes) + String.length page <= Bytes.length buf)
-  in
-  if not (fits t.data data && fits t.tags tags) then
-    invalid_arg "Tagmem.restore_pages: page outside the store";
+  let n = size t in
+  if
+    not
+      (List.for_all (page_fits ~page_bytes n) data
+      && List.for_all (page_fits ~page_bytes (Bytes.length t.tags)) tags)
+  then invalid_arg "Tagmem.restore_pages: page outside the store";
   (* Zero every marked chunk — its data and the tag bytes of the
      granules it overlaps — and unmark it. A whole tag byte may reach
      into a neighbouring chunk; if that chunk is unmarked its tags are
      clear already, and if it is marked it is zeroed here too. *)
-  let n = size t in
   for c = 0 to Bytes.length t.dirty - 1 do
     if Bytes.unsafe_get t.dirty c <> '\000' then begin
       let lo = c lsl chunk_shift in
       let len = min chunk_bytes (n - lo) in
-      Bytes.fill t.data lo len '\000';
+      Bigarray.Array1.(fill (sub t.data lo len) '\000');
       let fb = granule_index t lo lsr 3 and lb = granule_index t (lo + len - 1) lsr 3 in
       Bytes.fill t.tags fb (lb - fb + 1) '\000';
       Bytes.unsafe_set t.dirty c '\000'
@@ -401,7 +510,7 @@ let restore_pages t ~page_bytes ~data ~tags =
   List.iter
     (fun (idx, page) ->
       let off = idx * page_bytes in
-      Bytes.blit_string page 0 t.data off (String.length page);
+      blit_in page 0 t.data off (String.length page);
       mark_range t off (String.length page))
     data;
   (* mark the base chunk of every restored tag; a padding bit past the

@@ -29,7 +29,20 @@ val create : ?granule:int -> size_bytes:int -> unit -> t
 (** [create ~size_bytes ()] allocates zeroed memory with clear tags.
     [granule] is the tag granularity in bytes (default 32; must be a
     power of two and at least {!Cheri_core.Capability.byte_width} for
-    capability stores to be representable). *)
+    capability stores to be representable).
+
+    {b Backing and cost.} The data store is a private (copy-on-write)
+    mapping of [/dev/zero], outside the OCaml heap: the kernel supplies
+    a zero page on first touch, so [create] costs O(1) in the data size
+    and a program pays only for the pages it touches. The descriptor is
+    closed before [create] returns, and the mapping goes when the GC
+    collects the memory. Only the tag store (one bit per granule) and
+    the dirty bitmap (one byte per 4 KiB) live on the OCaml heap —
+    136 KiB for 32 MiB. Tags stay out of band: a data page the kernel
+    has never materialized is zero with clear tags, exactly like one
+    that was written and zeroed, and the dirty invariant of the
+    snapshot hooks below is unchanged. Raises [Failure] naming
+    [/dev/zero] if it cannot be opened or mapped. *)
 
 val size : t -> int
 val granule : t -> int
@@ -174,6 +187,21 @@ val snapshot_pages : t -> page_bytes:int -> (int * string) list * (int * string)
     only if the data its granules cover does. [page_bytes] must be a
     positive multiple of 8 (the zero scan reads whole words); raises
     [Invalid_argument] otherwise. *)
+
+val scan_pages : t -> page_bytes:int -> (int * int) list * (int * string) list
+(** {!snapshot_pages} without copying the data pages out: the
+    (index, length) of every nonzero data page, ascending, beside the
+    tag pages with their contents. Scans (and counts toward
+    {!pages_scanned}) exactly what [snapshot_pages] does. A streaming
+    writer copies each listed page with {!blit_data_page} while the
+    memory is unchanged. *)
+
+val blit_data_page : t -> page_bytes:int -> int -> Bytes.t -> int -> unit
+(** [blit_data_page t ~page_bytes idx buf pos] copies data page [idx]
+    — [page_bytes] long, shorter only for the last page of an
+    odd-sized store — into [buf] at [pos], 8 bytes at a time. Raises
+    [Invalid_argument] if the page lies outside the store or does not
+    fit [buf] at [pos]. *)
 
 val pages_scanned : t -> int
 (** Total pages (data and tag) that {!snapshot_pages} has zero-scanned

@@ -9,6 +9,7 @@ let () =
       ("capability", Test_capability.suite);
       ("cap_ops", Test_cap_ops.suite);
       ("tagmem", Test_tagmem.suite);
+      ("tagmem_ref", Test_tagmem_model.suite);
       ("machine", Test_machine.suite);
       ("decoded", Test_decoded.suite);
       ("asm", Test_asm.suite);

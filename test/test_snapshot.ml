@@ -311,6 +311,33 @@ let test_save_scans_few_pages () =
             (n > 0 && n <= 48)))
     Abi.all
 
+(* The allocation proxy of a streaming save: data pages go from the
+   memory to the file through one reusable buffer, so the OCaml heap
+   sees a few words of list per saved page, not a 4 KiB string. The
+   fixed part (registers, cache state, header) is spread over the
+   pages, hence a footprint well above the 256-page floor. *)
+let test_save_allocates_per_page () =
+  let m = preempt_at Abi.Mips ~at:5_000 in
+  let pages = 2048 in
+  for i = 0 to pages - 1 do
+    Cheri_tagmem.Tagmem.store_word (Machine.mem m) ((8 lsl 20) + (i * 4096)) (Int64.of_int (i + 1))
+  done;
+  let saved =
+    List.length (fst (Cheri_tagmem.Tagmem.scan_pages (Machine.mem m) ~page_bytes:4096))
+  in
+  with_temp (fun path ->
+      (* A domain that has exited leaves its uncounted major words to be
+         adopted by whichever domain runs the next major slice; finish
+         a cycle first so earlier tests' pools are not billed here. *)
+      Gc.full_major ();
+      let a0 = Gc.allocated_bytes () in
+      ignore (save_exn ~abi:"MIPS" ~path m);
+      let words = (Gc.allocated_bytes () -. a0) /. 8. in
+      check_bool (Printf.sprintf "%d pages saved, at least %d" saved pages) true (saved >= pages);
+      let per_page = words /. float_of_int saved in
+      check_bool (Printf.sprintf "%.1f words allocated per saved page, at most 64" per_page) true
+        (per_page <= 64.))
+
 (* The slice-by-8 CRC against the textbook bytewise definition. *)
 let crc_reference s =
   let c = ref 0xffffffff in
@@ -364,4 +391,6 @@ let suite =
       test_save_scans_few_pages;
     Alcotest.test_case "CRC-32 slices agree with the bytewise form" `Quick test_crc_slicing;
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    Alcotest.test_case "a save allocates a few words per page" `Quick
+      test_save_allocates_per_page;
   ]
