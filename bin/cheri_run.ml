@@ -28,6 +28,7 @@
 module Telemetry = Cheri_telemetry.Telemetry
 module Machine = Cheri_isa.Machine
 module Snapshot = Cheri_snapshot.Snapshot
+module Resumable = Cheri_snapshot.Resumable
 module Obs = Cheri_obs.Obs
 module Cli = Cheri_util.Cli
 
@@ -133,17 +134,13 @@ let execute_on_softcore opts abi src =
     Format.eprintf "cheri-run: %a@." Snapshot.pp_error e;
     exit 2
   in
-  (match opts.resume_from with
-  | None -> ()
-  | Some path -> (
-      match Snapshot.load path with
+  (* --resume is strict: every refusal is fatal, exit 2 *)
+  Option.iter
+    (fun path ->
+      match Resumable.restore ~abi:abi_name ~fresh:(fun () -> m) ~check:(fun _ -> Ok ()) path with
       | Error e -> snap_fail e
-      | Ok img -> (
-          match Snapshot.restore m ~abi:abi_name img with
-          | Error e -> snap_fail e
-          | Ok () ->
-              Format.eprintf "[resumed %s at %d retired instructions]@." path
-                (Snapshot.image_instret img))));
+      | Ok _ -> Format.eprintf "[resumed %s at %d retired instructions]@." path (Machine.instret m))
+    opts.resume_from;
   let words_before = Gc.minor_words () in
   let wall_before = Unix.gettimeofday () in
   (* --heartbeat implies slicing: the status file can only be refreshed
@@ -192,10 +189,7 @@ let execute_on_softcore opts abi src =
         | finished ->
             (* the run is over; a crash-recovery snapshot would now only
                invite resuming a finished program *)
-            Option.iter
-              (fun path ->
-                if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ())
-              opts.snapshot_to;
+            Option.iter Resumable.discard opts.snapshot_to;
             finished
       in
       go budget

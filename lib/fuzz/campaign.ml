@@ -171,94 +171,64 @@ let outcome_json o =
 
 (* -- checkpointing ----------------------------------------------------------- *)
 
-(* One JSONL line per finished seed, appended and flushed as seeds
-   complete, behind a header describing the campaign. A killed run
-   leaves at worst one torn final line; [--resume] re-reads the file,
-   skips every recorded seed, and — the campaign being deterministic
-   per seed — continues exactly where the killed run stopped. *)
+(* One {!Journal} line per finished seed, behind a header describing
+   the campaign. [--resume] skips every recorded seed and — the
+   campaign being deterministic per seed — continues exactly where the
+   killed run stopped. *)
 
 module Json = Cheri_util.Json
+module Journal = Cheri_util.Journal
 
 let checkpoint_schema = "cheri_c.fuzz-ckpt/v1"
 
-exception Resume_mismatch of string
+exception Resume_mismatch = Journal.Resume_mismatch
 
 let header_json ~first_seed ~seeds ~shrink =
   Printf.sprintf "{\"schema\":\"%s\",\"first_seed\":%d,\"seeds\":%d,\"shrink\":%b}"
     checkpoint_schema first_seed seeds shrink
 
 let status_of_key k =
-  let after prefix =
-    let n = String.length prefix in
-    if String.length k >= n && String.sub k 0 n = prefix then
-      Some (String.sub k n (String.length k - n))
-    else None
-  in
-  if k = "hang" then Some Hung
-  else
-    match after "exit:" with
-    | Some c -> Option.map (fun c -> Exited c) (Int64.of_string_opt c)
-    | None -> (
-        match after "fault:" with
-        | Some f -> Some (Faulted f)
-        | None -> Option.map (fun m -> Stuck m) (after "stuck:"))
+  match String.index_opt k ':' with
+  | None -> if k = "hang" then Some Hung else None
+  | Some i -> (
+      let v = String.sub k (i + 1) (String.length k - i - 1) in
+      match String.sub k 0 i with
+      | "exit" -> Option.map (fun c -> Exited c) (Int64.of_string_opt v)
+      | "fault" -> Some (Faulted v)
+      | "stuck" -> Some (Stuck v)
+      | _ -> None)
 
-let seed_json seed (d : divergence option) =
-  match d with
+(* shared by the journal line and the report entry *)
+let divergence_fields d =
+  Printf.sprintf "\"source\":\"%s\",%s\"outcomes\":[%s]" (esc d.source)
+    (match d.minimized with Some s -> Printf.sprintf "\"minimized\":\"%s\"," (esc s) | None -> "")
+    (String.concat "," (List.map outcome_json d.outcomes))
+
+let seed_json seed = function
   | None -> Printf.sprintf "{\"seed\":%d,\"divergent\":false}" seed
-  | Some d ->
-      Printf.sprintf "{\"seed\":%d,\"divergent\":true,\"source\":\"%s\",%s\"outcomes\":[%s]}"
-        seed (esc d.source)
-        (match d.minimized with
-        | Some s -> Printf.sprintf "\"minimized\":\"%s\"," (esc s)
-        | None -> "")
-        (String.concat "," (List.map outcome_json d.outcomes))
+  | Some d -> Printf.sprintf "{\"seed\":%d,\"divergent\":true,%s}" seed (divergence_fields d)
 
 let seed_of_json j : (int * divergence option) option =
-  match (Json.mem_int "seed" j, Json.mem_bool "divergent" j) with
-  | Some seed, Some false -> Some (seed, None)
-  | Some seed, Some true ->
-      let outcomes =
-        List.filter_map
-          (fun o ->
-            match
-              Json.(mem_str "impl" o, Option.bind (mem_str "status" o) status_of_key, mem_str "out" o)
-            with
-            | Some impl, Some status, Some out -> Some { impl; status; out }
-            | _ -> None)
-          (Option.value ~default:[] (Option.bind (Json.member "outcomes" j) Json.to_list))
-      in
-      Option.map
-        (fun source -> (seed, Some { seed; source; minimized = Json.mem_str "minimized" j; outcomes }))
-        (Json.mem_str "source" j)
+  let outcome o =
+    match Json.(mem_str "impl" o, Option.bind (mem_str "status" o) status_of_key, mem_str "out" o) with
+    | Some impl, Some status, Some out -> Some { impl; status; out }
+    | _ -> None
+  in
+  match Json.(mem_int "seed" j, mem_bool "divergent" j, mem_str "source" j) with
+  | Some seed, Some false, _ -> Some (seed, None)
+  | Some seed, Some true, Some source ->
+      let outcomes = Option.bind (Json.member "outcomes" j) Json.to_list in
+      let outcomes = List.filter_map outcome (Option.value ~default:[] outcomes) in
+      Some (seed, Some { seed; source; minimized = Json.mem_str "minimized" j; outcomes })
   | _ -> None
 
-let load_checkpoint path ~first_seed ~seeds ~shrink : (int, divergence option) Hashtbl.t =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let tbl = Hashtbl.create 64 in
-  (match String.split_on_char '\n' contents with
-  | [] -> ()
-  | header :: rest ->
-      (match Json.parse header with
-      | Error e -> raise (Resume_mismatch ("unreadable checkpoint header: " ^ e))
-      | Ok j ->
-          if Json.parse (header_json ~first_seed ~seeds ~shrink) <> Ok j then
-            raise
-              (Resume_mismatch
-                 "checkpoint was written by a campaign with different parameters"));
-      List.iter
-        (fun line ->
-          if String.trim line <> "" then
-            match Json.parse line with
-            | Error _ -> () (* torn tail of a killed run *)
-            | Ok j -> (
-                match seed_of_json j with
-                | Some (seed, d) -> Hashtbl.replace tbl seed d
-                | None -> ()))
-        rest);
-  tbl
+let journal ~first_seed ~seeds ~shrink : (int, int * divergence option) Journal.codec =
+  {
+    Journal.header = header_json ~first_seed ~seeds ~shrink;
+    key = fst;
+    encode = (fun (seed, d) -> seed_json seed d);
+    decode = seed_of_json;
+  }
 
 let run ?impls ?slice ?(shrink = false) ?(jobs = 1) ?(first_seed = 0) ?checkpoint
     ?resume ?(obs = Obs.default) ?heartbeat ~seeds () : report =
@@ -266,115 +236,50 @@ let run ?impls ?slice ?(shrink = false) ?(jobs = 1) ?(first_seed = 0) ?checkpoin
      with deterministic impls the report is identical either way *)
   let impls = match impls with Some i -> i | None -> default_impls ?slice () in
   let seed_list = List.init seeds (fun i -> first_seed + i) in
-  let done_tbl =
-    match resume with
-    | None -> Hashtbl.create 16
-    | Some path -> load_checkpoint path ~first_seed ~seeds ~shrink
+  let journal =
+    Journal.start ?resume ?checkpoint (journal ~first_seed ~seeds ~shrink) ~tasks:seed_list
   in
-  let pending = List.filter (fun s -> not (Hashtbl.mem done_tbl s)) seed_list in
+  let resumed = Journal.restored journal in
+  let pending = List.filter (fun s -> Option.is_none (Journal.find journal s)) seed_list in
   (* campaign observability: per-verdict counters (jobs-independent),
      seed latency histogram, campaign/seed spans, heartbeat status *)
-  let start = Exec.Pool.now () in
+  let verdict d = if d = None then "agree" else "divergent" in
   let m_seeds = Obs.counter obs "fuzz_seeds_total" in
   let m_errors = Obs.counter obs "fuzz_errors_total" in
-  let m_verdict divergent =
-    Obs.counter obs
-      (Printf.sprintf "fuzz_verdicts_total{verdict=%S}"
-         (if divergent then "divergent" else "agree"))
-  in
+  let m_verdict d = Obs.counter obs (Printf.sprintf "fuzz_verdicts_total{verdict=%S}" (verdict d)) in
   let m_seed_s = Obs.histogram obs "fuzz_seed_seconds" in
-  Obs.Counter.incr ~by:(Hashtbl.length done_tbl) (Obs.counter obs "fuzz_resumed_total");
+  Obs.Counter.incr ~by:(List.length resumed) (Obs.counter obs "fuzz_resumed_total");
   let root = Obs.Span.enter obs "fuzz.campaign" in
-  let hb_mu = Mutex.create () in
-  let hb_done = ref (Hashtbl.length done_tbl) in
-  let hb_verdicts = Hashtbl.create 4 in
-  let hb_walls = ref [] in
-  let bump k =
-    Hashtbl.replace hb_verdicts k (1 + Option.value (Hashtbl.find_opt hb_verdicts k) ~default:0)
-  in
-  Hashtbl.iter (fun _ d -> bump (if d = None then "agree" else "divergent")) done_tbl;
-  let status () =
-    Mutex.protect hb_mu (fun () ->
-        let verdicts =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) hb_verdicts []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let p99 = Obs.quantile_of !hb_walls 0.99 in
-        Obs.status_json ~verdicts
-          ?p99_task_s:(if p99 = p99 then Some p99 else None)
-          ~tasks_done:!hb_done ~tasks_total:seeds
-          ~elapsed_s:(Exec.Pool.now () -. start)
-          ())
-  in
-  Option.iter (fun hb -> Obs.Heartbeat.force hb status) heartbeat;
-  (* the checkpoint is rewritten whole on (re)start: header, restored
-     seeds in order, then one flushed line per freshly finished seed *)
-  let oc =
-    Option.map
-      (fun path ->
-        let oc = open_out_bin path in
-        output_string oc (header_json ~first_seed ~seeds ~shrink);
-        output_char oc '\n';
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt done_tbl s with
-            | Some d ->
-                output_string oc (seed_json s d);
-                output_char oc '\n'
-            | None -> ())
-          seed_list;
-        flush oc;
-        oc)
-      checkpoint
+  let progress =
+    Obs.Progress.create ?heartbeat ~total:seeds (List.map (fun (_, d) -> verdict d) resumed)
   in
   let pending_arr = Array.of_list pending in
   let on_result (cell : _ Exec.Pool.cell) =
-    (match (oc, cell.Exec.Pool.result) with
-    | Some oc, Ok d ->
-        output_string oc (seed_json pending_arr.(cell.Exec.Pool.index) d);
-        output_char oc '\n';
-        flush oc
-    | _ -> ());
     (match cell.Exec.Pool.result with
     | Ok d ->
+        Journal.record journal (pending_arr.(cell.Exec.Pool.index), d);
         Obs.Counter.incr m_seeds;
-        Obs.Counter.incr (m_verdict (d <> None))
+        Obs.Counter.incr (m_verdict d)
     | Error _ -> Obs.Counter.incr m_errors);
     Obs.Histogram.observe m_seed_s cell.Exec.Pool.elapsed_s;
-    Mutex.protect hb_mu (fun () ->
-        incr hb_done;
-        hb_walls := cell.Exec.Pool.elapsed_s :: !hb_walls;
-        match cell.Exec.Pool.result with
-        | Ok d -> bump (if d = None then "agree" else "divergent")
-        | Error _ -> bump "error");
-    Option.iter (fun hb -> Obs.Heartbeat.beat hb status) heartbeat
+    Obs.Progress.finish progress cell.Exec.Pool.elapsed_s
+      ~verdict:(match cell.Exec.Pool.result with Ok d -> verdict d | Error _ -> "error")
   in
   let task seed =
     Obs.Span.with_ obs ~parent:root ("fuzz.seed:" ^ string_of_int seed) (fun () ->
         check_seed ~impls ~shrink seed)
   in
   let cells, wall_s = Exec.wall (fun () -> Exec.Pool.map ~jobs ~obs ~on_result task pending) in
-  Option.iter close_out oc;
-  let new_tbl = Hashtbl.create 16 in
+  Journal.close journal;
   let errors =
     List.concat_map
       (fun (c : _ Exec.Pool.cell) ->
-        let seed = pending_arr.(c.Exec.Pool.index) in
         match c.Exec.Pool.result with
-        | Ok d ->
-            Hashtbl.replace new_tbl seed d;
-            []
-        | Error e -> [ (seed, e.Exec.Pool.exn) ])
+        | Ok _ -> []
+        | Error e -> [ (pending_arr.(c.Exec.Pool.index), e.Exec.Pool.exn) ])
       cells
   in
-  let divergences =
-    List.filter_map
-      (fun s ->
-        match Hashtbl.find_opt done_tbl s with
-        | Some d -> d
-        | None -> Option.join (Hashtbl.find_opt new_tbl s))
-      seed_list
-  in
+  let divergences = List.filter_map (fun s -> Option.bind (Journal.find journal s) snd) seed_list in
   Obs.Span.exit obs root;
   let report =
     {
@@ -384,41 +289,18 @@ let run ?impls ?slice ?(shrink = false) ?(jobs = 1) ?(first_seed = 0) ?checkpoin
       shrunk = shrink;
       wall_s;
       serial_s = Exec.Pool.serial_seconds cells;
-      resumed = Hashtbl.length done_tbl;
+      resumed = List.length resumed;
       divergences;
       errors;
-      task_seconds = List.rev !hb_walls;
+      task_seconds = Obs.Progress.walls progress;
     }
   in
-  Option.iter (fun hb -> Obs.Heartbeat.force hb status) heartbeat;
+  Obs.Progress.force progress;
   report
 
 (* -- reporting -------------------------------------------------------------- *)
 
-let divergence_json d =
-  Printf.sprintf "    {\"seed\":%d,\"source\":\"%s\",%s\"outcomes\":[%s]}" d.seed (esc d.source)
-    (match d.minimized with
-    | Some s -> Printf.sprintf "\"minimized\":\"%s\"," (esc s)
-    | None -> "")
-    (String.concat "," (List.map outcome_json d.outcomes))
-
-(* All scheduling-dependent data in one excludable object (mirrors
-   Inject.timing_json). *)
-let timing_json (r : report) : string =
-  let module J = Cheri_util.Json in
-  let q p = Obs.quantile_of r.task_seconds p in
-  let num f = if f <> f then J.Null else J.Num (J.number f) in
-  J.encode
-    (J.Obj
-       [
-         ("jobs", J.Num (string_of_int r.jobs));
-         ("wall_s", num r.wall_s);
-         ("serial_s", num r.serial_s);
-         ("tasks_timed", J.Num (string_of_int (List.length r.task_seconds)));
-         ("task_wall_p50_s", num (q 0.5));
-         ("task_wall_p90_s", num (q 0.9));
-         ("task_wall_p99_s", num (q 0.99));
-       ])
+let divergence_json d = Printf.sprintf "    {\"seed\":%d,%s}" d.seed (divergence_fields d)
 
 (* Deliberately timing-free (no wall/serial/resumed fields) apart from
    the one "timing" key, dropped with [~timing:false]: a
@@ -437,7 +319,10 @@ let report_json ?(timing = true) (r : report) : string =
      }\n"
     r.first_seed r.seeds r.shrunk
     (List.length r.divergences)
-    (if timing then Printf.sprintf "  \"timing\": %s,\n" (timing_json r) else "")
+    (if timing then
+       Printf.sprintf "  \"timing\": %s,\n"
+         (Obs.timing_json ~jobs:r.jobs ~wall_s:r.wall_s ~serial_s:r.serial_s r.task_seconds)
+     else "")
     (String.concat ","
        (List.map
           (fun (seed, exn) -> Printf.sprintf "{\"seed\":%d,\"exn\":\"%s\"}" seed (esc exn))

@@ -42,7 +42,8 @@ module Codegen = Cheri_compiler.Codegen
 module Capability = Cheri_core.Capability
 module Exec = Cheri_exec.Exec
 module Json = Cheri_util.Json
-module Snapshot = Cheri_snapshot.Snapshot
+module Journal = Cheri_util.Journal
+module Resumable = Cheri_snapshot.Resumable
 module Obs = Cheri_obs.Obs
 
 (* -- fault kinds ------------------------------------------------------------ *)
@@ -538,35 +539,26 @@ let record_json rec_ =
     (esc rec_.detail)
 
 let record_of_json j : record option =
-  let open Json in
-  let str k = Option.bind (member k j) to_string in
-  let int k = Option.bind (member k j) to_int in
-  match (str "workload", str "abi", str "kind", int "seed", int "trigger", str "verdict") with
-  | Some workload, Some abi, Some kind_s, Some seed, Some trigger, Some verdict_s -> (
-      match kind_of_key kind_s with
-      | None -> None
-      | Some kind ->
-          let why = Option.value (str "why") ~default:"" in
-          let verdict =
-            match verdict_s with
-            | "detected" -> Some (Detected why)
-            | "masked" -> Some Masked
-            | "silent" -> Some (Silent why)
-            | "hang" -> Some Hung
-            | _ -> None
-          in
-          Option.map
-            (fun verdict ->
-              {
-                workload;
-                abi;
-                kind;
-                seed;
-                trigger;
-                detail = Option.value (str "detail") ~default:"";
-                verdict;
-              })
-            verdict)
+  let str k = Json.mem_str k j in
+  let why = Option.value (str "why") ~default:"" in
+  let verdict = function
+    | "detected" -> Some (Detected why)
+    | "masked" -> Some Masked
+    | "silent" -> Some (Silent why)
+    | "hang" -> Some Hung
+    | _ -> None
+  in
+  match
+    ( str "workload",
+      str "abi",
+      Option.bind (str "kind") kind_of_key,
+      Json.mem_int "seed" j,
+      Json.mem_int "trigger" j,
+      Option.bind (str "verdict") verdict )
+  with
+  | Some workload, Some abi, Some kind, Some seed, Some trigger, Some verdict ->
+      let detail = Option.value (str "detail") ~default:"" in
+      Some { workload; abi; kind; seed; trigger; detail; verdict }
   | _ -> None
 
 let checkpoint_schema = "cheri_c.inject-ckpt/v1"
@@ -580,36 +572,15 @@ let header_json c =
     (String.concat "," (List.map (fun k -> "\"" ^ kind_key k ^ "\"") c.c_kinds))
     c.c_seeds c.c_first_seed c.c_fuel
 
-exception Resume_mismatch of string
+exception Resume_mismatch = Journal.Resume_mismatch
 
-(* Load a checkpoint: validate that its header describes this campaign
-   (resuming under different parameters would silently mix incompatible
-   records), then recover every parseable record line. A torn final
-   line — the signature of a killed run — is skipped, not an error. *)
-let load_checkpoint path c : record list =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  match String.split_on_char '\n' contents with
-  | [] -> []
-  | header :: rest ->
-      (match Json.parse header with
-      | Error e -> raise (Resume_mismatch ("unreadable checkpoint header: " ^ e))
-      | Ok j ->
-          let expect = Json.parse (header_json c) in
-          if expect <> Ok j then
-            raise
-              (Resume_mismatch
-                 "checkpoint was written by a campaign with different parameters"));
-      List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match Json.parse line with
-            | Error _ -> None (* torn tail of a killed run *)
-            | Ok j -> record_of_json j)
-        rest
+let journal c : (string, record) Journal.codec =
+  {
+    Journal.header = header_json c;
+    key = (fun r -> task_key r.workload r.abi r.kind r.seed);
+    encode = record_json;
+    decode = record_of_json;
+  }
 
 (* -- preemptive (sliced) injection runs ------------------------------------- *)
 
@@ -623,35 +594,21 @@ let load_checkpoint path c : record list =
    each yield, so a killed campaign resumes long tasks mid-run instead
    of from their trigger replay. *)
 
-type replay_state = {
-  y_ref : reference;
-  y_m : Machine.t;
-  y_rng : Rng.t;
-  y_trigger : int;
-  y_kind : kind;
-  y_seed : int;
-  y_key : string;
-  y_abi : Abi.t;
-  y_span : Obs.Span.span;  (** the task's span, opened at init *)
-}
-
-type post_state = {
-  p_ref : reference;
-  p_m : Machine.t;
-  p_trigger : int;
-  p_detail : string;
-  p_kind : kind;
-  p_seed : int;
-  p_key : string;
-  p_abi : Abi.t;
-  p_fuel_left : int;
-  p_span : Obs.Span.span;
+(* what a task carries through every slice *)
+type task_ctx = {
+  x_ref : reference;
+  x_kind : kind;
+  x_seed : int;
+  x_key : string;
+  x_span : Obs.Span.span;  (** the task's span, opened at init *)
 }
 
 type sliced_state =
   | S_done of record  (** decided without running (reference trapped/hung) *)
-  | S_replay of replay_state  (** advancing a fresh machine to the trigger *)
-  | S_post of post_state  (** fault applied; running it out in fuel slices *)
+  | S_replay of { ctx : task_ctx; m : Machine.t; rng : Rng.t; trigger : int }
+      (** advancing a fresh machine to the trigger *)
+  | S_post of { ctx : task_ctx; m : Machine.t; trigger : int; detail : string; fuel_left : int }
+      (** fault applied; running it out in fuel slices *)
 
 let inflight_schema = "cheri_c.inject-inflight/v1"
 
@@ -661,59 +618,32 @@ let sanitize_key =
 let sidecar_path ckpt key = ckpt ^ ".inflight." ^ sanitize_key key ^ ".snap"
 
 let inflight_note ~key ~trigger ~detail ~fuel_left =
-  Printf.sprintf
-    "{\"schema\":\"%s\",\"task\":\"%s\",\"trigger\":%d,\"detail\":\"%s\",\"fuel_left\":%d}"
-    inflight_schema (esc key) trigger (esc detail) fuel_left
+  Resumable.note ~schema:inflight_schema
+    [
+      ("task", Json.Str key);
+      ("trigger", Json.Num (string_of_int trigger));
+      ("detail", Json.Str detail);
+      ("fuel_left", Json.Num (string_of_int fuel_left));
+    ]
 
-let parse_inflight note =
-  match Json.parse note with
-  | Error _ -> None
-  | Ok j -> (
-      let str k = Json.mem_str k j and int k = Json.mem_int k j in
-      match (str "schema", str "task", int "trigger", str "detail", int "fuel_left") with
-      | Some schema, Some key, Some trigger, Some detail, Some fuel_left
-        when schema = inflight_schema ->
-          Some (key, trigger, detail, fuel_left)
-      | _ -> None)
-
-let remove_sidecar ckpt key =
-  let path = sidecar_path ckpt key in
-  if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
-
-(* A sidecar is strictly an optimization: any failure to load, parse or
-   restore it (stale file, torn write, changed campaign) silently falls
-   back to restarting the task from its trigger replay. *)
-let resume_from_sidecar ~resume ~span (r : reference) t key =
-  match resume with
-  | None -> None
-  | Some ckpt -> (
-      let path = sidecar_path ckpt key in
-      if not (Sys.file_exists path) then None
-      else
-        match Snapshot.load path with
-        | Error _ -> None
-        | Ok img -> (
-            match parse_inflight (Snapshot.image_note img) with
-            | Some (k, trigger, detail, fuel_left) when k = key && fuel_left > 0 -> (
-                let m = Codegen.machine_for r.ref_abi r.ref_linked in
-                match Snapshot.restore m ~abi:(Abi.name r.ref_abi) img with
-                | Ok () ->
-                    Some
-                      (S_post
-                         {
-                           p_ref = r;
-                           p_m = m;
-                           p_trigger = trigger;
-                           p_detail = detail;
-                           p_kind = t.t_kind;
-                           p_seed = t.t_seed;
-                           p_key = key;
-                           p_abi = r.ref_abi;
-                           p_fuel_left = fuel_left;
-                           p_span = span;
-                         })
-                | Error _ -> None)
-            | _ -> None))
+(* A sidecar is strictly an optimization: only a note for this very
+   task with fuel left is accepted, and any failure (stale file, torn
+   write, changed campaign) silently restarts the task from its
+   trigger replay. *)
+let resume_from_sidecar ~resume ctx =
+  let r = ctx.x_ref in
+  let accept j =
+    match Json.(mem_str "task" j, mem_int "trigger" j, mem_str "detail" j, mem_int "fuel_left" j) with
+    | Some k, Some trigger, Some detail, Some fuel_left when k = ctx.x_key && fuel_left > 0 ->
+        Some (trigger, detail, fuel_left)
+    | _ -> None
+  in
+  Option.bind resume (fun ckpt ->
+      Resumable.resume ~schema:inflight_schema ~accept ~abi:(Abi.name r.ref_abi)
+        ~fresh:(fun () -> Codegen.machine_for r.ref_abi r.ref_linked)
+        (sidecar_path ckpt ctx.x_key))
+  |> Option.map (fun (m, (trigger, detail, fuel_left)) ->
+         S_post { ctx; m; trigger; detail; fuel_left })
 
 let init_sliced ~resume ~obs ~root ref_tbl key_of t =
   match Hashtbl.find ref_tbl (t.t_workload.w_name, Abi.name t.t_abi) with
@@ -730,107 +660,72 @@ let init_sliced ~resume ~obs ~root ref_tbl key_of t =
                (Format.asprintf "reference run trapped: %a" Machine.pp_outcome r.ref_outcome)
                (Detected (Format.asprintf "%a" Machine.pp_outcome r.ref_outcome)))
       | Machine.Exit _ -> (
-          let span = Obs.Span.enter obs ~parent:root ("inject.task:" ^ key) in
-          match resume_from_sidecar ~resume ~span r t key with
+          let x_span = Obs.Span.enter obs ~parent:root ("inject.task:" ^ key) in
+          let ctx = { x_ref = r; x_kind = t.t_kind; x_seed = t.t_seed; x_key = key; x_span } in
+          match resume_from_sidecar ~resume ctx with
           | Some st -> st
           | None ->
               let rng = task_rng r t.t_kind t.t_seed in
               let trigger = draw_trigger rng r t.t_kind in
-              S_replay
-                {
-                  y_ref = r;
-                  y_m = Codegen.machine_for r.ref_abi r.ref_linked;
-                  y_rng = rng;
-                  y_trigger = trigger;
-                  y_kind = t.t_kind;
-                  y_seed = t.t_seed;
-                  y_key = key;
-                  y_abi = r.ref_abi;
-                  y_span = span;
-                }))
+              S_replay { ctx; m = Codegen.machine_for r.ref_abi r.ref_linked; rng; trigger }))
 
 let slice_sliced ~slice:slice_n ~fuel ?deadline_s ~checkpoint st :
     (sliced_state, record) Exec.Pool.progress =
   match st with
   | S_done rec_ -> Exec.Pool.Done rec_
-  | S_replay y -> (
-      let r = y.y_ref and m = y.y_m in
-      let mk = mk_record r y.y_kind y.y_seed in
+  | S_replay { ctx; m; rng; trigger } -> (
+      let r = ctx.x_ref in
       let rec advance budget =
-        if Machine.instret m >= y.y_trigger then `At_trigger
+        if Machine.instret m >= trigger then `At_trigger
         else if budget <= 0 then `More
         else match Machine.step m with None -> advance (budget - 1) | Some o -> `Ended o
       in
       match advance slice_n with
-      | `More -> Exec.Pool.Yield (S_replay y)
+      | `More -> Exec.Pool.Yield st
       | `Ended o ->
           Exec.Pool.Done
-            (mk y.y_trigger "program ended before the trigger point" (classify r o m))
+            (mk_record r ctx.x_kind ctx.x_seed trigger "program ended before the trigger point"
+               (classify r o m))
       | `At_trigger ->
-          let detail = apply_fault y.y_rng r m y.y_kind in
-          Exec.Pool.Yield
-            (S_post
-               {
-                 p_ref = r;
-                 p_m = m;
-                 p_trigger = y.y_trigger;
-                 p_detail = detail;
-                 p_kind = y.y_kind;
-                 p_seed = y.y_seed;
-                 p_key = y.y_key;
-                 p_abi = y.y_abi;
-                 p_span = y.y_span;
-                 p_fuel_left = fuel;
-               }))
-  | S_post p -> (
-      let f = min slice_n p.p_fuel_left in
-      match Machine.run ~fuel:f ?deadline_s p.p_m with
-      | Machine.Fuel_exhausted when p.p_fuel_left > f ->
-          let p = { p with p_fuel_left = p.p_fuel_left - f } in
+          let detail = apply_fault rng r m ctx.x_kind in
+          Exec.Pool.Yield (S_post { ctx; m; trigger; detail; fuel_left = fuel }))
+  | S_post ({ ctx; m; trigger; detail; fuel_left } as p) -> (
+      let f = min slice_n fuel_left in
+      match Machine.run ~fuel:f ?deadline_s m with
+      | Machine.Fuel_exhausted when fuel_left > f ->
+          let fuel_left = fuel_left - f in
           Option.iter
             (fun ckpt ->
               (* a failed sidecar write only costs resume granularity,
                  never campaign results *)
-              match
-                Snapshot.save
-                  ~note:
-                    (inflight_note ~key:p.p_key ~trigger:p.p_trigger ~detail:p.p_detail
-                       ~fuel_left:p.p_fuel_left)
-                  ~abi:(Abi.name p.p_abi)
-                  ~path:(sidecar_path ckpt p.p_key)
-                  p.p_m
-              with
-              | Ok _ | Error _ -> ())
+              Resumable.save
+                ~note:(inflight_note ~key:ctx.x_key ~trigger ~detail ~fuel_left)
+                ~abi:(Abi.name ctx.x_ref.ref_abi)
+                ~path:(sidecar_path ckpt ctx.x_key)
+                m)
             checkpoint;
-          Exec.Pool.Yield (S_post p)
+          Exec.Pool.Yield (S_post { p with fuel_left })
       | outcome ->
-          Option.iter (fun ckpt -> remove_sidecar ckpt p.p_key) checkpoint;
+          Option.iter (fun ckpt -> Resumable.discard (sidecar_path ckpt ctx.x_key)) checkpoint;
           Exec.Pool.Done
-            (mk_record p.p_ref p.p_kind p.p_seed p.p_trigger p.p_detail
-               (classify p.p_ref outcome p.p_m)))
+            (mk_record ctx.x_ref ctx.x_kind ctx.x_seed trigger detail
+               (classify ctx.x_ref outcome m)))
 
 let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs.default)
     ?heartbeat c : report =
   let all = tasks c in
-  let done_tbl = Hashtbl.create 256 in
-  let resumed = match resume with None -> [] | Some path -> load_checkpoint path c in
-  List.iter
-    (fun rec_ ->
-      Hashtbl.replace done_tbl (task_key rec_.workload rec_.abi rec_.kind rec_.seed) rec_)
-    resumed;
   let key_of t = task_key t.t_workload.w_name (Abi.name t.t_abi) t.t_kind t.t_seed in
-  let pending = List.filter (fun t -> not (Hashtbl.mem done_tbl (key_of t))) all in
+  let journal = Journal.start ?resume ?checkpoint (journal c) ~tasks:(List.map key_of all) in
+  let resumed = Journal.restored journal in
+  let pending = List.filter (fun t -> Option.is_none (Journal.find journal (key_of t))) all in
   let pending =
     match limit with None -> pending | Some n -> List.filteri (fun i _ -> i < n) pending
   in
   let start = Unix.gettimeofday () in
-  let total = List.length all in
   (* campaign-level observability: verdict counters keyed by verdict
      name (values independent of jobs/slice/resume history), the task
      latency histogram, a span per campaign/task/slice, and the
-     heartbeat status file. Verdict tallies for the heartbeat are kept
-     separately from the registry so a shared registry (the default)
-     does not leak earlier campaigns into this one's status line. *)
+     heartbeat status file *)
   let m_tasks = Obs.counter obs "inject_tasks_total" in
   let m_errors = Obs.counter obs "inject_errors_total" in
   let m_verdict v =
@@ -839,29 +734,10 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
   let m_task_s = Obs.histogram obs "inject_task_seconds" in
   Obs.Counter.incr ~by:(List.length resumed) (Obs.counter obs "inject_resumed_total");
   let root = Obs.Span.enter obs "inject.campaign" in
-  let hb_mu = Mutex.create () in
-  let hb_done = ref (List.length resumed) in
-  let hb_verdicts = Hashtbl.create 8 in
-  let hb_walls = ref [] in
-  let bump_verdict rec_ =
-    let k = verdict_key rec_.verdict in
-    Hashtbl.replace hb_verdicts k (1 + Option.value (Hashtbl.find_opt hb_verdicts k) ~default:0)
+  let progress =
+    Obs.Progress.create ?heartbeat ~total:(List.length all)
+      (List.map (fun r -> verdict_key r.verdict) resumed)
   in
-  List.iter bump_verdict resumed;
-  let status () =
-    Mutex.protect hb_mu (fun () ->
-        let verdicts =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) hb_verdicts []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let p99 = Obs.quantile_of !hb_walls 0.99 in
-        Obs.status_json ~verdicts
-          ?p99_task_s:(if p99 = p99 then Some p99 else None)
-          ~tasks_done:!hb_done ~tasks_total:total
-          ~elapsed_s:(Unix.gettimeofday () -. start)
-          ())
-  in
-  Option.iter (fun hb -> Obs.Heartbeat.force hb status) heartbeat;
   (* references are shared across every (kind, seed) task of a
      (workload, ABI) pair: compute each pair once, in parallel, before
      the fan-out. A failing reference (a codegen limit, say) fails each
@@ -892,42 +768,16 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
         | Ok r -> Ok r
         | Error e -> Error e.Exec.Pool.exn))
     pairs ref_cells;
-  (* the checkpoint is rewritten whole on (re)start — header, restored
-     records, then one appended+flushed line per finished task, so a
-     kill leaves at worst one torn final line *)
-  let oc =
-    Option.map
-      (fun path ->
-        let oc = open_out_bin path in
-        output_string oc (header_json c);
-        output_char oc '\n';
-        List.iter
-          (fun rec_ ->
-            output_string oc (record_json rec_);
-            output_char oc '\n')
-          resumed;
-        flush oc;
-        oc)
-      checkpoint
-  in
   let on_result (cell : _ Exec.Pool.cell) =
-    (match (oc, cell.Exec.Pool.result) with
-    | Some oc, Ok rec_ ->
-        output_string oc (record_json rec_);
-        output_char oc '\n';
-        flush oc
-    | _ -> ());
     (match cell.Exec.Pool.result with
     | Ok rec_ ->
+        Journal.record journal rec_;
         Obs.Counter.incr m_tasks;
         Obs.Counter.incr (m_verdict rec_.verdict)
     | Error _ -> Obs.Counter.incr m_errors);
     Obs.Histogram.observe m_task_s cell.Exec.Pool.elapsed_s;
-    Mutex.protect hb_mu (fun () ->
-        incr hb_done;
-        hb_walls := cell.Exec.Pool.elapsed_s :: !hb_walls;
-        match cell.Exec.Pool.result with Ok rec_ -> bump_verdict rec_ | Error _ -> ());
-    Option.iter (fun hb -> Obs.Heartbeat.beat hb status) heartbeat
+    Obs.Progress.finish progress cell.Exec.Pool.elapsed_s
+      ?verdict:(Result.to_option (Result.map (fun r -> verdict_key r.verdict) cell.Exec.Pool.result))
   in
   let cells =
     match slice with
@@ -944,8 +794,7 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
         let n = max 1 n in
         let task_span = function
           | S_done _ -> Obs.Span.none
-          | S_replay y -> y.y_span
-          | S_post p -> p.p_span
+          | S_replay { ctx; _ } | S_post { ctx; _ } -> ctx.x_span
         in
         Exec.Pool.map_sliced ~jobs ~retries ~obs ~on_result
           ~init:(init_sliced ~resume ~obs ~root ref_tbl key_of)
@@ -963,24 +812,23 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
             progress)
           pending
   in
-  Option.iter close_out oc;
+  Journal.close journal;
   (* in-flight sidecars are only meaningful for tasks that did not
-     finish; drop the ones whose task just completed (or was restored
-     whole from the checkpoint) *)
+     finish; drop the ones whose task has a record *)
   Option.iter
     (fun ckpt ->
       List.iter
         (fun t ->
           let key = key_of t in
-          if Hashtbl.mem done_tbl key then remove_sidecar ckpt key)
+          if Option.is_some (Journal.find journal key) then
+            Resumable.discard (sidecar_path ckpt key))
         all)
     checkpoint;
-  let new_tbl = Hashtbl.create 256 in
   let errors = ref [] in
   List.iter2
     (fun t (cell : _ Exec.Pool.cell) ->
       match cell.Exec.Pool.result with
-      | Ok rec_ -> Hashtbl.replace new_tbl (key_of t) rec_
+      | Ok _ -> ()
       | Error e ->
           errors :=
             {
@@ -992,14 +840,7 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
             }
             :: !errors)
     pending cells;
-  let records =
-    List.filter_map
-      (fun t ->
-        match Hashtbl.find_opt done_tbl (key_of t) with
-        | Some r -> Some r
-        | None -> Hashtbl.find_opt new_tbl (key_of t))
-      all
-  in
+  let records = List.filter_map (fun t -> Journal.find journal (key_of t)) all in
   Obs.Span.exit obs root;
   let report =
     {
@@ -1009,10 +850,10 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
       r_resumed = List.length resumed;
       r_jobs = jobs;
       r_wall_s = Unix.gettimeofday () -. start;
-      r_task_seconds = List.rev !hb_walls;
+      r_task_seconds = Obs.Progress.walls progress;
     }
   in
-  Option.iter (fun hb -> Obs.Heartbeat.force hb status) heartbeat;
+  Obs.Progress.force progress;
   report
 
 (* -- reporting -------------------------------------------------------------- *)
@@ -1025,23 +866,6 @@ let cell_json ((abi, kind), c) =
   Printf.sprintf
     "{\"abi\":\"%s\",\"kind\":\"%s\",\"detected\":%d,\"masked\":%d,\"silent\":%d,\"hang\":%d}"
     (esc abi) (kind_key kind) c.n_detected c.n_masked c.n_silent c.n_hung
-
-(* The timing key: everything scheduling-dependent in one excludable
-   object, so the rest of the report stays byte-identical across jobs,
-   slice granularity and resume history. *)
-let timing_json (r : report) : string =
-  let q p = Obs.quantile_of r.r_task_seconds p in
-  let num f = if f <> f then Json.Null else Json.Num (Json.number f) in
-  Json.encode
-    (Json.Obj
-       [
-         ("jobs", Json.Num (string_of_int r.r_jobs));
-         ("wall_s", num r.r_wall_s);
-         ("tasks_timed", Json.Num (string_of_int (List.length r.r_task_seconds)));
-         ("task_wall_p50_s", num (q 0.5));
-         ("task_wall_p90_s", num (q 0.9));
-         ("task_wall_p99_s", num (q 0.99));
-       ])
 
 (* The report JSON is deliberately timing-free apart from the one
    "timing" key, dropped with [~timing:false]: a resumed campaign must
@@ -1069,7 +893,10 @@ let report_json ?(timing = true) (r : report) : string =
     c.c_seeds c.c_first_seed c.c_fuel
     (List.length (tasks c))
     (List.length r.r_records)
-    (if timing then Printf.sprintf "  \"timing\": %s,\n" (timing_json r) else "")
+    (if timing then
+       Printf.sprintf "  \"timing\": %s,\n"
+         (Obs.timing_json ~jobs:r.r_jobs ~wall_s:r.r_wall_s r.r_task_seconds)
+     else "")
     (String.concat "," (List.map error_json r.r_errors))
     (String.concat ",\n    " (List.map cell_json (matrix r)))
     (String.concat ",\n    " (List.map record_json r.r_records))

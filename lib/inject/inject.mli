@@ -138,7 +138,7 @@ type report = {
 }
 
 exception Resume_mismatch of string
-(** The resume file's header does not describe this campaign. *)
+(** {!Cheri_util.Journal.Resume_mismatch}, re-exported. *)
 
 val run :
   ?jobs:int ->
@@ -163,27 +163,22 @@ val run :
     once at start, at most once per interval as tasks finish, and once
     at the end.
 
-    [checkpoint] writes an append-only JSONL file — a header line
-    describing the campaign, then one record per finished task,
-    flushed as completed — so a killed run leaves at worst one torn
-    final line. [resume] reads such a file first and skips every task
-    it already records (raises {!Resume_mismatch} on a parameter
-    mismatch; tolerates a torn tail). [checkpoint] and [resume] may
-    name the same file. [limit] caps how many pending tasks execute —
-    a deterministic way to produce a partial checkpoint, as a kill
-    would.
+    [checkpoint] keeps a {!Cheri_util.Journal} of finished tasks;
+    [resume] skips every task of this campaign such a file records
+    (raises {!Resume_mismatch}). The two may name one file. [limit]
+    caps how many pending tasks execute — a deterministic way to
+    produce a partial checkpoint, as a kill would.
 
     [slice] switches to the preemptive engine
     ({!Cheri_exec.Exec.Pool.map_sliced}): each task advances at most
     [slice] instructions per turn through a fair round-robin queue.
     Because the simulation stops only between instructions, the report
     is bit-identical to the unsliced run for every slice size and job
-    count. With [checkpoint] also set, every in-flight task persists a
-    {!Cheri_snapshot.Snapshot} of its machine to a
+    count. With [checkpoint] also set, every in-flight task saves a
+    {!Cheri_snapshot.Resumable} checkpoint to a
     [<checkpoint>.inflight.<task>.snap] sidecar at each yield, and
-    [resume] restores such tasks mid-run — a corrupt, stale or missing
-    sidecar silently falls back to restarting that task, never to a
-    wrong record. *)
+    [resume] restores such tasks mid-run; any sidecar failure restarts
+    the task, never yields a wrong record. *)
 
 (** {1 Reporting} *)
 

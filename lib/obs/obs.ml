@@ -618,3 +618,63 @@ let status_json ?(verdicts = []) ?p99_task_s ~tasks_done ~tasks_total ~elapsed_s
          ("eta_s", eta);
          ("p99_task_s", match p99_task_s with Some v -> num_f v | None -> Json.Null);
        ])
+
+(* A campaign's heartbeat tally, kept apart from the registry so a
+   shared registry does not leak earlier campaigns into this one's
+   status line. *)
+module Progress = struct
+  type t = {
+    mu : Mutex.t;
+    hb : Heartbeat.t option;
+    total : int;
+    start : float;
+    verdicts : (string, int) Hashtbl.t;
+    mutable finished : int;
+    mutable walls : float list;  (** newest first *)
+  }
+
+  let tally t v =
+    Hashtbl.replace t.verdicts v (1 + Option.value ~default:0 (Hashtbl.find_opt t.verdicts v))
+
+  let payload t () =
+    Mutex.protect t.mu (fun () ->
+        let p99 = quantile_of t.walls 0.99 in
+        status_json
+          ~verdicts:(List.sort compare (List.of_seq (Hashtbl.to_seq t.verdicts)))
+          ?p99_task_s:(if p99 = p99 then Some p99 else None)
+          ~tasks_done:t.finished ~tasks_total:t.total ~elapsed_s:(now () -. t.start) ())
+
+  let force t = Option.iter (fun hb -> Heartbeat.force hb (payload t)) t.hb
+
+  let create ?heartbeat ~total restored =
+    let verdicts = Hashtbl.create 8 and finished = List.length restored in
+    let t =
+      { mu = Mutex.create (); hb = heartbeat; total; start = now (); verdicts; finished; walls = [] }
+    in
+    List.iter (tally t) restored;
+    force t;
+    t
+
+  let finish t ?verdict wall_s =
+    Mutex.protect t.mu (fun () ->
+        t.finished <- t.finished + 1;
+        t.walls <- wall_s :: t.walls;
+        Option.iter (tally t) verdict);
+    Option.iter (fun hb -> Heartbeat.beat hb (payload t)) t.hb
+
+  let walls t = Mutex.protect t.mu (fun () -> List.rev t.walls)
+end
+
+let timing_json ~jobs ~wall_s ?serial_s task_seconds =
+  let num f = if f <> f then Json.Null else Json.Num (Json.number f) in
+  let q p = num (quantile_of task_seconds p) in
+  Json.encode
+    (Json.Obj
+       (("jobs", Json.Num (string_of_int jobs)) :: ("wall_s", num wall_s)
+        :: Option.to_list (Option.map (fun s -> ("serial_s", num s)) serial_s)
+       @ [
+           ("tasks_timed", Json.Num (string_of_int (List.length task_seconds)));
+           ("task_wall_p50_s", q 0.5);
+           ("task_wall_p90_s", q 0.9);
+           ("task_wall_p99_s", q 0.99);
+         ]))

@@ -205,3 +205,24 @@ val status_json :
 (** The standard heartbeat payload ([cheri_c.status/v1]): progress,
     verdict counts so far, elapsed, a simple rate-based ETA and the
     p99 task latency when known. *)
+
+(** {1 Campaign progress} (the fuzz and fault-injection campaigns) *)
+
+module Progress : sig
+  type t
+
+  val create : ?heartbeat:Heartbeat.t -> total:int -> string list -> t
+  (** [total] tasks, seeded with the verdicts of those restored from a
+      journal; writes a first {!status_json} beat. *)
+
+  val finish : t -> ?verdict:string -> float -> unit
+  (** One more task done in that many seconds, tallied under [verdict]. *)
+
+  val walls : t -> float list
+  (** The finished tasks' wall times, in completion order. *)
+
+  val force : t -> unit
+end
+
+val timing_json : jobs:int -> wall_s:float -> ?serial_s:float -> float list -> string
+(** A campaign report's excludable ["timing"] object. *)

@@ -707,40 +707,31 @@ let err = Frontend.err
 let handle_submit r j =
   if r.draining then err "draining"
   else
-    match Json.mem_str "source" j with
-    | None -> err "bad_request" ~extra:[ ("detail", jstr "missing source") ]
-    | Some source -> (
-        let abi = Option.value ~default:"CHERIv3" (Json.mem_str "abi" j) in
-        match Cheri_compiler.Abi.of_key abi with
-        | None -> err "bad_request" ~extra:[ ("detail", jstr (Printf.sprintf "unknown abi %S" abi)) ]
-        | Some a -> (
-            let fuel = Option.value ~default:r.cfg.r_fuel (Json.mem_int "fuel" j) in
-            let slice = Option.value ~default:r.cfg.r_slice (Json.mem_int "slice" j) in
-            if fuel < 1 || slice < 1 then
-              err "bad_request" ~extra:[ ("detail", jstr "fuel and slice must be >= 1") ]
-            else
-              match Admission.request r.adm with
-              | Admission.Reject { retry_after_s } ->
-                  err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
-              | Admission.Admit ->
-                  let gid = r.next_gid in
-                  r.next_gid <- gid + 1;
-                  Hashtbl.replace r.tenants gid
-                    {
-                      rt_gid = gid;
-                      rt_source = source;
-                      rt_abi = Cheri_compiler.Abi.name a;
-                      rt_fuel = fuel;
-                      rt_slice = slice;
-                      rt_deadline_s = Json.mem_float "deadline_s" j;
-                      rt_place = P_queued;
-                      rt_restarts = 0;
-                      rt_migrations = 0;
-                      rt_slices = 0;
-                      rt_has_ckpt = false;
-                      rt_mig_t = 0.;
-                    };
-                  Json.Obj [ ("ok", jbool true); ("tenant", jint gid) ]))
+    match Service.submit_of_json ~fuel:r.cfg.r_fuel ~slice:r.cfg.r_slice j with
+    | Error reply -> reply
+    | Ok sb -> (
+        match Admission.request r.adm with
+        | Admission.Reject { retry_after_s } ->
+            err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
+        | Admission.Admit ->
+            let gid = r.next_gid in
+            r.next_gid <- gid + 1;
+            Hashtbl.replace r.tenants gid
+              {
+                rt_gid = gid;
+                rt_source = sb.Service.sb_source;
+                rt_abi = sb.sb_abi;
+                rt_fuel = sb.sb_fuel;
+                rt_slice = sb.sb_slice;
+                rt_deadline_s = sb.sb_deadline_s;
+                rt_place = P_queued;
+                rt_restarts = 0;
+                rt_migrations = 0;
+                rt_slices = 0;
+                rt_has_ckpt = false;
+                rt_mig_t = 0.;
+              };
+            Json.Obj [ ("ok", jbool true); ("tenant", jint gid) ])
 
 let handle_poll r j =
   match Json.mem_int "tenant" j with

@@ -39,7 +39,7 @@ module Pool = Cheri_exec.Exec.Pool
 module Abi = Cheri_compiler.Abi
 module Codegen = Cheri_compiler.Codegen
 module Machine = Cheri_isa.Machine
-module Snapshot = Cheri_snapshot.Snapshot
+module Resumable = Cheri_snapshot.Resumable
 
 let jint n = Json.Num (string_of_int n)
 let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
@@ -291,52 +291,55 @@ module Checkpoint = struct
      be orphan-requeued, lacking a source). *)
   let note ~tenant ~slices ~wall_s ~resumed ~scratch ~migrations ~restarts ~source ~abi
       ~fuel ~slice ~deadline_s =
-    Json.encode
-      (Json.Obj
-         [
-           ("schema", jstr schema);
-           ("tenant", jint tenant);
-           ("slices", jint slices);
-           ("wall_s", jfloat wall_s);
-           ("resumed", jbool resumed);
-           ("scratch", jbool scratch);
-           ("migrations", jint migrations);
-           ("restarts", jint restarts);
-           ("source", jstr source);
-           ("abi", jstr abi);
-           ("fuel", jint fuel);
-           ("slice", jint slice);
-           ("deadline_s", match deadline_s with Some d -> jfloat d | None -> Json.Null);
-         ])
+    Resumable.note ~schema
+      [
+        ("tenant", jint tenant);
+        ("slices", jint slices);
+        ("wall_s", jfloat wall_s);
+        ("resumed", jbool resumed);
+        ("scratch", jbool scratch);
+        ("migrations", jint migrations);
+        ("restarts", jint restarts);
+        ("source", jstr source);
+        ("abi", jstr abi);
+        ("fuel", jint fuel);
+        ("slice", jint slice);
+        ("deadline_s", match deadline_s with Some d -> jfloat d | None -> Json.Null);
+      ]
+
+  (* the fields of a note already opened under [schema] *)
+  let meta_of_json j =
+    match (Json.mem_int "tenant" j, Json.mem_int "slices" j, Json.mem_float "wall_s" j) with
+    | Some ck_tenant, Some ck_slices, Some ck_wall_s ->
+        let b k = Option.value ~default:false (Json.mem_bool k j) in
+        let i k = Option.value ~default:0 (Json.mem_int k j) in
+        Some
+          {
+            ck_tenant;
+            ck_slices;
+            ck_wall_s;
+            ck_resumed = b "resumed";
+            ck_scratch = b "scratch";
+            ck_migrations = i "migrations";
+            ck_restarts = i "restarts";
+            ck_source = Option.value ~default:"" (Json.mem_str "source" j);
+            ck_abi = Option.value ~default:"" (Json.mem_str "abi" j);
+            ck_fuel = i "fuel";
+            ck_slice = i "slice";
+            ck_deadline_s = Json.mem_float "deadline_s" j;
+          }
+    | _ -> None
 
   let parse_note s =
-    match Json.parse s with
+    match Resumable.open_note ~schema s with
     | Error e -> Error ("checkpoint note: " ^ e)
-    | Ok j -> (
-        match Json.mem_str "schema" j with
-        | Some sch when sch = schema -> (
-            match (Json.mem_int "tenant" j, Json.mem_int "slices" j, Json.mem_float "wall_s" j) with
-            | Some ck_tenant, Some ck_slices, Some ck_wall_s ->
-                let b k = Option.value ~default:false (Json.mem_bool k j) in
-                let i k = Option.value ~default:0 (Json.mem_int k j) in
-                Ok
-                  {
-                    ck_tenant;
-                    ck_slices;
-                    ck_wall_s;
-                    ck_resumed = b "resumed";
-                    ck_scratch = b "scratch";
-                    ck_migrations = i "migrations";
-                    ck_restarts = i "restarts";
-                    ck_source = Option.value ~default:"" (Json.mem_str "source" j);
-                    ck_abi = Option.value ~default:"" (Json.mem_str "abi" j);
-                    ck_fuel = i "fuel";
-                    ck_slice = i "slice";
-                    ck_deadline_s = Json.mem_float "deadline_s" j;
-                  }
-            | _ -> Error "checkpoint note: missing field")
-        | Some sch -> Error ("checkpoint note: foreign schema " ^ sch)
-        | None -> Error "checkpoint note: no schema")
+    | Ok j -> Option.to_result ~none:"checkpoint note: missing field" (meta_of_json j)
+
+  (* the note of a CRC-checked checkpoint file *)
+  let read path =
+    match Resumable.read_note path with
+    | Ok note -> parse_note note
+    | Error e -> Error (Cheri_snapshot.Snapshot.error_to_string e)
 
   (* a note carrying enough to rebuild the whole assignment *)
   let self_describing m = m.ck_source <> "" && m.ck_abi <> "" && m.ck_fuel > 0 && m.ck_slice > 0
@@ -449,26 +452,16 @@ let worker_main (w : worker_config) =
     let linked = compile_cached abi a.a_abi a.a_source in
     let ckpt = Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant in
     let fresh () = Codegen.machine_for abi linked in
-    (* Resume from the last checkpoint when one exists. Every failure
-       mode — unreadable file, CRC mismatch, foreign note, wrong
-       machine — lands in the same place: a clean restart from slice
-       zero on a fresh machine. A damaged sidecar costs recomputation,
-       never correctness and never the worker. *)
-    let resume () =
-      if not (Sys.file_exists ckpt) then None
-      else
-        match Snapshot.load ckpt with
-        | Error _ -> None
-        | Ok img -> (
-            match Checkpoint.parse_note (Snapshot.image_note img) with
-            | Ok ck when ck.Checkpoint.ck_tenant = a.a_tenant -> (
-                let m = fresh () in
-                match Snapshot.restore m ~abi:a.a_abi img with
-                | Ok () -> Some (m, ck)
-                | Error _ -> None)
-            | Ok _ | Error _ -> None)
+    (* Resume from the last checkpoint of this very tenant; every
+       failure is a clean restart from slice zero (Resumable). A
+       damaged checkpoint costs recomputation, never correctness and
+       never the worker. *)
+    let accept j =
+      match Checkpoint.meta_of_json j with
+      | Some ck when ck.Checkpoint.ck_tenant = a.a_tenant -> Some ck
+      | _ -> None
     in
-    match resume () with
+    match Resumable.resume ~schema:Checkpoint.schema ~accept ~abi:a.a_abi ~fresh ckpt with
     | Some (m, ck) ->
         {
           ts_a = a;
@@ -513,8 +506,7 @@ let worker_main (w : worker_config) =
     in
     (* best-effort: a failed save costs a restart-from-scratch later,
        not the tenant *)
-    match Snapshot.save ~note ~abi:st.ts_a.a_abi ~path:st.ts_ckpt st.ts_m with
-    | Ok _ | Error _ -> ()
+    Resumable.save ~note ~abi:st.ts_a.a_abi ~path:st.ts_ckpt st.ts_m
   in
   let park st =
     (* the checkpoint must be durable before the drained event can be
@@ -570,8 +562,7 @@ let worker_main (w : worker_config) =
            event at reap time and never requeues; the reverse order
            could lose the whole tenant *)
         out_frame (Json.Obj (("event", jstr "done") :: ("tenant", jint a.a_tenant) :: tresult_fields r));
-        let ckpt = Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant in
-        (try Sys.remove ckpt with Sys_error _ -> ())
+        Resumable.discard (Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant)
     | Ok (W_drained d) ->
         (* parked, not finished: the checkpoint stays on disk *)
         out_frame
@@ -834,12 +825,9 @@ let drained_from_disk s t =
   let slices =
     if not (Sys.file_exists ckpt) then None
     else
-      match Snapshot.load ckpt with
+      match Checkpoint.read ckpt with
+      | Ok ck -> Some ck.Checkpoint.ck_slices
       | Error _ -> Some 0 (* torn file: the resume will scratch-restart *)
-      | Ok img -> (
-          match Checkpoint.parse_note (Snapshot.image_note img) with
-          | Ok ck -> Some ck.Checkpoint.ck_slices
-          | Error _ -> Some 0)
   in
   {
     dr_slices = Option.value ~default:0 slices;
@@ -1213,65 +1201,86 @@ let write_manifest ~dir entries =
 
 let err = Frontend.err
 
+type submit = {
+  sb_source : string;
+  sb_abi : string;
+  sb_fuel : int;
+  sb_slice : int;
+  sb_deadline_s : float option;
+}
+
+(* The one submit validation, for both tiers: a source, a known ABI
+   (CHERIv3 by default, stored under its canonical name), fuel and
+   slice defaulted from the tier's config and at least 1. *)
+let submit_of_json ~fuel ~slice j =
+  let bad detail = Error (err "bad_request" ~extra:[ ("detail", jstr detail) ]) in
+  match Json.mem_str "source" j with
+  | None -> bad "missing source"
+  | Some sb_source -> (
+      let abi = Option.value ~default:"CHERIv3" (Json.mem_str "abi" j) in
+      match Abi.of_key abi with
+      | None -> bad (Printf.sprintf "unknown abi %S" abi)
+      | Some a ->
+          let sb_fuel = Option.value ~default:fuel (Json.mem_int "fuel" j) in
+          let sb_slice = Option.value ~default:slice (Json.mem_int "slice" j) in
+          if sb_fuel < 1 || sb_slice < 1 then bad "fuel and slice must be >= 1"
+          else
+            Ok
+              {
+                sb_source;
+                sb_abi = Abi.name a;
+                sb_fuel;
+                sb_slice;
+                sb_deadline_s = Json.mem_float "deadline_s" j;
+              })
+
 let handle_submit s j =
   if s.s_draining then err "draining"
   else
-    match Json.mem_str "source" j with
-    | None -> err "bad_request" ~extra:[ ("detail", jstr "missing source") ]
-    | Some source -> (
-        let abi = Option.value ~default:"CHERIv3" (Json.mem_str "abi" j) in
-        match Abi.of_key abi with
-        | None ->
-            err "bad_request" ~extra:[ ("detail", jstr (Printf.sprintf "unknown abi %S" abi)) ]
-        | Some a -> (
-            let fuel = Option.value ~default:s.s_cfg.fuel (Json.mem_int "fuel" j) in
-            let slice = Option.value ~default:s.s_cfg.slice (Json.mem_int "slice" j) in
-            if fuel < 1 || slice < 1 then
-              err "bad_request" ~extra:[ ("detail", jstr "fuel and slice must be >= 1") ]
-            else
-              (* an explicit tenant id marks an adoption: a router is
-                 placing (or re-placing) a globally-admitted tenant, so
-                 per-shard admission must not bounce it — capacity was
-                 charged at first admission, and a rejection here would
-                 strand a tenant that already holds a fleet slot *)
-              let explicit = Json.mem_int "tenant" j in
+    match submit_of_json ~fuel:s.s_cfg.fuel ~slice:s.s_cfg.slice j with
+    | Error reply -> reply
+    | Ok sb -> (
+        (* an explicit tenant id marks an adoption: a router is placing
+           (or re-placing) a globally-admitted tenant, so per-shard
+           admission must not bounce it — capacity was charged at first
+           admission, and a rejection here would strand a tenant that
+           already holds a fleet slot *)
+        let explicit = Json.mem_int "tenant" j in
+        match explicit with
+        | Some tid when Hashtbl.mem s.s_tenants tid ->
+            err "tenant_exists" ~extra:[ ("tenant", jint tid) ]
+        | _ -> (
+            let decision =
               match explicit with
-              | Some tid when Hashtbl.mem s.s_tenants tid ->
-                  err "tenant_exists" ~extra:[ ("tenant", jint tid) ]
-              | _ -> (
-                  let decision =
-                    match explicit with
-                    | Some _ ->
-                        Admission.admit_forced s.s_adm;
-                        Admission.Admit
-                    | None -> Admission.request s.s_adm
-                  in
-                  match decision with
-                  | Admission.Reject { retry_after_s } ->
-                      tick c_rejected;
-                      err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
-                  | Admission.Admit ->
-                      tick c_admitted;
-                      let tid =
-                        match explicit with Some tid -> tid | None -> s.s_next_tenant
-                      in
-                      s.s_next_tenant <- max s.s_next_tenant (tid + 1);
-                      Hashtbl.replace s.s_tenants tid
-                        {
-                          t_id = tid;
-                          t_source = source;
-                          t_abi = Abi.name a;
-                          t_fuel = fuel;
-                          t_slice = slice;
-                          t_deadline_s = Json.mem_float "deadline_s" j;
-                          t_status = Queued;
-                          t_restarts = Option.value ~default:0 (Json.mem_int "restarts" j);
-                          t_migrations = Option.value ~default:0 (Json.mem_int "migrations" j);
-                          t_submit_t = now ();
-                          t_done_t = 0.;
-                        };
-                      schedule s;
-                      Json.Obj [ ("ok", jbool true); ("tenant", jint tid) ])))
+              | Some _ ->
+                  Admission.admit_forced s.s_adm;
+                  Admission.Admit
+              | None -> Admission.request s.s_adm
+            in
+            match decision with
+            | Admission.Reject { retry_after_s } ->
+                tick c_rejected;
+                err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
+            | Admission.Admit ->
+                tick c_admitted;
+                let tid = match explicit with Some tid -> tid | None -> s.s_next_tenant in
+                s.s_next_tenant <- max s.s_next_tenant (tid + 1);
+                Hashtbl.replace s.s_tenants tid
+                  {
+                    t_id = tid;
+                    t_source = sb.sb_source;
+                    t_abi = sb.sb_abi;
+                    t_fuel = sb.sb_fuel;
+                    t_slice = sb.sb_slice;
+                    t_deadline_s = sb.sb_deadline_s;
+                    t_status = Queued;
+                    t_restarts = Option.value ~default:0 (Json.mem_int "restarts" j);
+                    t_migrations = Option.value ~default:0 (Json.mem_int "migrations" j);
+                    t_submit_t = now ();
+                    t_done_t = 0.;
+                  };
+                schedule s;
+                Json.Obj [ ("ok", jbool true); ("tenant", jint tid) ]))
 
 let handle_poll s j =
   match Json.mem_int "tenant" j with
@@ -1392,21 +1401,15 @@ let sweep_checkpoints ~dir =
         Array.to_list fs |> List.filter (fun f -> Filename.check_suffix f ".snap") |> List.sort compare
     | exception Sys_error _ -> []
   in
-  let discard path = try Sys.remove path with Sys_error _ -> () in
   let valid, discarded =
     List.fold_left
       (fun (valid, discarded) f ->
         let path = Filename.concat cdir f in
-        match Snapshot.load path with
-        | Error _ ->
-            discard path;
-            (valid, discarded + 1)
-        | Ok img -> (
-            match Checkpoint.parse_note (Snapshot.image_note img) with
-            | Ok m when Checkpoint.self_describing m -> (m :: valid, discarded)
-            | Ok _ | Error _ ->
-                discard path;
-                (valid, discarded + 1)))
+        match Checkpoint.read path with
+        | Ok m when Checkpoint.self_describing m -> (m :: valid, discarded)
+        | Ok _ | Error _ ->
+            Resumable.discard path;
+            (valid, discarded + 1))
       ([], 0) files
   in
   (List.rev valid, discarded)

@@ -86,6 +86,18 @@ val tresult_of_json : Cheri_util.Json.t -> (tresult, string) result
 val result_json : tresult -> restarts:int -> Cheri_util.Json.t
 (** The [result] object of a [done] poll reply, in both tiers. *)
 
+type submit = {
+  sb_source : string;
+  sb_abi : string;  (** canonical name; CHERIv3 when absent *)
+  sb_fuel : int;
+  sb_slice : int;
+  sb_deadline_s : float option;
+}
+
+val submit_of_json : fuel:int -> slice:int -> Cheri_util.Json.t -> (submit, Cheri_util.Json.t) result
+(** The submit validation of both tiers, with the tier's default
+    [fuel] and [slice]; the error is the [bad_request] reply. *)
+
 (** {1 Checkpoint sidecars} *)
 
 module Checkpoint : sig

@@ -428,21 +428,26 @@ let save ?(note = "") ~abi ~path m =
   (* stream the image to the file, folding each piece into the CRC as
      it goes out, instead of assembling it in memory first *)
   let tmp = path ^ ".tmp" in
-  try
-    let oc = open_out_bin tmp in
-    let crc = ref 0 in
-    let emit s pos len =
-      output_substring oc s pos len;
-      crc := Crc32.update_sub !crc s ~pos ~len
-    in
-    emit lead 0 (String.length lead);
-    write_body emit;
-    output_string oc (le32 !crc);
-    close_out oc;
-    Sys.rename tmp path;
-    Obs.Counter.incr ~by:size m_save_bytes;
-    Ok size
-  with Sys_error msg -> Error (Io msg)
+  match open_out_bin tmp with
+  | exception Sys_error msg -> Error (Io msg)
+  | oc -> (
+      try
+        let crc = ref 0 in
+        let emit s pos len =
+          output_substring oc s pos len;
+          crc := Crc32.update_sub !crc s ~pos ~len
+        in
+        emit lead 0 (String.length lead);
+        write_body emit;
+        output_string oc (le32 !crc);
+        close_out oc;
+        Sys.rename tmp path;
+        Obs.Counter.incr ~by:size m_save_bytes;
+        Ok size
+      with Sys_error msg ->
+        (* a failed write (a full disk, say) must not leak the channel *)
+        close_out_noerr oc;
+        Error (Io msg))
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)

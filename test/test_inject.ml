@@ -121,6 +121,40 @@ let test_campaign_full_restore () =
   | _ -> Alcotest.fail "resume accepted a mismatched campaign");
   Sys.remove ck
 
+(* Journal lines for tasks outside the campaign — a seed past the
+   range, a workload it does not run — and a duplicated line are not
+   resumed tasks: r_resumed and inject_resumed_total count each of the
+   campaign's tasks once. *)
+let test_resume_ignores_foreign_tasks () =
+  let c = small_campaign () in
+  let ck = Filename.temp_file "cheri_inject_test" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove ck) (fun () ->
+      let full = Inject.run ~jobs:1 ~checkpoint:ck c in
+      let r0 = List.hd full.Inject.r_records in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 ck in
+      List.iter
+        (fun r -> output_string oc (Inject.record_json r ^ "\n"))
+        [ { r0 with Inject.seed = 99 }; { r0 with Inject.workload = "nope" }; r0 ];
+      close_out oc;
+      let obs = Cheri_obs.Obs.create () in
+      let restored = Inject.run ~jobs:1 ~obs ~resume:ck c in
+      let n = List.length full.Inject.r_records in
+      check_int "each campaign task resumed once" n restored.Inject.r_resumed;
+      check_int "inject_resumed_total agrees" n
+        Cheri_obs.Obs.(Counter.value (counter obs "inject_resumed_total"));
+      check_string "restored report byte-identical"
+        (Inject.report_json ~timing:false full) (Inject.report_json ~timing:false restored))
+
+(* An unreadable resume file is a Resume_mismatch (the CLI's exit 2),
+   not an escaping Sys_error. *)
+let test_resume_unreadable () =
+  List.iter
+    (fun path ->
+      match Inject.run ~resume:path (small_campaign ()) with
+      | exception Inject.Resume_mismatch _ -> ()
+      | _ -> Alcotest.failf "resume from %s accepted" path)
+    [ "/nonexistent/inject.jsonl"; Filename.get_temp_dir_name () ]
+
 let test_silent_count_matches_matrix () =
   let c = small_campaign () in
   let r = Inject.run ~jobs:1 c in
@@ -145,6 +179,9 @@ let suite =
     Alcotest.test_case "verdict keys" `Quick test_verdict_keys;
     Alcotest.test_case "report independent of job count" `Slow test_campaign_jobs_invariant;
     Alcotest.test_case "full checkpoint restore" `Slow test_campaign_full_restore;
+    Alcotest.test_case "resume ignores journal lines outside the campaign" `Slow
+      test_resume_ignores_foreign_tasks;
+    Alcotest.test_case "resume from an unreadable file is refused" `Quick test_resume_unreadable;
     Alcotest.test_case "silent_count agrees with the matrix" `Slow
       test_silent_count_matches_matrix;
   ]

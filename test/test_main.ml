@@ -1,8 +1,9 @@
 let () =
-  (* the service tests spawn real supervisors of this binary, which
-     in turn spawn their workers: such a re-executed child is never a
-     test run *)
+  (* the service tests spawn real supervisors and routers of this
+     binary, which in turn spawn their shards and workers: such a
+     re-executed child is never a test run *)
   Cheri_service.Service.child_dispatch ();
+  Cheri_service.Router.child_dispatch ();
   Alcotest.run "cheri_c"
     [
       ("bits", Test_bits.suite);
@@ -23,6 +24,7 @@ let () =
       ("gc", Test_gc.suite);
       ("exec", Test_exec.suite);
       ("snapshot", Test_snapshot.suite);
+      ("resumable", Test_resumable.suite);
       ("fuzz", Test_fuzz.suite);
       ("inject", Test_inject.suite);
       ("properties", Test_props.suite);

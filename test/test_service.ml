@@ -283,6 +283,21 @@ let test_checkpoint_note () =
   | Ok _ -> Alcotest.fail "foreign schema accepted as a checkpoint note"
   | Error e -> check_bool "error names the schema" true (String.length e > 0)
 
+(* The note's bytes are part of every checkpoint image (and of
+   snapshot.save_bytes): pinned here, so a refactor of the note
+   envelope cannot change them. *)
+let test_checkpoint_note_bytes () =
+  check_string "full note"
+    {|{"schema":"cheri_c.serve-inflight/v1","tenant":7,"slices":42,"wall_s":1.5,"resumed":true,"scratch":false,"migrations":2,"restarts":1,"source":"int main(void) { return 0; }\n\"q\"\t","abi":"CHERIv3","fuel":1000000,"slice":10000,"deadline_s":null}|}
+    (Service.Checkpoint.note ~tenant:7 ~slices:42 ~wall_s:1.5 ~resumed:true ~scratch:false
+       ~migrations:2 ~restarts:1 ~source:"int main(void) { return 0; }\n\"q\"\t" ~abi:"CHERIv3"
+       ~fuel:1_000_000 ~slice:10_000 ~deadline_s:None);
+  check_string "deadline and fractional wall"
+    {|{"schema":"cheri_c.serve-inflight/v1","tenant":0,"slices":1,"wall_s":0.123456789,"resumed":false,"scratch":true,"migrations":0,"restarts":0,"source":"","abi":"MIPS","fuel":1,"slice":1,"deadline_s":2.5}|}
+    (Service.Checkpoint.note ~tenant:0 ~slices:1 ~wall_s:0.123456789 ~resumed:false
+       ~scratch:true ~migrations:0 ~restarts:0 ~source:"" ~abi:"MIPS" ~fuel:1 ~slice:1
+       ~deadline_s:(Some 2.5))
+
 let test_run_serial_slicing_invariant () =
   (* the serial reference counts one slice per Machine.run call; the
      slice count must be a pure function of (source, fuel, slice) *)
@@ -546,6 +561,76 @@ let test_drain_reply_per_client () =
           | _, Unix.WEXITED 0 -> ()
           | _ -> Alcotest.fail "drained server did not exit 0"))
 
+(* -- one submit validation for both tiers ------------------------------------- *)
+
+(* The same malformed submits sent to a real supervisor and a real
+   router get byte-identical bad_request replies: both tiers run the
+   one validation. Needs the test binary to dispatch service and
+   router children (see test_main.ml). *)
+let test_submit_validation_shared () =
+  with_tmpdir (fun dir ->
+      let sdir = Filename.concat dir "svc" and rdir = Filename.concat dir "fleet" in
+      Unix.mkdir sdir 0o755;
+      Unix.mkdir rdir 0o755;
+      let scfg = { (Service.default_config ~dir:sdir) with Service.workers = 1 } in
+      let rcfg =
+        { (Cheri_service.Router.default_rconfig ~dir:rdir) with
+          Cheri_service.Router.r_shards = 1;
+          r_workers = 1 }
+      in
+      let pids = [ Chaos.Client.spawn_server scfg; Chaos.Client.spawn_router rcfg ] in
+      (* give each a chance to stop its own children (a SIGKILLed
+         router would orphan its shard) before SIGKILL *)
+      let reap pid =
+        let deadline = Unix.gettimeofday () +. 10. in
+        let rec go () =
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ when Unix.gettimeofday () < deadline ->
+              Unix.sleepf 0.02;
+              go ()
+          | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid)
+          | _ -> ()
+        in
+        try go () with Unix.Unix_error _ -> ()
+      in
+      let sockets = [ scfg.Service.socket; rcfg.Cheri_service.Router.r_socket ] in
+      let shutdown sock =
+        try
+          let c = Chaos.Client.connect sock in
+          ignore (Chaos.Client.request c (Json.Obj [ ("op", Json.Str "shutdown") ]));
+          Chaos.Client.close c
+        with Unix.Unix_error _ -> ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter shutdown sockets;
+          List.iter reap pids)
+        (fun () ->
+          List.iter
+            (fun sock ->
+              check_bool (sock ^ " came up") true (Chaos.Client.wait_socket sock ~timeout_s:15.0))
+            sockets;
+          let clients = List.map Chaos.Client.connect sockets in
+          let src = Json.Str "int main(void) { return 0; }" in
+          let submit fields = Json.Obj (("op", Json.Str "submit") :: fields) in
+          List.iter
+            (fun req ->
+              match List.map (fun c -> Chaos.Client.request c req) clients with
+              | [ Ok a; Ok b ] ->
+                  check_string "supervisor and router replies" (Json.encode a) (Json.encode b);
+                  check_bool "bad_request" true (Json.mem_str "error" a = Some "bad_request")
+              | _ -> Alcotest.failf "no reply to %s" (Json.encode req))
+            [
+              submit [];
+              submit [ ("source", Json.Num "42") ];
+              submit [ ("source", src); ("abi", Json.Str "vax") ];
+              submit [ ("source", src); ("fuel", Json.Num "0") ];
+              submit [ ("source", src); ("slice", Json.Num "-1") ];
+            ];
+          List.iter Chaos.Client.close clients))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -562,9 +647,12 @@ let suite =
     Alcotest.test_case "config JSON round trip" `Quick test_config_roundtrip;
     Alcotest.test_case "assignment JSON round trip" `Quick test_assignment_roundtrip;
     Alcotest.test_case "checkpoint note schema" `Quick test_checkpoint_note;
+    Alcotest.test_case "checkpoint note bytes pinned" `Quick test_checkpoint_note_bytes;
     Alcotest.test_case "taken entry JSON round trip" `Quick test_taken_roundtrip;
     Alcotest.test_case "drain manifest round trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "orphan checkpoint sweep" `Quick test_sweep_checkpoints;
+    Alcotest.test_case "both tiers answer malformed submits identically" `Quick
+      test_submit_validation_shared;
     Alcotest.test_case "socket claim probes before unlinking" `Quick test_bind_listener;
     Alcotest.test_case "run_serial deterministic slicing" `Quick
       test_run_serial_slicing_invariant;

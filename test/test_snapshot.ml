@@ -315,7 +315,10 @@ let test_save_scans_few_pages () =
    memory to the file through one reusable buffer, so the OCaml heap
    sees a few words of list per saved page, not a 4 KiB string. The
    fixed part (registers, cache state, header) is spread over the
-   pages, hence a footprint well above the 256-page floor. *)
+   pages, hence a footprint well above the 256-page floor. The same
+   bound holds for a service worker's checkpoint: a Resumable.save
+   whose note (built inside the measurement) carries a whole tenant
+   assignment. *)
 let test_save_allocates_per_page () =
   let m = preempt_at Abi.Mips ~at:5_000 in
   let pages = 2048 in
@@ -329,14 +332,26 @@ let test_save_allocates_per_page () =
       (* A domain that has exited leaves its uncounted major words to be
          adopted by whichever domain runs the next major slice; finish
          a cycle first so earlier tests' pools are not billed here. *)
-      Gc.full_major ();
-      let a0 = Gc.allocated_bytes () in
-      ignore (save_exn ~abi:"MIPS" ~path m);
-      let words = (Gc.allocated_bytes () -. a0) /. 8. in
       check_bool (Printf.sprintf "%d pages saved, at least %d" saved pages) true (saved >= pages);
-      let per_page = words /. float_of_int saved in
-      check_bool (Printf.sprintf "%.1f words allocated per saved page, at most 64" per_page) true
-        (per_page <= 64.))
+      let per_page what save =
+        Gc.full_major ();
+        let a0 = Gc.allocated_bytes () in
+        save ();
+        let per_page = (Gc.allocated_bytes () -. a0) /. 8. /. float_of_int saved in
+        check_bool
+          (Printf.sprintf "%s: %.1f words allocated per saved page, at most 64" what per_page)
+          true (per_page <= 64.)
+      in
+      let note () =
+        Cheri_service.Service.Checkpoint.note ~tenant:17 ~slices:23 ~wall_s:0.125 ~resumed:true
+          ~scratch:false ~migrations:1 ~restarts:2 ~source:src ~abi:"MIPS" ~fuel:200_000_000
+          ~slice:100_000 ~deadline_s:(Some 30.)
+      in
+      per_page "Snapshot.save" (fun () -> ignore (save_exn ~abi:"MIPS" ~path m));
+      per_page "Resumable.save, service note" (fun () ->
+          Cheri_snapshot.Resumable.save ~note:(note ()) ~abi:"MIPS" ~path m);
+      check_bool "the service-note save landed" true
+        (Cheri_snapshot.Resumable.read_note path = Ok (note ())))
 
 (* The slice-by-8 CRC against the textbook bytewise definition. *)
 let crc_reference s =
