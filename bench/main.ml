@@ -11,53 +11,32 @@
      bench/main.exe micro        Bechamel microbenchmarks only
      bench/main.exe json [FILE]  machine-readable per-workload results
                                  (default FILE: [bench_output_file] below)
-     bench/main.exe perf [--quick] [FILE]
-                                 softcore throughput sweep: retired
-                                 insn/sec, wall time, and GC minor
-                                 words per instruction for every
-                                 (workload x ABI); --quick runs one
-                                 repeat at test scales (rides along
-                                 with dune runtest). Default FILE:
-                                 [perf_output_file]. Measure with
-                                 --profile release (the dev profile
-                                 disables cross-module inlining).
      bench/main.exe inject [FILE]  full fault-injection campaign: the
                                  per-ABI detection matrix over every
                                  builtin workload and fault kind
                                  (default FILE: [inject_output_file])
-     bench/main.exe snap [--quick] [FILE]
-                                 snapshot image size and save/restore
-                                 latency per workload, plus the
-                                 preemptive-slicing throughput tax
-                                 (default FILE: [snap_output_file];
-                                 measure with --profile release)
-     bench/main.exe serve [--quick] [FILE]
-                                 multi-tenant service benchmark against a
-                                 real cheri-serve supervisor: sustained
-                                 jobs/s with p50/p99 latency, then the
-                                 recovery time after a worker SIGKILL
-                                 (default FILE: [serve_output_file];
-                                 measure with --profile release)
-     bench/main.exe serve --shards [N] [--quick] [FILE]
-                                 sharded-fleet variant against a real
-                                 router over N >= 3 supervisor shards:
-                                 sustained jobs/s with p50/p99, recovery
-                                 after a whole-shard SIGKILL, and drain /
-                                 migration latency percentiles over
-                                 repeated admin drain+rebalance cycles
-                                 (default FILE: [serve_fleet_output_file])
      bench/main.exe smoke        fast telemetry-overhead assertions (runs
                                  under dune runtest)
      bench/main.exe compare [--threshold P] [--quick] OLD.json NEW.json
                                  the regression gate: diff two committed
                                  BENCH_PR*.json files of the same schema
                                  family and exit 1 on any metric worse
-                                 than P% (default 10); --quick compares
-                                 only the cell intersection
+                                 than its bound; --quick compares only
+                                 the cell intersection. A perfbench
+                                 result (perfbench-trajectory) takes its
+                                 gated workloads, metrics, directions
+                                 and bounds from the BENCHMARK.json
+                                 beside NEW; the older families use P%
+                                 (default 10) for every metric
      bench/main.exe compare --self-test FILE
                                  prove the gate bites: FILE vs itself
                                  must pass, FILE vs a synthetically
-                                 20%-worsened copy must fail
+                                 worsened copy (20%, or past every
+                                 BENCHMARK.json bound) must fail
+
+   Softcore throughput, snapshot save/restore and the multi-tenant
+   service are measured by perfbench (paper-sweep, resume-chain,
+   tenant-burst: `python3 perfbench/run.py --workload W`).
 
    Every figure/ablation/json cell is an independent (program x ABI)
    run with per-run machine state, so they fan out over the
@@ -72,7 +51,6 @@ module Telemetry = Cheri_telemetry.Telemetry
 module Exec = Cheri_exec.Exec
 module Inject = Cheri_inject.Inject
 module Json = Cheri_util.Json
-module Obs = Cheri_obs.Obs
 module Bench_compare = Cheri_obs.Bench_compare
 
 (* the default output of `bench/main.exe json`, bumped once per PR so
@@ -388,199 +366,6 @@ let bench_json path =
   Format.fprintf ppf "sweep wall %.2fs, serial %.2fs, speedup %.2fx@." wall_s serial_s speedup;
   Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length rows)
 
-(* -- hot-path throughput benchmark (perf subcommand) --------------------------- *)
-
-(* This PR's artifact: softcore throughput through the pre-decoded
-   dispatch table, plus the decode-stage cost itself. *)
-let perf_output_file = "BENCH_PR7.json"
-
-(* Pre-PR baseline: the release-profile Dhrystone CHERIv3 figure from
-   the previous perf artifact (BENCH_PR4.json), measured on the same
-   machine. The report carries both numbers so the speedup is
-   self-describing. *)
-let baseline_insn_per_s = 28_825_425.
-let baseline_minor_words_per_insn = 6.40
-
-type perf_cell = {
-  p_workload : string;
-  p_abi : Abi.t;
-  p_cycles : int;
-  p_instret : int;
-  p_insn_per_s : float;
-  p_words_per_insn : float;
-  p_digest : string;  (* MD5 of program output, for the agreement gate *)
-  p_decode_ms_per_kinsn : float;  (* Decoded.compile cost per 1000 instructions *)
-}
-
-(* One (workload x ABI) cell: compile once, run [runs] times on fresh
-   machines, keep the best wall-clock. Cycle counts and output are
-   asserted identical across repeats — the simulator is deterministic,
-   so any variation is a harness bug. *)
-let perf_cell ~runs name abi src =
-  let linked = Cheri_compiler.Codegen.compile_source abi src in
-  (* decode phase: what the pre-execution Decoded.compile pass costs,
-     normalized per thousand instructions of code *)
-  let code = linked.Cheri_asm.Asm.code in
-  let decode_ms_per_kinsn =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (Cheri_isa.Decoded.compile code));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best *. 1000. /. (float_of_int (Array.length code) /. 1000.)
-  in
-  let fresh () = Cheri_compiler.Codegen.machine_for abi linked in
-  ignore (Machine.run (fresh ()));
-  (* warm-up *)
-  (* compile + earlier cells leave major-heap garbage whose GC slices
-     would otherwise land inside the timed region *)
-  Gc.compact ();
-  let best_dt = ref infinity and words = ref 0. in
-  let cycles = ref 0 and instret = ref 0 and digest = ref "" in
-  for i = 1 to runs do
-    let m = fresh () in
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    (match Machine.run m with
-    | Machine.Exit 0L -> ()
-    | o ->
-        raise
-          (W.Runner.Run_failed
-             (Format.asprintf "perf %s/%s: %a" name (Abi.name abi) Machine.pp_outcome o)));
-    let dt = Unix.gettimeofday () -. t0 in
-    let dw = Gc.minor_words () -. w0 in
-    let st = Machine.stats m in
-    let d = Digest.to_hex (Digest.string (Machine.output m)) in
-    if i > 1 && (st.Machine.st_cycles <> !cycles || d <> !digest) then
-      raise (W.Runner.Run_failed (Printf.sprintf "perf %s/%s: nondeterministic run" name (Abi.name abi)));
-    cycles := st.Machine.st_cycles;
-    instret := st.Machine.st_instret;
-    digest := d;
-    if dt < !best_dt then begin
-      best_dt := dt;
-      words := dw /. float_of_int st.Machine.st_instret
-    end
-  done;
-  {
-    p_workload = name;
-    p_abi = abi;
-    p_cycles = !cycles;
-    p_instret = !instret;
-    p_insn_per_s = float_of_int !instret /. !best_dt;
-    p_words_per_insn = !words;
-    p_digest = !digest;
-    p_decode_ms_per_kinsn = decode_ms_per_kinsn;
-  }
-
-let perf_workloads ~quick =
-  if not quick then json_workloads ()
-  else
-    (* test scales: the runtest smoke must finish in seconds *)
-    List.map
-      (fun (k : W.Olden.kernel) ->
-        ("Olden/" ^ k.W.Olden.kname, k.W.Olden.source { W.Olden.scale = 1 }, None))
-      W.Olden.kernels
-    @ [
-        ("Dhrystone", W.Dhrystone.source { W.Dhrystone.iterations = 500 }, None);
-        ( "tcpdump",
-          W.Tcpdump_sim.source { W.Tcpdump_sim.packets = 200; passes = 1 },
-          Some (W.Tcpdump_sim.source_v2 { W.Tcpdump_sim.packets = 200; passes = 1 }) );
-        ("zlib", W.Zlib_like.source { W.Zlib_like.input_size = 4096; boundary_copy = false }, None);
-      ]
-
-let perf_cell_json c =
-  Printf.sprintf
-    "    {\"workload\":\"%s\",\"abi\":\"%s\",\"cycles\":%d,\"instret\":%d,\"insn_per_s\":%.0f,\"minor_words_per_insn\":%.3f,\"decode_ms_per_kinsn\":%.3f,\"output_md5\":\"%s\"}"
-    (Json.escape c.p_workload)
-    (Json.escape (Abi.name c.p_abi))
-    c.p_cycles c.p_instret c.p_insn_per_s c.p_words_per_insn c.p_decode_ms_per_kinsn c.p_digest
-
-let bench_perf ~quick path =
-  section
-    (if quick then "Softcore throughput (perf --quick, test scales)"
-     else "Softcore throughput (perf, default scales)");
-  if Build_profile.profile <> "release" then
-    Format.fprintf ppf
-      "WARNING: built with the %s profile, which passes -opaque and disables@.\
-      \ cross-module inlining — throughput and allocation figures are pessimistic.@.\
-      \ Re-run with `dune exec --profile release bench/main.exe -- perf` for the@.\
-      \ numbers a release build gets.@."
-      Build_profile.profile;
-  (* wall-clock on a shared host is noisy; the best of 7 repeats is
-     stable to a few percent where the best of 3 swung by 20% *)
-  let runs = if quick then 1 else 7 in
-  let cells =
-    List.concat_map
-      (fun (name, src, v2_source) ->
-        List.map
-          (fun abi ->
-            let src =
-              match (abi, v2_source) with
-              | Abi.Cheri Cheri_core.Cap_ops.V2, Some s -> s
-              | _ -> src
-            in
-            perf_cell ~runs name abi src)
-          Abi.all)
-      (perf_workloads ~quick)
-  in
-  (* agreement gate: the ABIs of one workload must produce identical
-     output — a throughput optimisation that changes observable
-     behaviour is a miscompilation, not a speedup *)
-  let rec gate = function
-    | a :: b :: c :: rest ->
-        if not (a.p_digest = b.p_digest && b.p_digest = c.p_digest) then
-          raise
-            (W.Runner.Run_failed
-               (Printf.sprintf "perf %s: ABI outputs diverge" a.p_workload));
-        gate rest
-    | [] -> ()
-    | _ -> assert false
-  in
-  gate cells;
-  Format.fprintf ppf "%-18s%-10s%12s%12s%14s%12s%14s@." "WORKLOAD" "ABI" "cycles" "instret"
-    "insn/s" "words/insn" "decode ms/ki";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "%-18s%-10s%12d%12d%14.0f%12.2f%14.3f@." c.p_workload (Abi.name c.p_abi)
-        c.p_cycles c.p_instret c.p_insn_per_s c.p_words_per_insn c.p_decode_ms_per_kinsn)
-    cells;
-  let dhry_v3 =
-    List.find
-      (fun c -> c.p_workload = "Dhrystone" && c.p_abi = Abi.Cheri Cheri_core.Cap_ops.V3)
-      cells
-  in
-  let speedup = dhry_v3.p_insn_per_s /. baseline_insn_per_s in
-  Format.fprintf ppf
-    "Dhrystone CHERIv3: %.0f insn/s, %.2f minor words/insn (pre-PR baseline %.0f insn/s, %.2f words/insn; %.2fx)@."
-    dhry_v3.p_insn_per_s dhry_v3.p_words_per_insn baseline_insn_per_s
-    baseline_minor_words_per_insn speedup;
-  if quick then
-    Format.fprintf ppf "(quick mode: 1 run per cell at test scales — smoke only,@.\
-                       \ speedup vs the default-scale baseline is indicative)@.";
-  let body =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"cheri_c.bench-perf/v1\",\n\
-      \  \"clock_hz\": 100000000,\n\
-      \  \"profile\": \"%s\",\n\
-      \  \"quick\": %b,\n\
-      \  \"runs_per_cell\": %d,\n\
-      \  \"baseline\": {\"workload\":\"Dhrystone\",\"abi\":\"CHERIv3\",\"insn_per_s\":%.0f,\"minor_words_per_insn\":%.2f},\n\
-      \  \"dhrystone_v3\": {\"insn_per_s\":%.0f,\"minor_words_per_insn\":%.3f,\"speedup_vs_baseline\":%.2f},\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }\n"
-      (Json.escape Build_profile.profile)
-      quick runs baseline_insn_per_s baseline_minor_words_per_insn dhry_v3.p_insn_per_s
-      dhry_v3.p_words_per_insn speedup
-      (String.concat ",\n" (List.map perf_cell_json cells))
-  in
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc;
-  Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length cells)
-
 (* -- fault-injection detection matrix (inject subcommand) --------------------- *)
 
 (* The full campaign behind BENCH_PR3.json: every builtin workload x
@@ -601,556 +386,6 @@ let bench_inject path =
   close_out oc;
   Format.fprintf ppf "wrote %s (%d records)@." path (List.length report.Inject.r_records);
   if report.Inject.r_errors <> [] then exit 1
-
-(* -- snapshot save/restore benchmark (snap subcommand) ------------------------- *)
-
-(* This PR's artifact: snapshot image size and save/restore latency for
-   every workload, plus the slicing throughput tax. Each cell preempts
-   a run at half its retired-instruction count, persists it, restores
-   the image into a fresh machine, and finishes both the original and
-   the copy — asserting all three runs (uninterrupted, continued,
-   restored) agree on cycles, instret and output before any number is
-   reported. *)
-let snap_output_file = "BENCH_PR5.json"
-
-module Snapshot = Cheri_snapshot.Snapshot
-
-type snap_cell = {
-  n_workload : string;
-  n_bytes : int;
-  n_instret_at : int;  (* retired instructions at the snapshot point *)
-  n_instret : int;     (* retired instructions of the whole program *)
-  n_save_ms : float;
-  n_restore_ms : float;
-}
-
-let warn_profile ~what cmd =
-  if Build_profile.profile <> "release" then
-    Format.fprintf ppf
-      "WARNING: built with the %s profile — %s@.\
-      \ are pessimistic. Re-run with `dune exec --profile release@.\
-      \ bench/main.exe -- %s` for the numbers a release build gets.@."
-      Build_profile.profile what cmd
-
-let best_of n f = List.fold_left min infinity (List.init n (fun _ -> f ()))
-
-let snap_cell ~runs name abi src =
-  let fail fmt = Format.kasprintf (fun s -> raise (W.Runner.Run_failed s)) fmt in
-  let linked = Cheri_compiler.Codegen.compile_source abi src in
-  let fresh () = Cheri_compiler.Codegen.machine_for abi linked in
-  let finish what m =
-    match Machine.run m with
-    | Machine.Exit 0L -> ()
-    | o -> fail "snap %s (%s): %a" name what Machine.pp_outcome o
-  in
-  (* reference observables from an uninterrupted run *)
-  let r = fresh () in
-  finish "reference" r;
-  let ref_cycles = Machine.cycles r and ref_instret = Machine.instret r in
-  let ref_output = Machine.output r in
-  (* preempt a second machine at the midpoint *)
-  let at = ref_instret / 2 in
-  let m = fresh () in
-  (match Machine.run ~fuel:at ~yield:true m with
-  | Machine.Yielded -> ()
-  | o -> fail "snap %s: finished (%a) before the midpoint" name Machine.pp_outcome o);
-  let path = Filename.temp_file "cheri-snap-bench" ".snap" in
-  let abi_name = Abi.name abi in
-  let bytes = ref 0 in
-  let save_ms =
-    best_of runs (fun () ->
-        let t0 = Unix.gettimeofday () in
-        (match Snapshot.save ~abi:abi_name ~path m with
-        | Ok n -> bytes := n
-        | Error e -> fail "snap %s: save: %s" name (Snapshot.error_to_string e));
-        (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let restored = ref None in
-  let restore_ms =
-    best_of runs (fun () ->
-        let m2 = fresh () in
-        let t0 = Unix.gettimeofday () in
-        (match Snapshot.load path with
-        | Error e -> fail "snap %s: load: %s" name (Snapshot.error_to_string e)
-        | Ok img -> (
-            match Snapshot.restore m2 ~abi:abi_name img with
-            | Error e -> fail "snap %s: restore: %s" name (Snapshot.error_to_string e)
-            | Ok () -> ()));
-        let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
-        restored := Some m2;
-        dt)
-  in
-  Sys.remove path;
-  (* equivalence gate: both the preempted original and the restored
-     copy must finish with the reference's observables *)
-  finish "continued" m;
-  let m2 = Option.get !restored in
-  finish "restored" m2;
-  List.iter
-    (fun (what, mm) ->
-      if
-        Machine.cycles mm <> ref_cycles
-        || Machine.instret mm <> ref_instret
-        || Machine.output mm <> ref_output
-      then fail "snap %s: %s run diverged from the uninterrupted run" name what)
-    [ ("continued", m); ("restored", m2) ];
-  {
-    n_workload = name;
-    n_bytes = !bytes;
-    n_instret_at = at;
-    n_instret = ref_instret;
-    n_save_ms = save_ms;
-    n_restore_ms = restore_ms;
-  }
-
-(* the slicing tax: the same program run flat-out vs in preemptive
-   fuel slices; both must retire the same instruction count *)
-let snap_throughput ~runs ~slice abi src =
-  let fail fmt = Format.kasprintf (fun s -> raise (W.Runner.Run_failed s)) fmt in
-  let linked = Cheri_compiler.Codegen.compile_source abi src in
-  let fresh () = Cheri_compiler.Codegen.machine_for abi linked in
-  ignore (Machine.run (fresh ()));
-  (* warm-up *)
-  let time_run sliced =
-    let m = fresh () in
-    let t0 = Unix.gettimeofday () in
-    (if not sliced then
-       match Machine.run m with
-       | Machine.Exit 0L -> ()
-       | o -> fail "snap throughput: %a" Machine.pp_outcome o
-     else
-       let rec go () =
-         match Machine.run ~fuel:slice ~yield:true m with
-         | Machine.Yielded -> go ()
-         | Machine.Exit 0L -> ()
-         | o -> fail "snap throughput (sliced): %a" Machine.pp_outcome o
-       in
-       go ());
-    float_of_int (Machine.instret m) /. (Unix.gettimeofday () -. t0)
-  in
-  let best f = List.fold_left max 0. (List.init runs (fun _ -> f ())) in
-  (best (fun () -> time_run false), best (fun () -> time_run true))
-
-let snap_cell_json c =
-  Printf.sprintf
-    "    {\"workload\":\"%s\",\"bytes\":%d,\"instret_at_snapshot\":%d,\"instret\":%d,\"save_ms\":%.3f,\"restore_ms\":%.3f}"
-    (Json.escape c.n_workload)
-    c.n_bytes c.n_instret_at c.n_instret c.n_save_ms c.n_restore_ms
-
-let bench_snap ~quick path =
-  section
-    (if quick then "Snapshot save/restore (snap --quick, test scales)"
-     else "Snapshot save/restore (snap, default scales)");
-  warn_profile ~what:"save/restore latency and the slicing tax" "snap";
-  let abi = Abi.Cheri Cheri_core.Cap_ops.V3 in
-  (* wall-clock on a shared host is noisy; the best of 7 repeats is
-     stable to a few percent where the best of 3 swung by 20% *)
-  let runs = if quick then 1 else 7 in
-  let cells =
-    List.map (fun (name, src, _) -> snap_cell ~runs name abi src) (perf_workloads ~quick)
-  in
-  Format.fprintf ppf "%-18s%12s%16s%12s%12s@." "WORKLOAD" "bytes" "instret@snap"
-    "save ms" "restore ms";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "%-18s%12d%16d%12.3f%12.3f@." c.n_workload c.n_bytes c.n_instret_at
-        c.n_save_ms c.n_restore_ms)
-    cells;
-  (* slicing tax on the longest-running workload *)
-  let slice = 1_000_000 in
-  let dhry =
-    if quick then W.Dhrystone.source { W.Dhrystone.iterations = 500 }
-    else W.Dhrystone.source W.Dhrystone.default
-  in
-  let plain, sliced = snap_throughput ~runs ~slice abi dhry in
-  let ratio = sliced /. plain in
-  Format.fprintf ppf
-    "Dhrystone CHERIv3: %.0f insn/s flat, %.0f insn/s in %d-instruction slices (%.3fx)@."
-    plain sliced slice ratio;
-  let body =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"cheri_c.snap-bench/v1\",\n\
-      \  \"profile\": \"%s\",\n\
-      \  \"quick\": %b,\n\
-      \  \"runs_per_cell\": %d,\n\
-      \  \"abi\": \"%s\",\n\
-      \  \"slicing\": {\"workload\":\"Dhrystone\",\"slice\":%d,\"insn_per_s_flat\":%.0f,\"insn_per_s_sliced\":%.0f,\"ratio\":%.4f},\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }\n"
-      (Json.escape Build_profile.profile)
-      quick runs
-      (Json.escape (Abi.name abi))
-      slice plain sliced ratio
-      (String.concat ",\n" (List.map snap_cell_json cells))
-  in
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc;
-  Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length cells)
-
-(* -- multi-tenant service benchmarks (serve, serve --shards) -------------------- *)
-
-module Service = Cheri_service.Service
-module Router = Cheri_service.Router
-module Chaos = Cheri_service.Chaos
-
-let serve_output_file = "BENCH_PR8.json"
-let serve_fleet_output_file = "BENCH_PR10.json"
-
-(* a client session against a spawned supervisor or router *)
-type serve_session = {
-  request : Json.t -> Json.t;
-  submit : seed:int -> int -> int;
-  poll : int -> Json.t;
-  stats : unit -> Json.t;
-}
-
-let jnum n = Json.Num (string_of_int n)
-
-(* a measurement rounded for the report: throughput to 3 decimals,
-   milliseconds to 1, the precision the report has always carried *)
-let jround digits x =
-  let k = 10. ** float_of_int digits in
-  Json.Num (Json.number (Float.round (x *. k) /. k))
-
-(* Run [body] against the service process [pid] listening on [socket],
-   then ask it to shut down and wait for it to exit; the process and
-   [dir] are torn down whatever happens. *)
-let with_serve_session ~label ~pid ~dir ~socket ~fuel ~slice body =
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      Chaos.rm_rf dir)
-    (fun () ->
-      if not (Chaos.Client.wait_socket socket ~timeout_s:15.0) then
-        failwith (label ^ ": socket never came up");
-      let cl = Chaos.Client.connect socket in
-      let request j =
-        match Chaos.Client.request cl j with
-        | Ok r -> r
-        | Error e -> failwith (label ^ ": request failed: " ^ e)
-      in
-      let op name extra = request (Json.Obj (("op", Json.Str name) :: extra)) in
-      let submit ~seed i =
-        let r =
-          op "submit"
-            [
-              ("source", Json.Str (Chaos.tenant_source ~seed ~index:i));
-              ("abi", Json.Str [| "mips"; "cheriv2"; "cheriv3" |].(i mod 3));
-              ("fuel", jnum fuel);
-              ("slice", jnum slice);
-            ]
-        in
-        match Json.mem_int "tenant" r with
-        | Some tid -> tid
-        | None -> failwith (label ^ ": submit rejected: " ^ Json.encode r)
-      in
-      let poll tid = op "poll" [ ("tenant", jnum tid) ] in
-      let v = body { request; submit; poll; stats = (fun () -> op "stats" []) } in
-      ignore (op "shutdown" []);
-      Chaos.Client.close cl;
-      (* a router stops its shards on the way out: SIGKILLing it first
-         would orphan them *)
-      ignore (Cheri_service.Supervisor.wait_exit pid ~timeout_s:15.0);
-      v)
-
-(* The two phases both service benchmarks share. Phase 1 measures
-   sustained throughput and client-observed latency. Phase 2 SIGKILLs
-   the process [victim] picks from a stats reply (the busiest worker,
-   or the busiest whole shard) mid-batch and times recovery as kill ->
-   first completion whose result carries a nonzero [lineage] counter
-   ("restarts" for a requeue, "migrations" for a cross-shard move).
-   Returns the sustained and recovery report cells. *)
-let serve_phases ss ~label ~over ~tenants ~recovery_batch ~victim ~lineage =
-  let now = Unix.gettimeofday in
-  let fail_state p = failwith (label ^ ": tenant failed: " ^ Json.encode p) in
-  let t0 = now () in
-  let batch1 = Array.init tenants (fun i -> (ss.submit ~seed:1 i, ref None)) in
-  let deadline = now () +. 300.0 in
-  while Array.exists (fun (_, r) -> !r = None) batch1 do
-    if now () > deadline then failwith (label ^ ": sustained phase timed out");
-    Array.iter
-      (fun (tid, r) ->
-        if !r = None then
-          let p = ss.poll tid in
-          match Json.mem_str "state" p with
-          | Some "done" -> r := Some (now () -. t0)
-          | Some "failed" -> fail_state p
-          | _ -> ())
-      batch1;
-    ignore (Unix.select [] [] [] 0.005)
-  done;
-  let wall = now () -. t0 in
-  let lats =
-    Array.to_list batch1 |> List.filter_map (fun (_, r) -> Option.map (fun x -> x *. 1000.) !r)
-  in
-  let jobs_per_s = float_of_int tenants /. wall in
-  let p50_ms = Obs.quantile_of lats 0.5 in
-  let p99_ms = Obs.quantile_of lats 0.99 in
-  Format.fprintf ppf "sustained: %d tenants over %s in %.2fs — %.2f jobs/s, p50 %.0f ms, p99 %.0f ms@."
-    tenants over wall jobs_per_s p50_ms p99_ms;
-  let batch2 = Array.init recovery_batch (fun i -> (ss.submit ~seed:77 (1000 + i), ref None)) in
-  let done2 () = Array.fold_left (fun a (_, r) -> if !r = None then a else a + 1) 0 batch2 in
-  let killed = ref false in
-  let t_kill = ref 0.0 in
-  let recovery_ms = ref None in
-  let deadline = now () +. 300.0 in
-  while Array.exists (fun (_, r) -> !r = None) batch2 do
-    if now () > deadline then failwith (label ^ ": recovery phase timed out");
-    (if (not !killed) && done2 () >= recovery_batch / 4 then
-       match victim (ss.stats ()) with
-       | Some pid ->
-           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-           t_kill := now ();
-           killed := true
-       | None -> ());
-    Array.iter
-      (fun (tid, r) ->
-        if !r = None then
-          let p = ss.poll tid in
-          match Json.mem_str "state" p with
-          | Some "done" ->
-              r := Some (now ());
-              let n =
-                Option.value ~default:0 (Option.bind (Json.member "result" p) (Json.mem_int lineage))
-              in
-              if !killed && !recovery_ms = None && n >= 1 then
-                recovery_ms := Some ((now () -. !t_kill) *. 1000.)
-          | Some "failed" -> fail_state p
-          | _ -> ())
-      batch2;
-    ignore (Unix.select [] [] [] 0.005)
-  done;
-  let recovery_ms =
-    match !recovery_ms with
-    | Some r -> r
-    | None ->
-        (* the victim held no tenant that outlived it; fall back to
-           kill -> batch drained *)
-        if !killed then (now () -. !t_kill) *. 1000. else 0.0
-  in
-  Format.fprintf ppf "recovery: first tenant with %s >= 1 completed %.0f ms after SIGKILL@." lineage
-    recovery_ms;
-  [
-    Json.Obj
-      [
-        ("workload", Json.Str "sustained");
-        ("tenants", jnum tenants);
-        ("jobs_per_s", jround 3 jobs_per_s);
-        ("p50_ms", jround 1 p50_ms);
-        ("p99_ms", jround 1 p99_ms);
-      ];
-    Json.Obj
-      [
-        ("workload", Json.Str "recovery");
-        ("tenants", jnum recovery_batch);
-        ("recovery_ms", jround 1 recovery_ms);
-      ];
-  ]
-
-let write_serve_report path ~quick ~shape results =
-  let doc =
-    Json.Obj
-      ([
-         ("schema", Json.Str "cheri_c.serve-bench/v1");
-         ("profile", Json.Str Build_profile.profile);
-         ("quick", Json.Bool quick);
-       ]
-      @ shape
-      @ [ ("results", Json.Arr results) ])
-  in
-  let oc = open_out path in
-  output_string oc (Json.encode doc ^ "\n");
-  close_out oc;
-  Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length results)
-
-let bench_serve ~quick path =
-  section
-    (if quick then "Multi-tenant service (serve --quick, test scales)"
-     else "Multi-tenant service (serve, default scales)");
-  warn_profile ~what:"sustained throughput and latency" "serve";
-  let dir = Printf.sprintf "/tmp/cheri-serve-bench-%d" (Unix.getpid ()) in
-  Chaos.rm_rf dir;
-  let tenants = if quick then 8 else 24 in
-  let recovery_batch = if quick then 6 else 12 in
-  let cfg =
-    {
-      (Service.default_config ~dir) with
-      Service.workers = 2;
-      worker_jobs = 1;
-      capacity = (tenants + recovery_batch) * 2;
-      slice = 50_000;
-      fuel = 50_000_000;
-      heartbeat_s = 0.25;
-      tick_s = 0.02;
-      seed = 1;
-    }
-  in
-  let results =
-    with_serve_session ~label:"serve bench" ~pid:(Chaos.Client.spawn_server cfg) ~dir
-      ~socket:cfg.Service.socket ~fuel:cfg.Service.fuel ~slice:cfg.Service.slice (fun ss ->
-        serve_phases ss ~label:"serve bench" ~over:"2 workers" ~tenants ~recovery_batch
-          ~lineage:"restarts" ~victim:(fun st ->
-            Option.map (fun (_, pid, _) -> pid) (Chaos.busiest st "workers")))
-  in
-  write_serve_report path ~quick ~shape:[ ("workers", jnum cfg.Service.workers) ] results
-
-(* [bench_serve] against a router fleet: phases 1 and 2 as there (the
-   victim is the busiest whole shard, supervisor + workers, and
-   recovery waits for a migrated tenant), then phase 3 runs repeated
-   admin drain + rebalance cycles under load and reports drain latency
-   (drain request -> manifest absorbed) and per-tenant migration
-   latency (drain request -> tenant observed running on a surviving
-   shard, or done) percentiles. The drain/migration cells are new to
-   the cheri_c.serve-bench family; compare ignores cells absent from
-   the OLD file, so BENCH_PR8 -> BENCH_PR10 gates only the shared
-   sustained/recovery metrics. *)
-let bench_serve_fleet ~quick ~shards path =
-  let shards = max 3 shards in
-  section
-    (Printf.sprintf "Sharded fleet service (serve --shards %d%s)" shards
-       (if quick then " --quick, test scales" else ", default scales"));
-  warn_profile ~what:"sustained throughput and latency" "serve --shards";
-  let now = Unix.gettimeofday in
-  let dir = Printf.sprintf "/tmp/cheri-fleet-bench-%d" (Unix.getpid ()) in
-  Chaos.rm_rf dir;
-  let tenants = if quick then 8 else 18 in
-  let recovery_batch = if quick then 6 else 10 in
-  let drain_cycles = if quick then 3 else 6 in
-  let rcfg =
-    {
-      (Router.default_rconfig ~dir) with
-      Router.r_shards = shards;
-      r_workers = 1;
-      r_worker_jobs = 1;
-      r_capacity = (tenants + recovery_batch) * 2;
-      r_slice = 50_000;
-      r_fuel = 50_000_000;
-      r_heartbeat_s = 0.25;
-      r_status_s = 0.25;
-      r_tick_s = 0.02;
-      r_take_s = 0.05;
-      r_seed = 1;
-    }
-  in
-  (* busiest shard that is up, admitting and holding work *)
-  let busiest_shard st =
-    Chaos.busiest st "shards" ~ok:(fun row ->
-        Json.mem_bool "draining" row = Some false && Json.mem_bool "held" row = Some false)
-    |> Option.map (fun (row, pid, n) -> (Option.value ~default:(-1) (Json.mem_int "id" row), pid, n))
-  in
-  let label = "fleet bench" in
-  let results =
-    with_serve_session ~label ~pid:(Chaos.Client.spawn_router rcfg) ~dir
-      ~socket:rcfg.Router.r_socket ~fuel:rcfg.Router.r_fuel ~slice:rcfg.Router.r_slice
-      (fun ss ->
-        let shared =
-          serve_phases ss ~label ~over:(Printf.sprintf "%d shards" shards) ~tenants ~recovery_batch
-            ~lineage:"migrations" ~victim:(fun st ->
-              Option.map (fun (_, pid, _) -> pid) (busiest_shard st))
-        in
-        (* phase 3: drain + rebalance cycles under load; drain latency
-           is drain request -> drains counter bump (the shard's
-           manifest was absorbed), migration latency is drain request
-           -> each parked tenant observed off the drained shard *)
-        let drains () = Option.value ~default:0 (Json.mem_int "drains" (ss.stats ())) in
-        let drain_samples = ref [] in
-        let mig_samples = ref [] in
-        let cycle = ref 0 in
-        let next_gid = ref 2000 in
-        let deadline = now () +. 300.0 in
-        while !cycle < drain_cycles && now () < deadline do
-          incr cycle;
-          let batch =
-            Array.init 4 (fun _ ->
-                incr next_gid;
-                ss.submit ~seed:9 !next_gid)
-          in
-          (* wait until one shard actually holds work, then drain it *)
-          let victim = ref None in
-          let spin_deadline = now () +. 30.0 in
-          while !victim = None && now () < spin_deadline do
-            (match busiest_shard (ss.stats ()) with
-            | Some (id, _, _) -> victim := Some id
-            | None -> ());
-            if !victim = None then ignore (Unix.select [] [] [] 0.005)
-          done;
-          match !victim with
-          | None -> () (* the batch drained before any shard was observed busy *)
-          | Some k ->
-              let on_k =
-                Array.to_list batch
-                |> List.filter (fun tid ->
-                       let p = ss.poll tid in
-                       Json.mem_str "state" p = Some "running" && Json.mem_int "shard" p = Some k)
-              in
-              let drains_before = drains () in
-              let t_drain = now () in
-              let r = ss.request (Json.Obj [ ("op", Json.Str "drain"); ("shard", jnum k) ]) in
-              if Json.mem_bool "ok" r <> Some true then
-                failwith ("fleet bench: drain rejected: " ^ Json.encode r);
-              let drained = ref false in
-              while (not !drained) && now () < deadline do
-                if drains () > drains_before then drained := true
-                else ignore (Unix.select [] [] [] 0.005)
-              done;
-              if !drained then drain_samples := ((now () -. t_drain) *. 1000.) :: !drain_samples;
-              (* each tenant that was parked: time until it left shard k *)
-              List.iter
-                (fun tid ->
-                  let moved = ref false in
-                  while (not !moved) && now () < deadline do
-                    let p = ss.poll tid in
-                    match (Json.mem_str "state" p, Json.mem_int "shard" p) with
-                    | Some "done", _ | Some "running", Some _ when Json.mem_int "shard" p <> Some k
-                      ->
-                        moved := true;
-                        mig_samples := ((now () -. t_drain) *. 1000.) :: !mig_samples
-                    | Some "failed", _ -> failwith ("fleet bench: tenant failed: " ^ Json.encode p)
-                    | _ -> ignore (Unix.select [] [] [] 0.005)
-                  done)
-                on_k;
-              (* revive the held slot so the next cycle has a full fleet *)
-              let r = ss.request (Json.Obj [ ("op", Json.Str "rebalance") ]) in
-              if Json.mem_bool "ok" r <> Some true then
-                failwith ("fleet bench: rebalance rejected: " ^ Json.encode r);
-              let revived = ref false in
-              while (not !revived) && now () < deadline do
-                let alive =
-                  match Json.member "shards" (ss.stats ()) with
-                  | Some (Json.Arr rows) ->
-                      List.exists
-                        (fun row ->
-                          Json.mem_int "id" row = Some k && Json.mem_bool "alive" row = Some true)
-                        rows
-                  | _ -> false
-                in
-                if alive then revived := true else ignore (Unix.select [] [] [] 0.01)
-              done
-        done;
-        let q samples p = Obs.quantile_of !samples p in
-        Format.fprintf ppf
-          "drain: %d cycles — p50 %.0f ms, p99 %.0f ms; migration: %d tenants — p50 %.0f ms, p99 \
-           %.0f ms@."
-          (List.length !drain_samples) (q drain_samples 0.5) (q drain_samples 0.99)
-          (List.length !mig_samples) (q mig_samples 0.5) (q mig_samples 0.99);
-        let pct_cell workload count_key samples =
-          Json.Obj
-            [
-              ("workload", Json.Str workload);
-              (count_key, jnum (List.length !samples));
-              ("p50_ms", jround 1 (q samples 0.5));
-              ("p99_ms", jround 1 (q samples 0.99));
-            ]
-        in
-        shared
-        @ [ pct_cell "drain" "cycles" drain_samples; pct_cell "migration" "samples" mig_samples ])
-  in
-  write_serve_report path ~quick
-    ~shape:[ ("shards", jnum shards); ("workers", jnum rcfg.Router.r_workers) ]
-    results
 
 (* -- telemetry overhead smoke checks (smoke subcommand) ------------------------ *)
 
@@ -1298,20 +533,24 @@ let micro () =
 (* -- bench regression gate (compare subcommand) -------------------------------- *)
 
 let read_bench_file path =
-  match open_in_bin path with
-  | exception Sys_error msg ->
+  match Cheri_util.File.read path with
+  | Ok s -> s
+  | Error msg ->
       Format.eprintf "compare: %s@." msg;
       exit 2
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
 
-(* diff OLD NEW; exit 0 when within threshold, 1 on a regression, 2 on
+(* a perfbench-trajectory file is gated by the BENCHMARK.json beside
+   NEW; the legacy families never read it *)
+let spec_beside path =
+  Result.to_option (Cheri_util.File.read (Filename.concat (Filename.dirname path) "BENCHMARK.json"))
+
+(* diff OLD NEW; exit 0 when within bounds, 1 on a regression, 2 on
    a malformed or mismatched input *)
-let compare_files ~threshold_pct ~quick old_path new_path =
+let compare_files ?threshold_pct ~quick old_path new_path =
   let old_json = read_bench_file old_path and new_json = read_bench_file new_path in
-  match Bench_compare.diff ~threshold_pct ~quick ~old_json ~new_json () with
+  match
+    Bench_compare.diff ?threshold_pct ~quick ?spec:(spec_beside new_path) ~old_json ~new_json ()
+  with
   | Error msg ->
       Format.eprintf "compare: %s@." msg;
       exit 2
@@ -1324,7 +563,8 @@ let compare_files ~threshold_pct ~quick old_path new_path =
    worsened copy fails on every gated metric *)
 let compare_self_test path =
   let json = read_bench_file path in
-  (match Bench_compare.diff ~old_json:json ~new_json:json () with
+  let spec = spec_beside path in
+  (match Bench_compare.diff ?spec ~old_json:json ~new_json:json () with
   | Error msg ->
       Format.eprintf "compare --self-test: %s: %s@." path msg;
       exit 2
@@ -1334,12 +574,12 @@ let compare_self_test path =
   | Ok o ->
       Format.fprintf ppf "self vs self: %d metrics, none regressed: ok@."
         (List.length o.Bench_compare.o_metrics));
-  match Bench_compare.doctor_worsen json with
+  match Bench_compare.doctor_worsen ?spec json with
   | Error msg ->
       Format.eprintf "compare --self-test: doctoring %s failed: %s@." path msg;
       exit 2
-  | Ok doctored -> (
-      match Bench_compare.diff ~old_json:json ~new_json:doctored () with
+  | Ok (doctored, factor) -> (
+      match Bench_compare.diff ?spec ~old_json:json ~new_json:doctored () with
       | Error msg ->
           Format.eprintf "compare --self-test: %s@." msg;
           exit 2
@@ -1348,14 +588,15 @@ let compare_self_test path =
           let bad = List.filter (fun m -> m.Bench_compare.m_regressed) o.Bench_compare.o_metrics in
           if not o.Bench_compare.o_regressed || List.length bad <> n then begin
             Format.eprintf
-              "compare --self-test: 20%% synthetic regression only flagged %d/%d metrics@."
-              (List.length bad) n;
+              "compare --self-test: %g%% synthetic regression only flagged %d/%d metrics@."
+              (factor *. 100.) (List.length bad) n;
             exit 1
           end;
-          Format.fprintf ppf "self vs 20%%-worsened self: all %d metrics flagged: ok@." n)
+          Format.fprintf ppf "self vs %g%%-worsened self: all %d metrics flagged: ok@."
+            (factor *. 100.) n)
 
 let compare_cmd rest =
-  let threshold = ref 10.0 in
+  let threshold = ref None in
   let quick = ref false in
   let selftest = ref None in
   let files = ref [] in
@@ -1366,7 +607,7 @@ let compare_cmd rest =
     | "--threshold" :: v :: r -> (
         match float_of_string_opt v with
         | Some t when t > 0. ->
-            threshold := t;
+            threshold := Some t;
             p r
         | _ ->
             Format.eprintf "compare: --threshold expects a positive percentage@.";
@@ -1386,7 +627,7 @@ let compare_cmd rest =
   match (!selftest, List.rev !files) with
   | Some f, [] -> compare_self_test f
   | None, [ old_path; new_path ] ->
-      compare_files ~threshold_pct:!threshold ~quick:!quick old_path new_path
+      compare_files ?threshold_pct:!threshold ~quick:!quick old_path new_path
   | _ ->
       Format.eprintf
         "usage: bench/main.exe compare [--threshold P] [--quick] OLD.json NEW.json@.\n\
@@ -1407,11 +648,6 @@ let all () =
   micro ()
 
 let () =
-  (* a process re-executed with a service marker in argv is a serve
-     worker/supervisor/router child (bench serve spawns them), never a
-     benchmark invocation *)
-  Cheri_service.Service.child_dispatch ();
-  Cheri_service.Router.child_dispatch ();
   (* split --jobs/-j N out of argv; what remains is JOB [FILE] *)
   let rec split_jobs = function
     | ("--jobs" | "-j") :: v :: rest -> (
@@ -1429,11 +665,6 @@ let () =
     | [] -> []
   in
   let positional = split_jobs (List.tl (Array.to_list Sys.argv)) in
-  (* the --quick flag and output FILE of `JOB [--quick] [FILE]` *)
-  let quick_and_path args default =
-    ( List.mem "--quick" args,
-      match List.filter (fun s -> s <> "--quick") args with f :: _ -> f | [] -> default )
-  in
   let job = match positional with j :: _ -> j | [] -> "all" in
   (try
      match job with
@@ -1451,37 +682,8 @@ let () =
      | "compare" -> compare_cmd (List.tl positional)
      | "json" ->
          bench_json (match positional with _ :: f :: _ -> f | _ -> bench_output_file)
-     | "perf" ->
-         let quick, path = quick_and_path (List.tl positional) perf_output_file in
-         bench_perf ~quick path
      | "inject" ->
          bench_inject (match positional with _ :: f :: _ -> f | _ -> inject_output_file)
-     | "snap" ->
-         let quick, path = quick_and_path (List.tl positional) snap_output_file in
-         bench_snap ~quick path
-     | "serve" ->
-         (* serve --shards [N]: the sharded-fleet variant (N defaults
-            to 3 when omitted, e.g. `serve --shards --quick`) *)
-         let rec split_shards = function
-           | "--shards" :: v :: rest' when int_of_string_opt v <> None ->
-               let _, rest'' = split_shards rest' in
-               (Some (int_of_string v), rest'')
-           | "--shards" :: rest' ->
-               let sh, rest'' = split_shards rest' in
-               (Some (Option.value ~default:3 sh), rest'')
-           | x :: rest' ->
-               let sh, rest'' = split_shards rest' in
-               (sh, x :: rest'')
-           | [] -> (None, [])
-         in
-         let shards, rest = split_shards (List.tl positional) in
-         let quick, path =
-           quick_and_path rest
-             (match shards with Some _ -> serve_fleet_output_file | None -> serve_output_file)
-         in
-         (match shards with
-         | Some n -> bench_serve_fleet ~quick ~shards:n path
-         | None -> bench_serve ~quick path)
      | other ->
          Format.eprintf "unknown job %s@." other;
          exit 2

@@ -9,11 +9,11 @@ let usage () =
   exit 2
 
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  match Cheri_util.File.read path with
+  | Ok s -> s
+  | Error msg ->
+      prerr_endline msg;
+      exit 1
 
 let () =
   let optimize = ref true in
@@ -35,7 +35,6 @@ let () =
             Error (Printf.sprintf "parse error at line %d: %s" line m)
         | Minic.Lexer.Lex_error (m, line) ->
             Error (Printf.sprintf "lex error at line %d: %s" line m)
-        | Sys_error m -> Error m
       with
       | Ok counts ->
           total := Cheri_analysis.Idiom.Counts.add !total counts;

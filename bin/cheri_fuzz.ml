@@ -101,12 +101,7 @@ let self_test ~seeds ~jobs =
   let hb_report =
     Campaign.run ~jobs ~seeds:(min seeds 4) ~obs:(Obs.create ()) ~heartbeat:hb ()
   in
-  let status =
-    let ic = open_in_bin hb_path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let status = Result.value ~default:"" (Cheri_util.File.read hb_path) in
   (match Json.parse status with
   | Error e ->
       Format.eprintf "self-test FAILED: heartbeat status is not valid JSON (%s): %s@." e
@@ -185,6 +180,9 @@ let () =
       | r -> r
       | exception Campaign.Resume_mismatch msg ->
           Format.eprintf "--resume: %s@." msg;
+          exit 2
+      | exception Cheri_util.Journal.Checkpoint_unwritable msg ->
+          Format.eprintf "--checkpoint: %s@." msg;
           exit 2
     in
     Campaign.pp_report ppf report;

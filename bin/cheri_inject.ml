@@ -35,13 +35,6 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let cheri_abis = [ "CHERIv2"; "CHERIv3" ]
 let pointer_kinds = List.filter Inject.pointer_protecting Inject.all_kinds
 
@@ -66,6 +59,9 @@ let fail fmt =
       Format.eprintf "self-test FAILED: %s@." msg;
       exit 1)
     fmt
+
+let read_file path =
+  match Cheri_util.File.read path with Ok s -> s | Error msg -> fail "%s" msg
 
 (* the small deterministic campaign of the kill/resume checks; also run
    by the hidden [selftest-kill-child] subcommand, so parent and child
@@ -376,6 +372,9 @@ let () =
       | r -> r
       | exception Inject.Resume_mismatch msg ->
           Format.eprintf "--resume: %s@." msg;
+          exit 2
+      | exception Cheri_util.Journal.Checkpoint_unwritable msg ->
+          Format.eprintf "--checkpoint: %s@." msg;
           exit 2
     in
     Inject.pp_report ppf report;

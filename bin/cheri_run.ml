@@ -33,15 +33,11 @@ module Obs = Cheri_obs.Obs
 module Cli = Cheri_util.Cli
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg ->
+  match Cheri_util.File.read path with
+  | Ok s -> s
+  | Error msg ->
       prerr_endline msg;
       exit 1
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
 
 let write_file path contents =
   if path = "-" then print_string contents

@@ -37,10 +37,7 @@ let abi_key = function
   | Abi.Cheri Cheri_core.Cap_ops.V3 -> "v3"
 
 let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+  match Cheri_util.File.read path with Ok s -> s | Error msg -> fail "%s" msg
 
 let write_file path contents =
   let oc = open_out_bin path in

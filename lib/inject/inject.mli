@@ -165,7 +165,9 @@ val run :
 
     [checkpoint] keeps a {!Cheri_util.Journal} of finished tasks;
     [resume] skips every task of this campaign such a file records
-    (raises {!Resume_mismatch}). The two may name one file. [limit]
+    (raises {!Resume_mismatch}; an uncreatable [checkpoint] raises
+    {!Cheri_util.Journal.Checkpoint_unwritable}). The two may name one
+    file. [limit]
     caps how many pending tasks execute — a deterministic way to
     produce a partial checkpoint, as a kill would.
 

@@ -88,6 +88,8 @@ let busiest ?(ok = fun _ -> true) st key =
 (* ------------------------------------------------------------------ *)
 (* Synthetic tenants                                                   *)
 
+(* The deterministic minic workload for tenant [index]: a seeded
+   LCG/table loop of 20k-80k iterations printing a masked accumulator. *)
 let tenant_source ~seed ~index =
   let mix = Router.mix in
   let r0 = mix ((seed * 1_000_003) + index) in

@@ -51,12 +51,7 @@ val run_fleet : fleet_cfg -> int
     hints under the {!Admission.hint_cap_s} ceiling, and a clean
     SIGTERM exit 0 leaving a fleet manifest. Returns an exit code. *)
 
-val tenant_source : seed:int -> index:int -> string
-(** The deterministic minic workload for tenant [index]: a seeded
-    LCG/table loop of 20k-80k iterations printing a masked
-    accumulator. Shared with [bench serve]. *)
-
-(** Minimal protocol client, shared with [bench serve]. *)
+(** Minimal protocol client, shared with perfbench and the tests. *)
 module Client : sig
   type t
 
@@ -73,15 +68,5 @@ module Client : sig
   val request : t -> Cheri_util.Json.t -> (Cheri_util.Json.t, string) result
   val close : t -> unit
 end
-
-val busiest :
-  ?ok:(Cheri_util.Json.t -> bool) ->
-  Cheri_util.Json.t ->
-  string ->
-  (Cheri_util.Json.t * int * int) option
-(** [busiest st key]: of the rows in the [key] array of a [stats]
-    reply ("workers" or "shards"), the live one holding the most
-    tenants (at least one) and passing [ok], as [(row, pid, tenants)];
-    ties keep the earlier row. Shared with [bench serve]. *)
 
 val rm_rf : string -> unit

@@ -800,22 +800,18 @@ let status_payload s () = Json.encode (Json.Obj (status_fields s))
 (* deterministically damage a checkpoint file in place: flip one bit in
    the middle so the CRC (or the header) no longer validates *)
 let damage_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let b = Bytes.create n in
-    really_input ic b 0 n;
-    close_in ic;
-    if n = 0 then false
-    else begin
-      let pos = n / 2 in
+  match Cheri_util.File.read path with
+  | Error _ | Ok "" -> false
+  | Ok s -> (
+      let b = Bytes.of_string s in
+      let pos = Bytes.length b / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      true
-    end
-  with Sys_error _ | End_of_file -> false
+      try
+        let oc = open_out_bin path in
+        output_bytes oc b;
+        close_out oc;
+        true
+      with Sys_error _ -> false)
 
 (* reconstruct a parked tenant's position from its checkpoint file —
    used when the worker died before it could report the park (its

@@ -19,13 +19,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let b = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Some b
-  with Sys_error _ | End_of_file -> None
+let read_file path = Result.to_option (Cheri_util.File.read path)
 
 type 'a child = {
   data : 'a;

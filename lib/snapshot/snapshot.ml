@@ -462,14 +462,6 @@ let first_line s =
   let cut = match String.index_opt s '\n' with Some i -> i | None -> String.length s in
   String.sub s 0 (min cut 48)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error (Io msg)
-
 let crc_of_file contents =
   let n = String.length contents in
   let stored = Int32.to_int (String.get_int32_le contents (n - 4)) land 0xffffffff in
@@ -478,7 +470,7 @@ let crc_of_file contents =
 
 let load path =
   timed m_loads m_load_s "snapshot.load" @@ fun () ->
-  match read_file path with
+  match Result.map_error (fun m -> Io m) (Cheri_util.File.read path) with
   | Error _ as e -> e
   | Ok contents -> (
       let n = String.length contents in

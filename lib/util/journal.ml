@@ -1,4 +1,5 @@
 exception Resume_mismatch of string
+exception Checkpoint_unwritable of string
 
 type ('k, 'a) codec = {
   header : string;
@@ -11,14 +12,8 @@ type error = Unreadable of string | Mismatch of string
 
 let error_to_string = function Unreadable m | Mismatch m -> m
 
-let read_file path =
-  try In_channel.with_open_bin path (fun ic -> Ok (In_channel.input_all ic))
-  with Sys_error msg ->
-    (* a directory fails without naming itself *)
-    Error (Unreadable (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg))
-
 let load codec ~tasks path =
-  Result.bind (read_file path) (fun contents ->
+  Result.bind (Result.map_error (fun m -> Unreadable m) (File.read path)) (fun contents ->
       let header, body =
         match String.split_on_char '\n' contents with [] -> ("", []) | h :: b -> (h, b)
       in
@@ -63,7 +58,9 @@ let start ?resume ?checkpoint codec ~tasks =
   let oc =
     Option.map
       (fun path ->
-        let oc = open_out_bin path in
+        let oc =
+          try open_out_bin path with Sys_error msg -> raise (Checkpoint_unwritable msg)
+        in
         List.iter (write_line oc) (codec.header :: List.map codec.encode restored);
         flush oc;
         oc)

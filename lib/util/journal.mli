@@ -8,6 +8,10 @@ exception Resume_mismatch of string
 (** The resume file is unreadable or describes another campaign; the
     CLIs print [--resume: <message>] and exit 2. *)
 
+exception Checkpoint_unwritable of string
+(** The checkpoint file cannot be created; the message names it. The
+    CLIs print [--checkpoint: <message>] and exit 2. *)
+
 type ('k, 'a) codec = {
   header : string;  (** this campaign's header line *)
   key : 'a -> 'k;  (** the task a record belongs to *)
@@ -29,8 +33,9 @@ type ('k, 'a) t
 
 val start : ?resume:string -> ?checkpoint:string -> ('k, 'a) codec -> tasks:'k list -> ('k, 'a) t
 (** {!load} [resume] (raising {!Resume_mismatch} on an error), then
-    rewrite [checkpoint] whole: header and restored records. The two
-    may name one file. *)
+    rewrite [checkpoint] whole: header and restored records (raising
+    {!Checkpoint_unwritable} when it cannot be created). The two may
+    name one file. *)
 
 val restored : ('k, 'a) t -> 'a list
 val find : ('k, 'a) t -> 'k -> 'a option

@@ -352,10 +352,41 @@ let bench_file cycles =
 ]}|}
     cycles
 
-let diff_exn ?threshold_pct ?quick old_json new_json =
-  match BC.diff ?threshold_pct ?quick ~old_json ~new_json () with
+let diff_exn ?threshold_pct ?quick ?spec old_json new_json =
+  match BC.diff ?threshold_pct ?quick ?spec ~old_json ~new_json () with
   | Ok o -> o
   | Error e -> Alcotest.failf "diff failed: %s" e
+
+(* a BENCHMARK.json in miniature: two gated workloads, three metrics,
+   RSS with the tighter bound *)
+let spec_with ?(jobs_better = "higher") () =
+  Printf.sprintf
+    {|{"workloads":[{"name":"tenant-burst"},{"name":"resume-chain"}],
+"end_to_end":[{"name":"jobs_per_s","better":"%s","bound":0.25},
+{"name":"latency_p50_s","better":"lower","bound":0.25},
+{"name":"rss_peak_mib","better":"lower","bound":0.2}]}|}
+    jobs_better
+
+let spec = spec_with ()
+
+(* a perfbench result whose change side holds [workloads] (paper-sweep
+   is measured but not in the spec); [value w metric v] perturbs one
+   metric of one workload *)
+let traj ?(correct = fun _ -> true) ?(failed = fun _ -> 0) ?(value = fun _ _ v -> v)
+    ?(workloads = [ "tenant-burst"; "resume-chain"; "paper-sweep" ]) () =
+  let metric w (name, v) =
+    Printf.sprintf {|"%s":{"value":%s,"unit":"u"}|} name (J.number (value w name v))
+  in
+  let cell w =
+    Printf.sprintf {|"%s":{"correct":%b,"attempted":100,"failed":%d,"metrics":{%s}}|} w
+      (correct w) (failed w)
+      (String.concat ","
+         (List.map (metric w) [ ("jobs_per_s", 10.); ("latency_p50_s", 1.); ("rss_peak_mib", 100.) ]))
+  in
+  Printf.sprintf {|{"schema":"perfbench-trajectory/v1","parent":{},"change":{%s}}|}
+    (String.concat "," (List.map cell workloads))
+
+let scale w0 m0 k w m v = if w = w0 && m = m0 then v *. k else v
 
 let test_compare_thresholds () =
   let o = diff_exn (bench_file 1000) (bench_file 1000) in
@@ -373,7 +404,29 @@ let test_compare_thresholds () =
     (diff_exn (bench_file 1000) (bench_file 500)).BC.o_regressed;
   (* a tighter threshold bites on the 9% drift *)
   check_bool "custom threshold" true
-    (diff_exn ~threshold_pct:5.0 (bench_file 1000) (bench_file 1090)).BC.o_regressed
+    (diff_exn ~threshold_pct:5.0 (bench_file 1000) (bench_file 1090)).BC.o_regressed;
+  (* perfbench-trajectory: cells, metrics, directions and bounds all
+     come from the spec *)
+  let base = traj () in
+  let o = diff_exn ~spec base base in
+  check_bool "identical results pass" false o.BC.o_regressed;
+  check_int "2 gated workloads x 3 metrics" 6 (List.length o.BC.o_metrics);
+  let regressed ?(spec = spec) value = (diff_exn ~spec base (traj ~value ())).BC.o_regressed in
+  check_bool "jobs/s -30% regresses (higher is better)" true
+    (regressed (scale "tenant-burst" "jobs_per_s" 0.7));
+  check_bool "jobs/s +50% does not" false (regressed (scale "tenant-burst" "jobs_per_s" 1.5));
+  check_bool "direction read from better" true
+    (regressed ~spec:(spec_with ~jobs_better:"lower" ()) (scale "tenant-burst" "jobs_per_s" 1.5));
+  check_bool "RSS +22% regresses (bound 0.2)" true
+    (regressed (scale "resume-chain" "rss_peak_mib" 1.22));
+  check_bool "p50 +22% does not (bound 0.25)" false
+    (regressed (scale "resume-chain" "latency_p50_s" 1.22));
+  let o = diff_exn ~spec base (traj ~value:(scale "resume-chain" "rss_peak_mib" 1.22) ()) in
+  let m = List.find (fun m -> m.BC.m_regressed) o.BC.o_metrics in
+  check_string "the RSS cell" "resume-chain" m.BC.m_cell;
+  check_float "its bound" 20.0 m.BC.m_bound_pct;
+  check_bool "a workload absent from the spec is ignored" false
+    (regressed (scale "paper-sweep" "rss_peak_mib" 10.))
 
 let test_compare_missing_and_mismatch () =
   let small =
@@ -396,20 +449,62 @@ let test_compare_missing_and_mismatch () =
   | Ok _ -> Alcotest.fail "malformed JSON accepted");
   (match BC.diff ~old_json:{|{"schema":"cheri_c.weird/v1"}|} ~new_json:{|{"schema":"cheri_c.weird/v1"}|} () with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown family accepted")
+  | Ok _ -> Alcotest.fail "unknown family accepted");
+  (* perfbench-trajectory: a missing gated workload, an incorrect run
+     and a larger failed share each regress *)
+  let base = traj () in
+  let o = diff_exn ~spec base (traj ~workloads:[ "tenant-burst"; "paper-sweep" ] ()) in
+  check_bool "missing workload regresses" true o.BC.o_regressed;
+  check_bool "missing workload named" true (o.BC.o_missing = [ "resume-chain" ]);
+  check_bool "quick ignores it" false
+    (diff_exn ~quick:true ~spec base (traj ~workloads:[ "tenant-burst" ] ())).BC.o_regressed;
+  let o = diff_exn ~spec base (traj ~correct:(fun w -> w <> "tenant-burst") ()) in
+  check_bool "correct:false regresses" true (o.BC.o_regressed && o.BC.o_failures <> []);
+  let failing w = if w = "resume-chain" then 1 else 0 in
+  check_bool "a larger failed share regresses" true
+    (diff_exn ~spec base (traj ~failed:failing ())).BC.o_regressed;
+  check_bool "an equal failed share does not" false
+    (diff_exn ~spec (traj ~failed:failing ()) (traj ~failed:failing ())).BC.o_regressed;
+  check_bool "paper-sweep's correctness is not gated" false
+    (diff_exn ~spec base (traj ~correct:(fun w -> w <> "paper-sweep") ())).BC.o_regressed;
+  let not_a_number =
+    {|{"schema":"perfbench-trajectory/v1","change":{"tenant-burst":{"correct":true,
+"attempted":1,"failed":0,"metrics":{"jobs_per_s":{"value":"fast"}}}}}|}
+  in
+  List.iter
+    (fun (what, threshold_pct, spec, new_json) ->
+      match BC.diff ?threshold_pct ?spec ~old_json:base ~new_json () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("a malformed spec", None, Some "{not json", base);
+      ("a spec without end_to_end", None, Some {|{"workloads":[{"name":"x"}]}|}, base);
+      ("a missing spec", None, None, base);
+      ("a metric that is not a number", None, Some spec, not_a_number);
+      ("--threshold with a perfbench result", Some 10., Some spec, base);
+    ]
 
 let test_compare_doctor_worsen () =
-  let old_json = bench_file 1000 in
-  let doctored =
-    match BC.doctor_worsen old_json with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "doctor_worsen failed: %s" e
-  in
-  ignore (parse_ok "doctored report" doctored);
-  let o = diff_exn old_json doctored in
-  check_bool "synthetic regression flagged" true o.BC.o_regressed;
-  check_bool "every gated metric regressed" true
-    (List.for_all (fun m -> m.BC.m_regressed) o.BC.o_metrics)
+  List.iter
+    (fun (old_json, spec) ->
+      let doctored, factor =
+        match BC.doctor_worsen ?spec old_json with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "doctor_worsen failed: %s" e
+      in
+      ignore (parse_ok "doctored report" doctored);
+      let o = diff_exn ?spec old_json doctored in
+      check_bool "synthetic regression flagged" true o.BC.o_regressed;
+      check_bool "every gated metric regressed" true
+        (List.for_all (fun m -> m.BC.m_regressed) o.BC.o_metrics);
+      (* past the largest bound: 20% would leave RSS (bound 0.2) unflagged *)
+      if spec <> None then begin
+        check_int "all 6 gated metrics" 6 (List.length o.BC.o_metrics);
+        check_bool "factor past every bound" true (factor > 0.25);
+        let twenty, _ = Result.get_ok (BC.doctor_worsen ~factor:0.2 ?spec old_json) in
+        check_bool "20% misses RSS" false (diff_exn ?spec old_json twenty).BC.o_regressed
+      end)
+    [ (bench_file 1000, None); (traj (), Some spec) ]
 
 let suite =
   [

@@ -170,7 +170,7 @@ let prop_totality =
           let as_body = match Journal.load codec ~tasks path with Error _ -> false | Ok rs -> own rs in
           as_file && as_note && as_header && as_body))
 
-(* -- the CLIs: an unreadable --resume is exit 2 with a message ----------------- *)
+(* -- the CLIs: an unreadable input or checkpoint is one line, no backtrace -- *)
 
 let run_cli exe args =
   with_temp (fun err ->
@@ -188,22 +188,28 @@ let run_cli exe args =
       (code, msg))
 
 (* beside this test binary in the build tree (see test/dune's deps) *)
-let built exe = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ exe)
+let built exe = Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ exe)
 
 let test_cli_resume_unreadable () =
+  let dir = Filename.get_temp_dir_name () in
+  let ckpt = "/nonexistent/x.jsonl" in
   List.iter
-    (fun (exe, path) ->
-      let exe = built exe in
-      let code, msg = run_cli exe [| "--seeds"; "1"; "--resume"; path |] in
-      let what = Printf.sprintf "%s --resume %s" exe path in
-      check_int (what ^ ": exit code") 2 code;
-      check_bool (what ^ ": structured message, got " ^ String.escaped msg) true
-        (String.length msg > 9 && String.sub msg 0 9 = "--resume:"))
+    (fun (exe, args, code, prefix) ->
+      let got, msg = run_cli (built exe) args in
+      let what = String.concat " " (exe :: Array.to_list args) in
+      check_int (what ^ ": exit code") code got;
+      check_bool (what ^ ": one structured line, got " ^ String.escaped msg) true
+        (String.starts_with ~prefix msg
+        && String.index_opt msg '\n' = Some (String.length msg - 1)))
     [
-      ("cheri_inject.exe", "/nonexistent");
-      ("cheri_fuzz.exe", "/nonexistent");
-      ("cheri_inject.exe", Filename.get_temp_dir_name ());
-      ("cheri_fuzz.exe", Filename.get_temp_dir_name ());
+      ("bin/cheri_inject.exe", [| "--seeds"; "1"; "--resume"; "/nonexistent" |], 2, "--resume:");
+      ("bin/cheri_fuzz.exe", [| "--seeds"; "1"; "--resume"; "/nonexistent" |], 2, "--resume:");
+      ("bin/cheri_inject.exe", [| "--seeds"; "1"; "--resume"; dir |], 2, "--resume:");
+      ("bin/cheri_fuzz.exe", [| "--seeds"; "1"; "--resume"; dir |], 2, "--resume:");
+      ("bin/cheri_inject.exe", [| "--limit"; "1"; "--checkpoint"; ckpt |], 2, "--checkpoint: " ^ ckpt);
+      ("bin/cheri_fuzz.exe", [| "--seeds"; "1"; "--checkpoint"; ckpt |], 2, "--checkpoint: " ^ ckpt);
+      ("bin/cheri_run.exe", [| dir |], 1, dir ^ ": ");
+      ("bench/main.exe", [| "compare"; dir; dir |], 2, "compare: " ^ dir ^ ": ");
     ]
 
 let suite =
