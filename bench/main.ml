@@ -300,6 +300,8 @@ let measurement_json workload (m : W.Runner.measurement) =
    whatever the domain count (per-run machine state, results keyed by
    submission index); only the reported sweep timing varies. *)
 let bench_json path =
+  (* an unwritable destination is refused before the minute-long sweep *)
+  Cheri_util.Cli.write_output ~flag:"json" path "";
   let tasks =
     List.concat_map
       (fun (name, src, v2_source) ->
@@ -360,9 +362,7 @@ let bench_json path =
       !jobs (List.length tasks) wall_s serial_s speedup
       (String.concat ",\n" rows)
   in
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc;
+  Cheri_util.Cli.write_output ~flag:"json" path body;
   Format.fprintf ppf "sweep wall %.2fs, serial %.2fs, speedup %.2fx@." wall_s serial_s speedup;
   Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length rows)
 
@@ -381,9 +381,7 @@ let bench_inject path =
   Format.fprintf ppf "running %d injection tasks on %d domain(s)...@." n_tasks !jobs;
   let report = Inject.run ~jobs:!jobs c in
   Inject.pp_report ppf report;
-  let oc = open_out path in
-  output_string oc (Inject.report_json report);
-  close_out oc;
+  Cheri_util.Cli.write_output ~flag:"inject" path (Inject.report_json report);
   Format.fprintf ppf "wrote %s (%d records)@." path (List.length report.Inject.r_records);
   if report.Inject.r_errors <> [] then exit 1
 

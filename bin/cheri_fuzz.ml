@@ -188,9 +188,7 @@ let () =
     Campaign.pp_report ppf report;
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        output_string oc (Campaign.report_json report);
-        close_out oc;
+        Cli.write_output ~flag:"--json" path (Campaign.report_json report);
         Format.fprintf ppf "wrote %s@." path)
       !json;
     (* final metrics dump: JSONL when the target looks like JSON,
@@ -205,9 +203,7 @@ let () =
               then Obs.to_jsonl Obs.default
               else Obs.to_prometheus Obs.default
             in
-            let oc = open_out_bin path in
-            output_string oc data;
-            close_out oc;
+            Cli.write_output ~flag:"--metrics" path data;
             Format.fprintf ppf "wrote %s@." path)
       !metrics;
     Format.pp_print_flush ppf ();

@@ -30,11 +30,6 @@ module Cli = Cheri_util.Cli
 
 let ppf = Format.std_formatter
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
 let cheri_abis = [ "CHERIv2"; "CHERIv3" ]
 let pointer_kinds = List.filter Inject.pointer_protecting Inject.all_kinds
 
@@ -62,6 +57,9 @@ let fail fmt =
 
 let read_file path =
   match Cheri_util.File.read path with Ok s -> s | Error msg -> fail "%s" msg
+
+let write_file path contents =
+  match Cheri_util.File.write path contents with Ok () -> () | Error msg -> fail "%s" msg
 
 (* the small deterministic campaign of the kill/resume checks; also run
    by the hidden [selftest-kill-child] subcommand, so parent and child
@@ -380,7 +378,7 @@ let () =
     Inject.pp_report ppf report;
     Option.iter
       (fun path ->
-        write_file path (Inject.report_json report);
+        Cli.write_output ~flag:"--json" path (Inject.report_json report);
         Format.fprintf ppf "wrote %s@." path)
       !json;
     (* final metrics dump: JSONL when the target looks like JSON,
@@ -395,7 +393,7 @@ let () =
               then Obs.to_jsonl Obs.default
               else Obs.to_prometheus Obs.default
             in
-            write_file path data;
+            Cli.write_output ~flag:"--metrics" path data;
             Format.fprintf ppf "wrote %s@." path)
       !metrics;
     Format.pp_print_flush ppf ();

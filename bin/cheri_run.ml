@@ -39,13 +39,9 @@ let read_file path =
       prerr_endline msg;
       exit 1
 
-let write_file path contents =
-  if path = "-" then print_string contents
-  else begin
-    let oc = open_out_bin path in
-    output_string oc contents;
-    close_out oc
-  end
+(* the output file of [flag]; "-" is stdout *)
+let write_file ~flag path contents =
+  if path = "-" then print_string contents else Cli.write_output ~flag path contents
 
 let report name outcome =
   match outcome with
@@ -212,11 +208,14 @@ let execute_on_softcore opts abi src =
   | None -> ()
   | Some dest ->
       let jsonl = Telemetry.jsonl_of_events sink in
-      (match dest with None -> print_string jsonl | Some f -> write_file f jsonl));
+      (match dest with None -> print_string jsonl | Some f -> write_file ~flag:"--trace" f jsonl));
   Option.iter
-    (fun f -> write_file f (stats_json abi outcome st (Telemetry.snapshot sink)))
+    (fun f ->
+      write_file ~flag:"--stats-json" f (stats_json abi outcome st (Telemetry.snapshot sink)))
     opts.stats_json_to;
-  Option.iter (fun f -> write_file f (Telemetry.chrome_trace sink)) opts.chrome_trace_to;
+  Option.iter
+    (fun f -> write_file ~flag:"--chrome-trace" f (Telemetry.chrome_trace sink))
+    opts.chrome_trace_to;
   Option.iter
     (fun dest ->
       (* bridge the run's telemetry counters into the registry, then
@@ -231,7 +230,7 @@ let execute_on_softcore opts abi src =
             then Obs.to_jsonl Obs.default
             else Obs.to_prometheus Obs.default
           in
-          write_file path data)
+          write_file ~flag:"--metrics" path data)
     opts.metrics;
   match outcome with Machine.Exit 0L -> () | _ -> exit 1
 

@@ -40,9 +40,7 @@ let read_file path =
   match Cheri_util.File.read path with Ok s -> s | Error msg -> fail "%s" msg
 
 let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+  match Cheri_util.File.write path contents with Ok () -> () | Error msg -> fail "%s" msg
 
 (* small enough to replay in milliseconds, long enough that a midpoint
    snapshot has live heap, cache and output state behind it *)

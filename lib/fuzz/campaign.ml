@@ -39,13 +39,32 @@ type impl = {
 
 (* -- the ten implementations ----------------------------------------------- *)
 
+(* All ten implementations run the same source, so the front end (lex,
+   parse, type-check) runs once per source and domain: a one-entry memo
+   of the last source this domain checked. Per domain because
+   [run ~jobs] shares one impl list across the pool's domains. A source
+   the front end rejects is not remembered: each implementation re-runs
+   the front end and reports the exception through its own handler,
+   exactly as when it checked the source itself. *)
+let last_typed : (string * Minic.Typed.program) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let typed src =
+  match Domain.DLS.get last_typed with
+  | Some (s, p) when String.equal s src -> p
+  | _ ->
+      let p = Minic.Typecheck.compile src in
+      Domain.DLS.set last_typed (Some (src, p));
+      p
+
 let interp_impl (e : Registry.entry) : impl =
   let impl = "interp/" ^ e.Registry.display_name in
+  let module I = Interp.Make ((val e.Registry.model)) in
   {
     impl_name = impl;
     exec =
       (fun src ->
-        match Interp.run_with e.Registry.model src with
+        match I.run_program (typed src) with
         | Interp.Exit (code, out) -> { impl; status = Exited code; out }
         | Interp.Fault (f, out) ->
             { impl; status = Faulted (Format.asprintf "%a" Cheri_models.Fault.pp f); out }
@@ -61,15 +80,14 @@ let softcore_fuel = 200_000_000
 let compiled_impl ?slice (abi : Abi.t) : impl =
   let impl = "isa/" ^ Abi.name abi in
   let execute src =
+    let m = Cheri_compiler.Codegen.(machine_for abi (compile abi (typed src))) in
     match slice with
-    | None -> Cheri_compiler.Codegen.run abi src
+    | None -> (Machine.run m, m)
     | Some n ->
         (* run in bounded fuel slices via [Yielded]: the machine stops
            only between instructions, so outcome and output are
            identical to the unsliced run for every slice size *)
         let n = max 1 n in
-        let linked = Cheri_compiler.Codegen.compile_source abi src in
-        let m = Cheri_compiler.Codegen.machine_for abi linked in
         let rec go left =
           match Machine.run ~fuel:(min n left) ~yield:true m with
           | Machine.Yielded when left > n -> go (left - n)

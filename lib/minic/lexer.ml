@@ -11,19 +11,56 @@ type t = { tok : token; line : int }
 
 exception Lex_error of string * int
 
-let keywords =
-  [
-    "void"; "char"; "short"; "int"; "long"; "unsigned"; "signed"; "const"; "struct"; "union";
-    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue"; "sizeof"; "intcap_t";
-  ]
+let is_keyword = function
+  | "void" | "char" | "short" | "int" | "long" | "unsigned" | "signed" | "const" | "struct"
+  | "union" | "if" | "else" | "while" | "do" | "for" | "return" | "break" | "continue"
+  | "sizeof" | "intcap_t" ->
+      true
+  | _ -> false
 
-(* Multi-character punctuation, longest first so greedy matching works. *)
-let puncts =
-  [
-    "<<="; ">>="; "..."; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "++"; "--"; "+="; "-=";
-    "*="; "/="; "%="; "&="; "|="; "^="; "->"; "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "+"; "-";
-    "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "?"; ":"; ".";
-  ]
+(* [src.[j]], or NUL past the end (NUL continues no operator) *)
+let char_at src j = if j < String.length src then String.unsafe_get src j else '\000'
+
+(* The operator or punctuator starting at [src.[i]], read off its next
+   one to three characters: greedy longest match, so "<<=" beats "<<"
+   beats "<". "" when [src.[i]] starts none. Every result is a literal,
+   so lexing punctuation allocates no string. *)
+let punct src i =
+  let c1 = char_at src (i + 1) in
+  match src.[i] with
+  | '(' -> "("
+  | ')' -> ")"
+  | '{' -> "{"
+  | '}' -> "}"
+  | '[' -> "["
+  | ']' -> "]"
+  | ';' -> ";"
+  | ',' -> ","
+  | '~' -> "~"
+  | '?' -> "?"
+  | ':' -> ":"
+  | '.' -> if c1 = '.' && char_at src (i + 2) = '.' then "..." else "."
+  | '<' -> (
+      match c1 with
+      | '<' -> if char_at src (i + 2) = '=' then "<<=" else "<<"
+      | '=' -> "<="
+      | _ -> "<")
+  | '>' -> (
+      match c1 with
+      | '>' -> if char_at src (i + 2) = '=' then ">>=" else ">>"
+      | '=' -> ">="
+      | _ -> ">")
+  | '&' -> ( match c1 with '&' -> "&&" | '=' -> "&=" | _ -> "&")
+  | '|' -> ( match c1 with '|' -> "||" | '=' -> "|=" | _ -> "|")
+  | '+' -> ( match c1 with '+' -> "++" | '=' -> "+=" | _ -> "+")
+  | '-' -> ( match c1 with '-' -> "--" | '=' -> "-=" | '>' -> "->" | _ -> "-")
+  | '=' -> if c1 = '=' then "==" else "="
+  | '!' -> if c1 = '=' then "!=" else "!"
+  | '*' -> if c1 = '=' then "*=" else "*"
+  | '/' -> if c1 = '=' then "/=" else "/"
+  | '%' -> if c1 = '=' then "%=" else "%"
+  | '^' -> if c1 = '=' then "^=" else "^"
+  | _ -> ""
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -78,7 +115,7 @@ let tokenize src =
         incr i
       done;
       let word = String.sub src start (!i - start) in
-      if List.mem word keywords then push (KW word) else push (IDENT word)
+      if is_keyword word then push (KW word) else push (IDENT word)
     end
     else if is_digit c then begin
       let start = !i in
@@ -155,18 +192,11 @@ let tokenize src =
       push (CHAR_LIT ch)
     end
     else begin
-      let matched =
-        List.find_opt
-          (fun p ->
-            let len = String.length p in
-            !i + len <= n && String.sub src !i len = p)
-          puncts
-      in
-      match matched with
-      | Some p ->
+      match punct src !i with
+      | "" -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
+      | p ->
           i := !i + String.length p;
           push (PUNCT p)
-      | None -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
     end
   done;
   push EOF;

@@ -128,6 +128,11 @@ let parse_type st =
 
 (* -- expressions ---------------------------------------------------------- *)
 
+(* the operator one precedence level maps [p] to, if any *)
+let rec binop_of p = function
+  | [] -> None
+  | (q, op) :: rest -> if String.equal p q then Some op else binop_of p rest
+
 let rec parse_expr_st st = parse_assign st
 
 and parse_assign st =
@@ -181,9 +186,12 @@ and parse_cond st =
 and parse_binop_level st ops sub =
   let rec go lhs =
     match peek st with
-    | Lexer.PUNCT p when List.mem_assoc p ops ->
-        advance st;
-        go (Ebinop (List.assoc p ops, lhs, sub st))
+    | Lexer.PUNCT p -> (
+        match binop_of p ops with
+        | Some op ->
+            advance st;
+            go (Ebinop (op, lhs, sub st))
+        | None -> lhs)
     | _ -> lhs
   in
   go (sub st)

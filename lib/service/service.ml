@@ -806,12 +806,7 @@ let damage_file path =
       let b = Bytes.of_string s in
       let pos = Bytes.length b / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      try
-        let oc = open_out_bin path in
-        output_bytes oc b;
-        close_out oc;
-        true
-      with Sys_error _ -> false)
+      Result.is_ok (Cheri_util.File.write path (Bytes.unsafe_to_string b)))
 
 (* reconstruct a parked tenant's position from its checkpoint file —
    used when the worker died before it could report the park (its

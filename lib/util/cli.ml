@@ -18,6 +18,9 @@ let die fmt =
       exit 2)
     Format.err_formatter fmt
 
+let write_output ~flag path contents =
+  match File.write path contents with Ok () -> () | Error msg -> die "%s: %s" flag msg
+
 let unit name ~doc f = { name; metavar = ""; doc; action = Unit f }
 let string name ~metavar ~doc f = { name; metavar; doc; action = Arg f }
 

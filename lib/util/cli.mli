@@ -44,6 +44,11 @@ val die : ('a, Format.formatter, unit, 'b) format4 -> 'a
     parser itself uses, for handler-level validation (unknown ABI,
     unknown fault kind, ...). *)
 
+val write_output : flag:string -> string -> string -> unit
+(** [write_output ~flag path contents] writes the output file [flag]
+    named ({!File.write}); on failure it {!die}s with
+    ["<flag>: <path>: <reason>"]. *)
+
 val help_text : prog:string -> usage:string -> t list -> string
 (** The generated usage page: ["usage: <prog> <usage>"] followed by one
     aligned line per flag. [--help] is appended automatically. *)

@@ -37,6 +37,139 @@ let test_lexer_error () =
   | exception Lexer.Lex_error (_, 1) -> ()
   | _ -> Alcotest.fail "expected lex error"
 
+(* The punctuation lexer as it first was, kept as the reference the
+   table-free one must reproduce: scan a 46-entry table, longest
+   entries first, for the first that the input continues with. Around
+   it, enough of the rest of the language for fuzz-generated sources:
+   whitespace, both comment forms, identifiers and keywords, decimal
+   literals and character literals. *)
+let ref_puncts =
+  [
+    "<<="; ">>="; "..."; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "++"; "--"; "+="; "-=";
+    "*="; "/="; "%="; "&="; "|="; "^="; "->"; "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "+"; "-";
+    "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "?"; ":"; ".";
+  ]
+
+let ref_keywords =
+  [
+    "void"; "char"; "short"; "int"; "long"; "unsigned"; "signed"; "const"; "struct"; "union";
+    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue"; "sizeof"; "intcap_t";
+  ]
+
+let ref_tokenize src : ((Lexer.token * int) list, string * int) result =
+  let n = String.length src and line = ref 1 and toks = ref [] in
+  let starts i p = i + String.length p <= n && String.sub src i (String.length p) = p in
+  let span i ok =
+    let j = ref i in
+    while !j < n && ok src.[!j] do
+      incr j
+    done;
+    !j
+  in
+  let rec go i =
+    if i >= n then Ok (List.rev ((Lexer.EOF, !line) :: !toks))
+    else
+      let push tok j =
+        toks := (tok, !line) :: !toks;
+        go j
+      in
+      match src.[i] with
+      | '\n' ->
+          incr line;
+          go (i + 1)
+      | ' ' | '\t' | '\r' -> go (i + 1)
+      | '/' when starts i "//" -> go (span i (fun c -> c <> '\n'))
+      | '/' when starts i "/*" ->
+          let rec close j =
+            if j >= n then Error ("unterminated comment", !line)
+            else if starts j "*/" then go (j + 2)
+            else begin
+              if src.[j] = '\n' then incr line;
+              close (j + 1)
+            end
+          in
+          close (i + 2)
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+          let j =
+            span i (function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false)
+          in
+          let w = String.sub src i (j - i) in
+          push (if List.mem w ref_keywords then Lexer.KW w else Lexer.IDENT w) j
+      | '0' .. '9' ->
+          let j = span i (function '0' .. '9' -> true | _ -> false) in
+          push (Lexer.INT_LIT (Int64.of_string (String.sub src i (j - i)))) j
+      | '\'' when starts i "'\\n'" -> push (Lexer.CHAR_LIT '\n') (i + 4)
+      | '\'' when i + 2 < n && src.[i + 2] = '\'' -> push (Lexer.CHAR_LIT src.[i + 1]) (i + 3)
+      | c -> (
+          match List.find_opt (starts i) ref_puncts with
+          | Some p -> push (Lexer.PUNCT p) (i + String.length p)
+          | None -> Error (Printf.sprintf "unexpected character %C" c, !line))
+  in
+  go 0
+
+let lex src =
+  match Lexer.tokenize src with
+  | toks -> Ok (List.map (fun t -> (t.Lexer.tok, t.Lexer.line)) toks)
+  | exception Lexer.Lex_error (msg, line) -> Error (msg, line)
+
+let same_as_reference src = lex src = ref_tokenize src
+
+let chars_of s = List.of_seq (String.to_seq s)
+
+let prop_punct_stream =
+  let alphabet = chars_of "()[]{};,+-*/%&|^~!<>=?:. \n" in
+  QCheck.Test.make ~name:"punctuation lexes as the 46-entry longest-match table" ~count:2000
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) (Gen.oneofl alphabet))
+    same_as_reference
+
+let test_fuzz_corpus_lexes_as_reference () =
+  for seed = 0 to 199 do
+    let src = Cheri_fuzz.Gen.source ~seed in
+    if not (same_as_reference src) then Alcotest.failf "seed %d lexes differently" seed
+  done;
+  (* characters that start no token keep their message and line *)
+  List.iter
+    (fun bad ->
+      let src = "int x;\n  x = 1 " ^ bad ^ " 2;" in
+      check_bool (src ^ " error") true (lex src = ref_tokenize src);
+      match lex src with
+      | Error (msg, 2) ->
+          Alcotest.(check string) "message" (Printf.sprintf "unexpected character %C" bad.[0]) msg
+      | _ -> Alcotest.failf "%S: expected a lex error on line 2" src)
+    [ "@"; "$"; "`" ]
+
+(* Lexing allocates its token list and little else: about 12.6 minor
+   words per token over the fuzz corpus, where scanning the punctuation
+   table with a String.sub per candidate made it 54.7. *)
+let test_lexer_allocation () =
+  let corpus = List.init 50 (fun seed -> Cheri_fuzz.Gen.source ~seed) in
+  let tokens = List.fold_left (fun n s -> n + List.length (Lexer.tokenize s)) 0 corpus in
+  let w0 = Gc.minor_words () in
+  List.iter (fun s -> ignore (Sys.opaque_identity (Lexer.tokenize s))) corpus;
+  let per_token = (Gc.minor_words () -. w0) /. float_of_int tokens in
+  if per_token > 20. then Alcotest.failf "%.1f minor words per token (budget 20)" per_token
+
+(* Hostile sources: a generated program with one to four bytes
+   overwritten by random bytes, punctuation or quotes. The front end
+   either accepts it or rejects it with one of its three structured
+   errors; no other exception escapes. *)
+let prop_front_end_total =
+  let mutant =
+    QCheck.Gen.(
+      let* seed = int_bound 9999 in
+      let src = Cheri_fuzz.Gen.source ~seed in
+      let byte = oneof [ char; oneofl (chars_of "()[]{};,+-*/%&|^~!<>=?:.'\"\\") ] in
+      let* edits = list_size (int_range 1 4) (pair (int_bound (String.length src - 1)) byte) in
+      let b = Bytes.of_string src in
+      List.iter (fun (i, c) -> Bytes.set b i c) edits;
+      return (Bytes.to_string b))
+  in
+  QCheck.Test.make ~name:"front end: mutated sources only raise Lex/Parse/Type_error" ~count:500
+    (QCheck.make ~print:String.escaped mutant) (fun src ->
+      match Typecheck.compile src with
+      | _ -> true
+      | exception (Lexer.Lex_error _ | Parser.Parse_error _ | Typecheck.Type_error _) -> true)
+
 (* -- parser ------------------------------------------------------------- *)
 
 let test_parse_precedence () =
@@ -169,6 +302,11 @@ let suite =
     Alcotest.test_case "lexer strings" `Quick test_lexer_strings;
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer error" `Quick test_lexer_error;
+    QCheck_alcotest.to_alcotest prop_punct_stream;
+    Alcotest.test_case "fuzz corpus lexes as the reference" `Quick
+      test_fuzz_corpus_lexes_as_reference;
+    Alcotest.test_case "lexer allocation per token" `Quick test_lexer_allocation;
+    QCheck_alcotest.to_alcotest prop_front_end_total;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "cast vs parens" `Quick test_parse_cast_vs_parens;
     Alcotest.test_case "declarators" `Quick test_parse_declarators;

@@ -192,7 +192,9 @@ let built exe = Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ 
 
 let test_cli_resume_unreadable () =
   let dir = Filename.get_temp_dir_name () in
-  let ckpt = "/nonexistent/x.jsonl" in
+  let ckpt = "/nonexistent/x.jsonl" and out = "/nonexistent/x.json" in
+  with_temp @@ fun src ->
+  write_file src "int main(void) { return 0; }";
   List.iter
     (fun (exe, args, code, prefix) ->
       let got, msg = run_cli (built exe) args in
@@ -210,6 +212,14 @@ let test_cli_resume_unreadable () =
       ("bin/cheri_fuzz.exe", [| "--seeds"; "1"; "--checkpoint"; ckpt |], 2, "--checkpoint: " ^ ckpt);
       ("bin/cheri_run.exe", [| dir |], 1, dir ^ ": ");
       ("bench/main.exe", [| "compare"; dir; dir |], 2, "compare: " ^ dir ^ ": ");
+      (* an unwritable output file: the same one line, never a backtrace *)
+      ("bin/cheri_fuzz.exe", [| "--seeds"; "1"; "--json"; out |], 2, "--json: " ^ out ^ ": ");
+      ("bin/cheri_inject.exe", [| "--limit"; "1"; "--json"; out |], 2, "--json: " ^ out ^ ": ");
+      ( "bin/cheri_run.exe",
+        [| "--profile"; "--stats-json"; out; src |],
+        2,
+        "--stats-json: " ^ out ^ ": " );
+      ("bench/main.exe", [| "json"; out |], 2, "json: " ^ out ^ ": ");
     ]
 
 let suite =
