@@ -147,8 +147,8 @@ let () =
       Cli.int "--seeds" ~metavar:"N" ~doc:"number of seeds to run (default 100)"
         (fun n -> seeds := n);
       Cli.int "--start" ~metavar:"N" ~doc:"first seed (default 0)" (fun n -> start := n);
-      Cli.int "--jobs" ~metavar:"N" ~doc:"worker domains (default: host parallelism)"
-        (fun n -> jobs := max 1 n);
+      Cli.int ~min:1 "--jobs" ~metavar:"N" ~doc:"worker domains (default: host parallelism)"
+        (fun n -> jobs := n);
       Cli.unit "--shrink" ~doc:"minimize each divergent program" (fun () -> shrink := true);
       Cli.string "--json" ~metavar:"FILE" ~doc:"write the campaign report as JSON"
         (fun f -> json := Some f);

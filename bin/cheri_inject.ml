@@ -301,12 +301,12 @@ let () =
       Cli.int "--seeds" ~metavar:"N" ~doc:"seeds per (workload x ABI x kind) cell (default 8)"
         (fun n -> seeds := n);
       Cli.int "--start" ~metavar:"N" ~doc:"first seed (default 0)" (fun n -> start := n);
-      Cli.int "--jobs" ~metavar:"N" ~doc:"worker domains (default: host parallelism)"
-        (fun n -> jobs := max 1 n);
-      Cli.int "--fuel" ~metavar:"N" ~doc:"per-task instruction budget" (fun n -> fuel := max 1 n);
+      Cli.int ~min:1 "--jobs" ~metavar:"N" ~doc:"worker domains (default: host parallelism)"
+        (fun n -> jobs := n);
+      Cli.int ~min:1 "--fuel" ~metavar:"N" ~doc:"per-task instruction budget" (fun n -> fuel := n);
       Cli.int "--limit" ~metavar:"N" ~doc:"run only the first N tasks" (fun n -> limit := Some n);
-      Cli.int "--slice" ~metavar:"N" ~doc:"preempt each task every N instructions"
-        (fun n -> slice := Some (max 1 n));
+      Cli.int ~min:1 "--slice" ~metavar:"N" ~doc:"preempt each task every N instructions"
+        (fun n -> slice := Some n);
       Cli.float ~strictly_positive:true "--deadline" ~metavar:"SECS"
         ~doc:"per-task wall-clock watchdog"
         (fun x -> deadline := Some x);

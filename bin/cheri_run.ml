@@ -142,7 +142,7 @@ let execute_on_softcore opts abi src =
       (fun s -> Obs.Heartbeat.create ~interval_s:s ~path:opts.status_path ())
       opts.heartbeat_s
   in
-  let budget = Option.value opts.fuel ~default:200_000_000 in
+  let budget = Option.value opts.fuel ~default:Machine.default_fuel in
   let status () =
     Obs.status_json ~tasks_done:(Machine.instret m) ~tasks_total:budget
       ~elapsed_s:(Unix.gettimeofday () -. wall_before)

@@ -181,7 +181,7 @@ module Pool = struct
   let slice_step ~retries ~backoff_s ~backoff_seed ~pm ~init ~slice ~push ~record job =
     let t0 = now () in
     Obs.Histogram.observe pm.pm_wait (t0 -. job.j_ready);
-    let step =
+    let attempt =
       try
         let s =
           match job.j_state with
@@ -203,7 +203,7 @@ module Pool = struct
           }
     in
     job.j_elapsed <- job.j_elapsed +. (now () -. t0);
-    match step with
+    match attempt with
     | Ok (Yield s') ->
         job.j_state <- Some s';
         Obs.Counter.incr pm.pm_requeues;
@@ -362,7 +362,7 @@ module Pool = struct
                worker parked on the condition *)
             if t.st_closed && t.st_live = 0 then Condition.broadcast t.st_nonempty)
       in
-      let step job =
+      let advance job =
         slice_step ~retries ~backoff_s ~backoff_seed ~pm ~init ~slice ~push ~record job
       in
       let worker () =
@@ -385,7 +385,7 @@ module Pool = struct
           match job with
           | None -> ()
           | Some job ->
-              step job;
+              advance job;
               next ()
         in
         next ()

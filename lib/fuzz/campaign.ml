@@ -73,10 +73,6 @@ let interp_impl (e : Registry.entry) : impl =
         | exception exn -> { impl; status = Stuck (Printexc.to_string exn); out = "" });
   }
 
-(* Machine.run's default budget, restated here because the sliced loop
-   below has to hand it out in pieces. *)
-let softcore_fuel = 200_000_000
-
 let compiled_impl ?slice (abi : Abi.t) : impl =
   let impl = "isa/" ^ Abi.name abi in
   let execute src =
@@ -94,7 +90,7 @@ let compiled_impl ?slice (abi : Abi.t) : impl =
           | Machine.Yielded -> Machine.Fuel_exhausted
           | o -> o
         in
-        (go softcore_fuel, m)
+        (go Machine.default_fuel, m)
   in
   {
     impl_name = impl;

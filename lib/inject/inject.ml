@@ -426,19 +426,16 @@ let run_one ?(fuel = default_fuel) ?deadline_s (r : reference) kind seed : recor
       let rng = task_rng r kind seed in
       let trigger = draw_trigger rng r kind in
       let m = Codegen.machine_for r.ref_abi r.ref_linked in
-      let rec advance () =
-        if Machine.instret m >= trigger then None
-        else match Machine.step m with None -> advance () | Some o -> Some o
-      in
-      (match advance () with
-      | Some o ->
-          (* replay divergence would be a simulator bug; record it
-             honestly rather than asserting *)
-          mk trigger "program ended before the trigger point" (classify r o m)
-      | None ->
+      (* [Yielded]: the fresh machine has replayed up to the trigger *)
+      (match Machine.run ~fuel:trigger ~yield:true m with
+      | Machine.Yielded ->
           let detail = apply_fault rng r m kind in
           let outcome = Machine.run ~fuel ?deadline_s m in
-          mk trigger detail (classify r outcome m))
+          mk trigger detail (classify r outcome m)
+      | o ->
+          (* replay divergence would be a simulator bug; record it
+             honestly rather than asserting *)
+          mk trigger "program ended before the trigger point" (classify r o m))
 
 (* -- campaigns -------------------------------------------------------------- *)
 
@@ -675,20 +672,16 @@ let slice_sliced ~slice:slice_n ~fuel ?deadline_s ~checkpoint st :
   | S_done rec_ -> Exec.Pool.Done rec_
   | S_replay { ctx; m; rng; trigger } -> (
       let r = ctx.x_ref in
-      let rec advance budget =
-        if Machine.instret m >= trigger then `At_trigger
-        else if budget <= 0 then `More
-        else match Machine.step m with None -> advance (budget - 1) | Some o -> `Ended o
-      in
-      match advance slice_n with
-      | `More -> Exec.Pool.Yield st
-      | `Ended o ->
+      (* [Yielded]: at the trigger, or the slice is spent *)
+      match Machine.run ~fuel:(min slice_n (trigger - Machine.instret m)) ~yield:true m with
+      | Machine.Yielded when Machine.instret m < trigger -> Exec.Pool.Yield st
+      | Machine.Yielded ->
+          let detail = apply_fault rng r m ctx.x_kind in
+          Exec.Pool.Yield (S_post { ctx; m; trigger; detail; fuel_left = fuel })
+      | o ->
           Exec.Pool.Done
             (mk_record r ctx.x_kind ctx.x_seed trigger "program ended before the trigger point"
-               (classify r o m))
-      | `At_trigger ->
-          let detail = apply_fault rng r m ctx.x_kind in
-          Exec.Pool.Yield (S_post { ctx; m; trigger; detail; fuel_left = fuel }))
+               (classify r o m)))
   | S_post ({ ctx; m; trigger; detail; fuel_left } as p) -> (
       let f = min slice_n fuel_left in
       match Machine.run ~fuel:f ?deadline_s m with

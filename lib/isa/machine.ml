@@ -90,7 +90,7 @@ let[@inline] b64_set b o v = b64_set_ne b o (if Sys.big_endian then bswap64 v el
 type t = {
   cfg : config;
   prog : Decoded.program;
-  (* the decoded program's rows, unpacked once so the step loop loads
+  (* the decoded program's rows, unpacked once so {!run}'s loop loads
      each through one indirection *)
   ops : Decoded.op array;
   xs : int array;
@@ -129,7 +129,7 @@ type t = {
   heap_base : int64;
   stack_top : int64;
   mutable sink : Telemetry.Sink.t;
-  (* [Sink.is_null sink], cached so the step loop pays one mutable-bool
+  (* [Sink.is_null sink], cached so {!run}'s loop pays one mutable-bool
      test per retired instruction when telemetry is off *)
   mutable trace_on : bool;
   (* config bits read on the per-instruction path, cached out of cfg *)
@@ -137,26 +137,29 @@ type t = {
   trapv : bool;
   mutable allocs : int;
   mutable frees : int;
-  (* total syscalls retired — lets {!run}'s deadline loop sample the
-     wall clock on every syscall boundary, not only every 32k
-     instructions (syscall paths can be orders of magnitude slower
-     than plain instructions on the host) *)
+  (* total syscalls retired; part of {!Snap} *)
   mutable syscalls : int;
   (* fault-injection arming (Cheri_inject): when [Some n], the n-th
      next malloc/free traps as if the allocator failed *)
   mutable alloc_fail_after : int option;
   mutable free_fail_after : int option;
-  (* Terminal outcome staged by the syscall layer / HALT for {!step} to
-     return after retiring the instruction. Writing [Some _] here is the
-     once-per-run event; every other retired instruction leaves it
-     [None], which is what keeps the step loop allocation-free. *)
+  (* Outcome staged for {!run}'s loop to return after retiring the
+     instruction: [Exit] from the exit syscall or HALT, or
+     [Deadline_exceeded] from any other syscall once an armed deadline
+     has passed. Writing [Some _] here is the once-per-run event; every
+     other retired instruction leaves it [None], which is what keeps
+     the loop allocation-free. *)
   mutable pending : outcome option;
-  (* Fetch cost of the instruction currently in flight. {!run}'s fused
-     loop keeps its exception handler *outside* the loop (one trap
-     frame per run instead of one per retired instruction); when a trap
+  (* Fetch cost of the instruction currently in flight. {!run}'s loop
+     keeps its exception handler *outside* the loop (one trap frame
+     per call instead of one per retired instruction); when a trap
      unwinds to it, the handler reads back here the icost the epilogue
      would have charged. *)
   mutable last_icost : int;
+  (* Wall-clock expiry (Unix time) of {!run}'s [deadline_s];
+     [infinity] when none is armed. Set and cleared by {!run} only, so
+     it is not machine state and stays out of {!Snap}. *)
+  mutable deadline : float;
 }
 
 exception Trapped of trap
@@ -290,6 +293,7 @@ let create cfg ~program =
       free_fail_after = None;
       pending = None;
       last_icost = 0;
+      deadline = infinity;
     }
   in
   set_cap_idx t 0 all_mem;
@@ -467,7 +471,7 @@ let[@inline] check_cap_alignment addr =
 (* Executes the syscall in GPR 2 and returns its cycle cost. A
    terminating syscall (exit) stages its outcome in [t.pending] rather
    than returning it, so the per-instruction path carries plain ints. *)
-let do_syscall t =
+let syscall t =
   t.syscalls <- t.syscalls + 1;
   let n = gpr t 2 in
   let a0 = gpr t 4 and a1 = gpr t 5 in
@@ -537,6 +541,18 @@ let do_syscall t =
     let n_chars = go a0 0 in
     10 + n_chars)
   else raise (Trapped (Invalid_syscall n))
+
+(* [syscall], plus the wall-clock sample of an armed deadline: syscall
+   paths retire few instructions per host second, so a syscall-looping
+   workload would otherwise overshoot the deadline by a stride's worth
+   of syscalls. A non-terminating syscall past the deadline stages
+   [Deadline_exceeded], which {!run} returns once the syscall has
+   retired. Simulated cycle counts are unaffected either way. *)
+let do_syscall t =
+  let cost = syscall t in
+  if t.deadline < infinity && t.pending == None && Unix.gettimeofday () > t.deadline then
+    t.pending <- Some Deadline_exceeded;
+  cost
 
 (* -- the execute stage --------------------------------------------------- *)
 
@@ -1176,133 +1192,99 @@ let exec t pc (op : Decoded.op) =
       t.pc <- pc + 1;
       1
   | O_oor ->
-      (* defense in depth: {!step} never dispatches the sentinel (its
-         range test excludes index n), so reaching this arm means a
-         caller indexed the table directly *)
+      (* defense in depth: {!run}'s loop never dispatches the sentinel
+         (its range test excludes index n), so reaching this arm means
+         a caller indexed the table directly *)
       raise (Trapped (Pc_out_of_range pc))
 
-(* Execute the instruction at [t.pc]. Returns [Some outcome] when the
-   program finishes. Updates pc, cycles, counters.
+(* How many instructions to retire between wall-clock reads when a
+   deadline is armed: the check must be invisible next to the
+   instruction cost. *)
+let deadline_stride = 32_768
+
+let default_fuel = 200_000_000
+
+(* The instruction loop: retire instructions from [t.pc] until the
+   program finishes, traps, or [fuel] instructions have retired, in
+   which case it returns [spent].
 
    In-range test: one unsigned compare ([pc + min_int < len + min_int]
-   ⟺ [0 <= pc < len]) instead of the old signed pair — the decoded
-   table's sentinel row guarantees an index equal to [len] would still
-   dispatch to a defined entry, so the single compare is also the only
-   thing keeping the cold out-of-range path (which must not touch the
-   icache or the cycle counter) out of the table. *)
-let step t =
-  let pc = t.pc in
-  if pc + min_int < t.code_len + min_int then begin
-    let icost = if Cache.access_fetch t.icache (pc lsl 2) then 0 else 6 in
-    match exec t pc (Array.unsafe_get t.ops pc) with
-    | cost ->
+   ⟺ [0 <= pc < len]). The decoded table's sentinel row guarantees an
+   index equal to [len] would still dispatch to a defined entry, so the
+   single compare is also the only thing keeping the cold out-of-range
+   path (which must not touch the icache or the cycle counter) out of
+   the table.
+
+   The exception handler is entered once per call, not once per
+   retired instruction. The recursion is outside the [try], so [go]
+   stays tail-recursive; a trap unwinds to the handler with [t.pc]
+   still at the faulting instruction (every arm writes pc strictly
+   after its last raising operation) and the in-flight fetch cost in
+   [t.last_icost]. *)
+let retire t fuel spent =
+  let rec go remaining =
+    if remaining <= 0 then spent
+    else begin
+      let pc = t.pc in
+      if pc + min_int < t.code_len + min_int then begin
+        let icost = if Cache.access_fetch t.icache (pc lsl 2) then 0 else 6 in
+        t.last_icost <- icost;
+        let cost = exec t pc (Array.unsafe_get t.ops pc) in
         t.instret <- t.instret + 1;
         t.cycles <- t.cycles + cost + icost;
         if t.trace_on then
           Telemetry.Sink.record t.sink ~ts:t.cycles
             (Telemetry.Instret { pc; cls = Array.unsafe_get t.classes pc });
-        (match t.pending with
-        | None -> None
-        | Some _ as outcome ->
+        match t.pending with
+        | None -> go (remaining - 1)
+        | Some o ->
             t.pending <- None;
-            outcome)
-    | exception Trapped trap ->
-        t.cycles <- t.cycles + 1 + icost;
-        if t.trace_on then record_trap t ~pc trap;
-        Some (Trap { trap; pc })
-    | exception Ops.Cap_error f ->
-        let trap = Cap_trap f in
-        t.cycles <- t.cycles + 1 + icost;
-        if t.trace_on then record_trap t ~pc trap;
-        Some (Trap { trap; pc })
-    | exception Mem.Bus_error a ->
-        let trap = Bus_trap a in
-        t.cycles <- t.cycles + 1 + icost;
-        if t.trace_on then record_trap t ~pc trap;
-        Some (Trap { trap; pc })
-  end
-  else begin
-    (* cold: no fetch, no cycles — identical to the pre-decode loop *)
-    if t.trace_on then record_trap t ~pc (Pc_out_of_range pc);
-    Some (Trap { trap = Pc_out_of_range pc; pc })
-  end
+            o
+      end
+      else begin
+        (* cold: no fetch, no cycles *)
+        if t.trace_on then record_trap t ~pc (Pc_out_of_range pc);
+        Trap { trap = Pc_out_of_range pc; pc }
+      end
+    end
+  in
+  let finish trap =
+    t.cycles <- t.cycles + 1 + t.last_icost;
+    if t.trace_on then record_trap t ~pc:t.pc trap;
+    Trap { trap; pc = t.pc }
+  in
+  try go fuel with
+  | Trapped trap -> finish trap
+  | Ops.Cap_error f -> finish (Cap_trap f)
+  | Mem.Bus_error a -> finish (Bus_trap a)
 
-(* How many instructions to retire between wall-clock reads when a
-   deadline is set: the check must be invisible next to the step cost. *)
-let deadline_stride = 32_768
-
-let run ?(fuel = 200_000_000) ?deadline_s ?(yield = false) t =
+let run ?(fuel = default_fuel) ?deadline_s ?(yield = false) t =
   (* In yield mode an exhausted budget is an interruption, not a
      verdict: the machine is untouched past the last retired
      instruction, so [run] again (here or after restoring a snapshot)
-     continues byte-identically — the loop stops *before* stepping,
+     continues byte-identically — the loop stops *before* executing,
      never mid-instruction. *)
   let out_of_fuel = if yield then Yielded else Fuel_exhausted in
-  let past_deadline = if yield then Yielded else Deadline_exceeded in
   match deadline_s with
-  | None ->
-      (* Fused fuel loop: {!step}'s body inlined so the exception
-         handler (one trap-frame push/pop per retired instruction
-         otherwise) is entered once per run. The recursion is outside
-         the [try], so [go] stays tail-recursive; a trap unwinds to the
-         handler with [t.pc] still at the faulting instruction (every
-         arm writes pc strictly after its last raising operation) and
-         the in-flight fetch cost in [t.last_icost]. *)
-      let rec go remaining =
-        if remaining <= 0 then out_of_fuel
-        else begin
-          let pc = t.pc in
-          if pc + min_int < t.code_len + min_int then begin
-            let icost = if Cache.access_fetch t.icache (pc lsl 2) then 0 else 6 in
-            t.last_icost <- icost;
-            let cost = exec t pc (Array.unsafe_get t.ops pc) in
-            t.instret <- t.instret + 1;
-            t.cycles <- t.cycles + cost + icost;
-            if t.trace_on then
-              Telemetry.Sink.record t.sink ~ts:t.cycles
-                (Telemetry.Instret { pc; cls = Array.unsafe_get t.classes pc });
-            match t.pending with
-            | None -> go (remaining - 1)
-            | Some o ->
-                t.pending <- None;
-                o
-          end
-          else begin
-            if t.trace_on then record_trap t ~pc (Pc_out_of_range pc);
-            Trap { trap = Pc_out_of_range pc; pc }
-          end
-        end
-      in
-      let finish trap =
-        t.cycles <- t.cycles + 1 + t.last_icost;
-        if t.trace_on then record_trap t ~pc:t.pc trap;
-        Trap { trap; pc = t.pc }
-      in
-      (try go fuel with
-      | Trapped trap -> finish trap
-      | Ops.Cap_error f -> finish (Cap_trap f)
-      | Mem.Bus_error a -> finish (Bus_trap a))
+  | None -> retire t fuel out_of_fuel
   | Some budget ->
-      let expires = Unix.gettimeofday () +. budget in
-      (* The clock is sampled every [deadline_stride] retired
-         instructions and additionally on every syscall boundary
-         ([seen_sys] lags the counter by one iteration): a workload
-         looping through slow syscall paths retires few instructions
-         per host second and would otherwise overshoot the deadline by
-         the stride's worth of syscalls. Simulated cycle counts are
-         unaffected either way. *)
-      let rec go remaining seen_sys =
-        if remaining <= 0 then out_of_fuel
-        else begin
-          let sys_now = t.syscalls in
-          if
-            (remaining mod deadline_stride = 0 || sys_now <> seen_sys)
-            && Unix.gettimeofday () > expires
-          then past_deadline
-          else match step t with None -> go (remaining - 1) sys_now | Some outcome -> outcome
-        end
+      (* The same loop in chunks of [deadline_stride] instructions,
+         with the clock sampled between chunks; [do_syscall] samples it
+         too and stages [Deadline_exceeded] in [t.pending]. [Yielded]
+         marks a spent chunk: [retire] returns it for nothing else. *)
+      t.deadline <- Unix.gettimeofday () +. budget;
+      let rec chunks remaining =
+        let n = min remaining deadline_stride in
+        match retire t n Yielded with
+        | Yielded when remaining > n ->
+            if Unix.gettimeofday () > t.deadline then Deadline_exceeded
+            else chunks (remaining - n)
+        | Yielded -> out_of_fuel
+        | o -> o
       in
-      go fuel t.syscalls
+      (match Fun.protect ~finally:(fun () -> t.deadline <- infinity) (fun () -> chunks fuel) with
+      | Deadline_exceeded when yield -> Yielded
+      | o -> o)
 
 type stats = {
   st_cycles : int;
@@ -1447,8 +1429,9 @@ let restore t (s : Snap.t) =
   Cache.restore_state (Cache.Timing.l2 t.dcache) s.Snap.s_l2;
   Mem.restore_pages t.memory ~page_bytes:Snap.page_bytes ~data:s.Snap.s_data_pages
     ~tags:s.Snap.s_tag_pages;
-  (* [pending] is observable only within a step; between steps it is
-     always [None], which is where a snapshot is ever taken. *)
+  (* [pending] is observable only within an instruction; between
+     instructions it is always [None], which is where a snapshot is
+     ever taken. *)
   t.pending <- None
 
 (* -- fault-injection perturbation points (Cheri_inject) ------------------ *)

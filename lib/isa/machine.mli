@@ -99,7 +99,7 @@ val set_sink : t -> Cheri_telemetry.Telemetry.Sink.t -> unit
     events on every trap, [Syscall]/[Alloc]/[Free] events from the
     syscall layer, [Cache_miss] events from the data-cache hierarchy,
     and the tag events of {!Cheri_tagmem.Tagmem.set_sink}. With the
-    default {!Cheri_telemetry.Telemetry.Sink.null} the step loop pays
+    default {!Cheri_telemetry.Telemetry.Sink.null} {!run}'s loop pays
     a single predictable branch per instruction and records nothing;
     telemetry never changes the simulated cycle counts either way. *)
 
@@ -111,20 +111,23 @@ val reserve_data : t -> int64 -> int64 -> unit
 
 (** {1 Execution} *)
 
-val step : t -> outcome option
-(** Execute one instruction; [None] while the program keeps running. *)
+val default_fuel : int
+(** {!run}'s default instruction budget (200 million). *)
 
 val run : ?fuel:int -> ?deadline_s:float -> ?yield:bool -> t -> outcome
-(** Run until exit, trap, or [fuel] instructions (default 200 million).
-    [deadline_s] arms a wall-clock watchdog: the loop samples the clock
-    every 32k retired instructions {e and on every syscall boundary}
+(** Run until exit, trap, or [fuel] instructions ({!default_fuel}).
+    [deadline_s] arms a wall-clock watchdog: the one instruction loop
+    then runs in chunks of 32k retired instructions, samples the clock
+    between chunks {e and after every non-terminating syscall}
     (syscall paths are far slower per retired instruction, so a
     syscall-looping workload would otherwise overshoot the budget by a
-    large factor) and stops with {!Deadline_exceeded} once the budget
+    large factor), and stops with {!Deadline_exceeded} once the budget
     is spent, so one runaway task can be reaped without killing its
-    worker domain. Fuel is the deterministic watchdog; the deadline is
-    the defence against host-level pathology (a stuck syscall path,
-    severe oversubscription).
+    worker domain. An armed deadline that never fires changes nothing:
+    outcome, output, cycles, instret and {!stats} equal an unarmed
+    run's. Fuel is the deterministic watchdog; the deadline is the
+    defence against host-level pathology (a stuck syscall path, severe
+    oversubscription).
 
     [~yield:true] turns both exhaustions into {!Yielded} and makes the
     interruption recoverable: the loop only ever stops {e between}

@@ -406,9 +406,9 @@ let rec parse_stmt st =
       in
       let cond = if peek st = Lexer.PUNCT ";" then None else Some (parse_expr_st st) in
       expect_punct st ";";
-      let step = if peek st = Lexer.PUNCT ")" then None else Some (parse_expr_st st) in
+      let update = if peek st = Lexer.PUNCT ")" then None else Some (parse_expr_st st) in
       expect_punct st ")";
-      Sfor (init, cond, step, parse_stmt_as_block st)
+      Sfor (init, cond, update, parse_stmt_as_block st)
   | Lexer.KW "return" ->
       advance st;
       if accept_punct st ";" then Sreturn None

@@ -409,14 +409,14 @@ let rec check_stmt env (s : Ast.stmt) : T.stmt =
   | Sdo (body, c) ->
       let body' = check_block env body in
       T.Dowhile (body', as_condition (check_expr env c))
-  | Sfor (init, cond, step, body) ->
+  | Sfor (init, cond, update, body) ->
       push_scope env;
       let init' = Option.map (check_stmt env) init in
       let cond' = Option.map (fun c -> as_condition (check_expr env c)) cond in
-      let step' = Option.map (check_expr env) step in
+      let update' = Option.map (check_expr env) update in
       let body' = check_block env body in
       pop_scope env;
-      T.For (init', cond', step', body')
+      T.For (init', cond', update', body')
   | Sreturn None ->
       if env.current_ret <> Tvoid then err "missing return value";
       T.Return None

@@ -79,7 +79,7 @@ let default_rconfig ~dir =
     r_worker_jobs = 1;
     r_capacity = 64;
     r_slice = 100_000;
-    r_fuel = 200_000_000;
+    r_fuel = Cheri_isa.Machine.default_fuel;
     r_heartbeat_s = 0.25;
     r_status_s = 0.25;
     r_tick_s = 0.05;

@@ -77,7 +77,7 @@ let default_config ~dir =
     worker_jobs = 1;
     capacity = 64;
     slice = 100_000;
-    fuel = 200_000_000;
+    fuel = Machine.default_fuel;
     heartbeat_s = 0.25;
     tick_s = 0.05;
     status_s = 1.0;

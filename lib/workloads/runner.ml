@@ -73,7 +73,7 @@ let fail e = raise (Run_failed (error_message e))
 let clock_hz = 100_000_000.
 let seconds m = float_of_int m.cycles /. clock_hz
 
-let run_result ?config ?(fuel = 600_000_000) ?deadline_s ?sink abi src :
+let run_result ?config ?(fuel = 600_000_000) ?sink abi src :
     (measurement, error) result =
   let err ?trap phase detail = Error { abi; phase; trap; detail } in
   match
@@ -90,7 +90,7 @@ let run_result ?config ?(fuel = 600_000_000) ?deadline_s ?sink abi src :
   | Ok linked -> (
       let m = C.machine_for ?config abi linked in
       Option.iter (Machine.set_sink m) sink;
-      match Machine.run ~fuel ?deadline_s m with
+      match Machine.run ~fuel m with
       | Machine.Exit 0L ->
           let st = Machine.stats m in
           Obs.Counter.incr m_runs;
@@ -111,12 +111,12 @@ let run_result ?config ?(fuel = 600_000_000) ?deadline_s ?sink abi src :
           (* Keep the full diagnosis: a Trap outcome pretty-prints its
              cause (including any Cap_fault detail) and the faulting pc
              via Machine.pp_outcome; add where execution stopped and
-             what the program managed to print. A reaped runaway (fuel
-             or wall-clock watchdog) is a Hung verdict, not a crash. *)
+             what the program managed to print. A runaway reaped by the
+             fuel watchdog is a Hung verdict, not a crash. *)
           let st = Machine.stats m in
           let phase =
             match outcome with
-            | Machine.Fuel_exhausted | Machine.Deadline_exceeded -> Hung
+            | Machine.Fuel_exhausted -> Hung
             | _ -> Execute
           in
           Obs.Counter.incr m_runs;
@@ -128,8 +128,8 @@ let run_result ?config ?(fuel = 600_000_000) ?deadline_s ?sink abi src :
                Machine.pp_outcome outcome st.Machine.st_instret st.Machine.st_cycles
                (Machine.output m)))
 
-let run ?config ?fuel ?deadline_s ?sink abi src : measurement =
-  match run_result ?config ?fuel ?deadline_s ?sink abi src with
+let run ?config ?fuel ?sink abi src : measurement =
+  match run_result ?config ?fuel ?sink abi src with
   | Ok m -> m
   | Error e -> fail e
 
@@ -165,7 +165,7 @@ let worker_error abi (e : Exec.Pool.error) =
 (* run the same source under all three ABIs — in parallel when [jobs] >
    1; per-run machine/heap/sink state makes the fan-out safe, and the
    pool keys results by submission index so orderings are identical *)
-let run_results_all_abis ?jobs ?fuel ?deadline_s ?(v2_source = None) ?(with_telemetry = false)
+let run_results_all_abis ?jobs ?fuel ?(v2_source = None) ?(with_telemetry = false)
     src : (measurement, error) result list =
   let task abi =
     let src =
@@ -174,7 +174,7 @@ let run_results_all_abis ?jobs ?fuel ?deadline_s ?(v2_source = None) ?(with_tele
       | _ -> src
     in
     let sink = if with_telemetry then Some (Telemetry.Sink.create ()) else None in
-    run_result ?fuel ?deadline_s ?sink abi src
+    run_result ?fuel ?sink abi src
   in
   List.map2
     (fun abi (cell : _ Exec.Pool.cell) ->
@@ -184,11 +184,11 @@ let run_results_all_abis ?jobs ?fuel ?deadline_s ?(v2_source = None) ?(with_tele
 
 (* run the same source under all three ABIs and insist the observable
    behaviour agrees — raising form *)
-let run_all_abis ?jobs ?fuel ?deadline_s ?v2_source ?with_telemetry src : measurement list =
+let run_all_abis ?jobs ?fuel ?v2_source ?with_telemetry src : measurement list =
   let ms =
     List.map
       (function Ok m -> m | Error e -> fail e)
-      (run_results_all_abis ?jobs ?fuel ?deadline_s ?v2_source ?with_telemetry src)
+      (run_results_all_abis ?jobs ?fuel ?v2_source ?with_telemetry src)
   in
   (match check_agreement ms with Some e -> fail e | None -> ());
   ms

@@ -220,6 +220,11 @@ let test_cli_resume_unreadable () =
         2,
         "--stats-json: " ^ out ^ ": " );
       ("bench/main.exe", [| "json"; out |], 2, "json: " ^ out ^ ": ");
+      (* a zero budget, slice or pool size is rejected, never clamped to 1 *)
+      ("bin/cheri_inject.exe", [| "--fuel"; "0" |], 2, "--fuel expects a positive integer");
+      ("bin/cheri_inject.exe", [| "--slice"; "0" |], 2, "--slice expects a positive integer");
+      ("bin/cheri_inject.exe", [| "--jobs"; "0" |], 2, "--jobs expects a positive integer");
+      ("bin/cheri_fuzz.exe", [| "--jobs"; "0" |], 2, "--jobs expects a positive integer");
     ]
 
 let suite =

@@ -271,6 +271,68 @@ int main(void) {
   check_bool "yield mode turns the deadline into Yielded" true
     (Machine.run ~fuel:10_000 ~deadline_s:(-1.0) ~yield:true m2 = Machine.Yielded)
 
+(* An armed deadline runs the same instruction loop in 32k chunks; one
+   that never fires must be invisible: outcome, output, cycles, instret,
+   stats and telemetry all equal the unarmed run's, for a run that
+   exits, one that traps, and one with a telemetry sink. Every program
+   retires well over one chunk. *)
+let test_unreached_deadline_is_invisible () =
+  let module T = Cheri_telemetry.Telemetry in
+  let long_loop = "long acc = 0; for (long i = 0; i < 20000; i++) acc += i;" in
+  let exits =
+    Printf.sprintf "int main(void) { %s print_int(acc & 1023); return 0; }" long_loop
+  and traps =
+    Printf.sprintf
+      "int main(void) { %s char *p = (char *)malloc(16); p[20] = 'x'; print_int(acc); return 0; }"
+      long_loop
+  in
+  let abi = Abi.(Cheri Cheri_core.Cap_ops.V3) in
+  let run_once ?deadline_s ~telemetry src =
+    let m = Codegen.machine_for abi (Codegen.compile_source abi src) in
+    let sink = if telemetry then Some (T.Sink.create ()) else None in
+    Option.iter (Machine.set_sink m) sink;
+    let outcome = Machine.run ?deadline_s m in
+    ( outcome,
+      Machine.output m,
+      Machine.stats m,
+      Option.map (fun s -> (T.snapshot s, T.Sink.events s)) sink )
+  in
+  List.iter
+    (fun (what, src, telemetry, expect) ->
+      let ((outcome, _, st, _) as unarmed) = run_once ~telemetry src in
+      check_bool (what ^ ": expected outcome") true (expect outcome);
+      check_bool (what ^ ": retires more than one chunk") true (st.Machine.st_instret > 32_768);
+      check_bool (what ^ ": armed = unarmed") true
+        (run_once ~deadline_s:3600. ~telemetry src = unarmed))
+    [
+      ("exit", exits, false, (function Machine.Exit 0L -> true | _ -> false));
+      ("trap", traps, false, (function Machine.Trap _ -> true | _ -> false));
+      ("telemetry", traps, true, (function Machine.Trap _ -> true | _ -> false));
+    ]
+
+(* With no syscall to sample at, an expired deadline is noticed at the
+   first chunk boundary: at most one 32k stride retires. *)
+let test_deadline_sampled_per_stride () =
+  let spin_src =
+    {|
+int main(void) {
+  long acc = 0;
+  for (long i = 0; i < 100000; i++) acc += i;
+  return acc & 1;
+}
+|}
+  in
+  let fresh () = Codegen.machine_for Abi.Mips (Codegen.compile_source Abi.Mips spin_src) in
+  let m = fresh () in
+  check_bool "expired deadline stops a syscall-free spin" true
+    (Machine.run ~fuel:1_000_000 ~deadline_s:(-1.0) m = Machine.Deadline_exceeded);
+  check_bool "within one stride" true (Machine.instret m > 0 && Machine.instret m <= 32_768);
+  (* the stop is between instructions: the run continues to the same end *)
+  let flat = fresh () in
+  let final = Machine.run flat in
+  check_bool "resumed run ends like the flat run" true
+    (Machine.run m = final && Machine.stats m = Machine.stats flat)
+
 (* -- format stability and checkpoint cost ----------------------------------------- *)
 
 (* cheri_c.snap/v1 pinned byte for byte: the MD5 of each ABI's image of
@@ -400,6 +462,9 @@ let suite =
       test_mismatch_leaves_machine_untouched;
     Alcotest.test_case "deadline sampled at syscall boundaries" `Quick
       test_deadline_sampled_at_syscalls;
+    Alcotest.test_case "an unreached deadline changes nothing" `Quick
+      test_unreached_deadline_is_invisible;
+    Alcotest.test_case "deadline sampled once per stride" `Quick test_deadline_sampled_per_stride;
     Alcotest.test_case "v1 images are byte-identical to the pinned golden" `Quick
       test_image_golden;
     Alcotest.test_case "a small program's save scans few pages" `Quick
