@@ -604,7 +604,16 @@ type sliced_state =
   | S_done of record  (** decided without running (reference trapped/hung) *)
   | S_replay of { ctx : task_ctx; m : Machine.t; rng : Rng.t; trigger : int }
       (** advancing a fresh machine to the trigger *)
-  | S_post of { ctx : task_ctx; m : Machine.t; trigger : int; detail : string; fuel_left : int }
+  | S_post of {
+      ctx : task_ctx;
+      m : Machine.t;
+      trigger : int;
+      detail : string;
+      fuel_left : int;
+      time_left : float option;
+          (** seconds left of the task's [deadline_s]: one budget for
+              the whole post-fault run, charged only for its own slices *)
+    }
       (** fault applied; running it out in fuel slices *)
 
 let inflight_schema = "cheri_c.inject-inflight/v1"
@@ -626,8 +635,9 @@ let inflight_note ~key ~trigger ~detail ~fuel_left =
 (* A sidecar is strictly an optimization: only a note for this very
    task with fuel left is accepted, and any failure (stale file, torn
    write, changed campaign) silently restarts the task from its
-   trigger replay. *)
-let resume_from_sidecar ~resume ctx =
+   trigger replay. The note carries no deadline budget: a resumed task
+   gets the full [deadline_s] again for the rest of its run. *)
+let resume_from_sidecar ~resume ~deadline_s ctx =
   let r = ctx.x_ref in
   let accept j =
     match Json.(mem_str "task" j, mem_int "trigger" j, mem_str "detail" j, mem_int "fuel_left" j) with
@@ -640,9 +650,9 @@ let resume_from_sidecar ~resume ctx =
         ~fresh:(fun () -> Codegen.machine_for r.ref_abi r.ref_linked)
         (sidecar_path ckpt ctx.x_key))
   |> Option.map (fun (m, (trigger, detail, fuel_left)) ->
-         S_post { ctx; m; trigger; detail; fuel_left })
+         S_post { ctx; m; trigger; detail; fuel_left; time_left = deadline_s })
 
-let init_sliced ~resume ~obs ~root ref_tbl key_of t =
+let init_sliced ~resume ~deadline_s ~obs ~root ref_tbl key_of t =
   match Hashtbl.find ref_tbl (t.t_workload.w_name, Abi.name t.t_abi) with
   | Error e -> failwith ("reference run failed: " ^ e)
   | Ok r -> (
@@ -659,7 +669,7 @@ let init_sliced ~resume ~obs ~root ref_tbl key_of t =
       | Machine.Exit _ -> (
           let x_span = Obs.Span.enter obs ~parent:root ("inject.task:" ^ key) in
           let ctx = { x_ref = r; x_kind = t.t_kind; x_seed = t.t_seed; x_key = key; x_span } in
-          match resume_from_sidecar ~resume ctx with
+          match resume_from_sidecar ~resume ~deadline_s ctx with
           | Some st -> st
           | None ->
               let rng = task_rng r t.t_kind t.t_seed in
@@ -677,14 +687,27 @@ let slice_sliced ~slice:slice_n ~fuel ?deadline_s ~checkpoint st :
       | Machine.Yielded when Machine.instret m < trigger -> Exec.Pool.Yield st
       | Machine.Yielded ->
           let detail = apply_fault rng r m ctx.x_kind in
-          Exec.Pool.Yield (S_post { ctx; m; trigger; detail; fuel_left = fuel })
+          Exec.Pool.Yield
+            (S_post { ctx; m; trigger; detail; fuel_left = fuel; time_left = deadline_s })
       | o ->
           Exec.Pool.Done
             (mk_record r ctx.x_kind ctx.x_seed trigger "program ended before the trigger point"
                (classify r o m)))
-  | S_post ({ ctx; m; trigger; detail; fuel_left } as p) -> (
+  | S_post ({ ctx; m; trigger; detail; fuel_left; time_left } as p) -> (
       let f = min slice_n fuel_left in
-      match Machine.run ~fuel:f ?deadline_s m with
+      (* Each slice runs on what is left of the task's deadline and is
+         charged its own wall time, so time spent queued behind other
+         tasks never counts. The charge is measured here because a
+         slice shorter than the machine's sampling stride never reads
+         the clock. *)
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        match time_left with
+        | Some t when t <= 0. -> Machine.Deadline_exceeded
+        | _ -> Machine.run ~fuel:f ?deadline_s:time_left m
+      in
+      let time_left = Option.map (fun t -> t -. (Unix.gettimeofday () -. t0)) time_left in
+      match outcome with
       | Machine.Fuel_exhausted when fuel_left > f ->
           let fuel_left = fuel_left - f in
           Option.iter
@@ -697,7 +720,7 @@ let slice_sliced ~slice:slice_n ~fuel ?deadline_s ~checkpoint st :
                 ~path:(sidecar_path ckpt ctx.x_key)
                 m)
             checkpoint;
-          Exec.Pool.Yield (S_post { p with fuel_left })
+          Exec.Pool.Yield (S_post { p with fuel_left; time_left })
       | outcome ->
           Option.iter (fun ckpt -> Resumable.discard (sidecar_path ckpt ctx.x_key)) checkpoint;
           Exec.Pool.Done
@@ -790,7 +813,7 @@ let run ?(jobs = 1) ?(retries = 1) ?checkpoint ?resume ?limit ?slice ?(obs = Obs
           | S_replay { ctx; _ } | S_post { ctx; _ } -> ctx.x_span
         in
         Exec.Pool.map_sliced ~jobs ~retries ~obs ~on_result
-          ~init:(init_sliced ~resume ~obs ~root ref_tbl key_of)
+          ~init:(init_sliced ~resume ~deadline_s:c.c_deadline_s ~obs ~root ref_tbl key_of)
           ~slice:(fun st ->
             let span = task_span st in
             let parent = if Obs.Span.id span = 0 then root else span in

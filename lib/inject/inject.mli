@@ -176,7 +176,8 @@ val run :
     [slice] instructions per turn through a fair round-robin queue.
     Because the simulation stops only between instructions, the report
     is bit-identical to the unsliced run for every slice size and job
-    count. With [checkpoint] also set, every in-flight task saves a
+    count. A [deadline_s] budget is charged only for a task's own
+    slices, never for its time queued behind other tasks. With [checkpoint] also set, every in-flight task saves a
     {!Cheri_snapshot.Resumable} checkpoint to a
     [<checkpoint>.inflight.<task>.snap] sidecar at each yield, and
     [resume] restores such tasks mid-run; any sidecar failure restarts

@@ -46,6 +46,13 @@ let m_save_s = Obs.histogram Obs.default "snapshot_save_seconds"
    (see {!Tagmem.snapshot_pages}), so a small program's save scans a
    handful, not the 8192 + 256 of a 32 MiB memory. *)
 let m_pages_scanned = Obs.counter Obs.default "snapshot_pages_scanned_total"
+
+(* Saves that returned an error, a count: the file system refused the
+   temp file, a write or the rename. Checkpoint callers such as
+   {!Resumable.save} drop the error, so this is where a failing
+   checkpoint shows. *)
+let m_save_errors = Obs.counter Obs.default "snapshot_save_errors_total"
+
 let m_loads = Obs.counter Obs.default "snapshot_loads_total"
 let m_load_s = Obs.histogram Obs.default "snapshot_load_seconds"
 let m_restores = Obs.counter Obs.default "snapshot_restores_total"
@@ -297,10 +304,11 @@ let encode_body (s : Machine.Snap.t) ~pages ~blit =
    a structured Truncated error, never an escaping exception. *)
 exception Short of string
 
-type reader = { buf : string; mutable pos : int }
+(* The body is read in place, between [pos] and [stop] of the whole
+   file image, so a load holds one image-sized string, not two. *)
+type reader = { buf : string; mutable pos : int; stop : int }
 
-let need r n what =
-  if r.pos + n > String.length r.buf then raise (Short ("body ends inside " ^ what))
+let need r n what = if n > r.stop - r.pos then raise (Short ("body ends inside " ^ what))
 
 let r32 r what =
   need r 4 what;
@@ -372,8 +380,8 @@ let rpages r what =
       let page = rstr r what in
       (idx, page))
 
-let decode_body buf : Machine.Snap.t =
-  let r = { buf; pos = 0 } in
+let decode_body buf ~pos ~len : Machine.Snap.t =
+  let r = { buf; pos; stop = pos + len } in
   let s_gprs = rstr r "registers" in
   let s_caps = Array.init 32 (fun _ -> rcap r "capability registers") in
   let s_pcc = rcap r "pcc" in
@@ -398,7 +406,7 @@ let decode_body buf : Machine.Snap.t =
   let s_l2 = rints r "l2 state" in
   let s_data_pages = rpages r "data pages" in
   let s_tag_pages = rpages r "tag pages" in
-  if r.pos <> String.length buf then raise (Short "trailing bytes after the last field");
+  if r.pos <> r.stop then raise (Short "trailing bytes after the last field");
   {
     Machine.Snap.s_gprs; s_caps; s_pcc; s_pc; s_cycles; s_instret; s_loads;
     s_stores; s_cap_loads; s_cap_stores; s_heap_allocated; s_allocs; s_frees;
@@ -428,8 +436,12 @@ let save ?(note = "") ~abi ~path m =
   (* stream the image to the file, folding each piece into the CRC as
      it goes out, instead of assembling it in memory first *)
   let tmp = path ^ ".tmp" in
+  let failed msg =
+    Obs.Counter.incr m_save_errors;
+    Error (Io msg)
+  in
   match open_out_bin tmp with
-  | exception Sys_error msg -> Error (Io msg)
+  | exception Sys_error msg -> failed msg
   | oc -> (
       try
         let crc = ref 0 in
@@ -445,9 +457,11 @@ let save ?(note = "") ~abi ~path m =
         Obs.Counter.incr ~by:size m_save_bytes;
         Ok size
       with Sys_error msg ->
-        (* a failed write (a full disk, say) must not leak the channel *)
+        (* a failed write (a full disk, say) or rename (onto a
+           directory, say) must not leak the channel or the temp file *)
         close_out_noerr oc;
-        Error (Io msg))
+        (try Sys.remove tmp with Sys_error _ -> ());
+        failed msg)
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)
@@ -533,8 +547,8 @@ let load path =
                     if stored <> computed then Error (Crc_mismatch { stored; computed })
                     else
                       try
-                        let body = String.sub contents (ml + 4 + hlen) h.h_body_bytes in
-                        Ok { i_header = h; i_snap = decode_body body }
+                        let i_snap = decode_body contents ~pos:(ml + 4 + hlen) ~len:h.h_body_bytes in
+                        Ok { i_header = h; i_snap }
                       with Short why -> Error (Truncated why)))
 
 (* ------------------------------------------------------------------ *)

@@ -170,6 +170,93 @@ let test_silent_count_matches_matrix () =
         (Inject.silent_count r ~abi Inject.all_kinds))
     [ "MIPS"; "CHERIv2"; "CHERIv3" ]
 
+(* -- one deadline per sliced task ------------------------------------------------ *)
+
+(* Any flipped bit in [g] sends the next round into a syscall-free spin;
+   the reference run finishes in a few tens of thousands of
+   instructions. *)
+let spin_on_flip : Inject.workload =
+  {
+    Inject.w_name = "spin-on-flip";
+    w_source =
+      (fun _ ->
+        {|
+int main(void) {
+  long *g = (long *)malloc(8 * 64);
+  for (long i = 0; i < 64; i++) g[i] = 0;
+  for (long r = 0; r < 100; r++) {
+    long s = 0;
+    for (long i = 0; i < 64; i++) s = s | g[i];
+    if (s != 0) { while (1) { } }
+  }
+  print_int(7);
+  return 0;
+}
+|});
+  }
+
+(* With ample fuel, only the deadline can stop a spinning task, and
+   under --slice it must bound the whole post-fault run, not each
+   slice: the slices of every task together stay far below one task's
+   fuel. A deadline re-armed per slice never fires on a slice shorter
+   than the machine's sampling stride, so there the fuel would run out
+   instead, slice by slice. *)
+let test_sliced_deadline_is_per_task () =
+  let fuel = 40_000_000 and slice = 1_000 in
+  let c =
+    Inject.default_campaign ~workloads:[ spin_on_flip ] ~kinds:[ Inject.Bitflip ] ~seeds:2
+      ~fuel ~deadline_s:0.02 ()
+  in
+  let obs = Cheri_obs.Obs.create () in
+  let r = Inject.run ~jobs:1 ~slice ~obs c in
+  check_int "no errors" 0 (List.length r.Inject.r_errors);
+  let hung =
+    List.filter
+      (fun (x : Inject.record) -> x.Inject.verdict = Inject.Hung && x.Inject.trigger > 0)
+      r.Inject.r_records
+  in
+  check_bool "some injected task spins" true (hung <> []);
+  let slices = Cheri_obs.Obs.(Counter.value (counter obs "pool_task_slices_total")) in
+  check_bool
+    (Printf.sprintf "%d slices in all, under one task's fuel (%d)" slices (fuel / slice))
+    true
+    (slices < fuel / slice)
+
+(* A bit flip lands in a heap block the program never reads again, so
+   every task runs to its exit. The deadline is far above any one
+   task's own run but below the whole campaign's: a task charged for
+   the time it waits behind the others in the round-robin queue would
+   be reaped as a hang. *)
+let flip_ignored : Inject.workload =
+  {
+    Inject.w_name = "flip-ignored";
+    w_source =
+      (fun _ ->
+        {|
+int main(void) {
+  long *g = (long *)malloc(8 * 512);
+  g[0] = 1;
+  long s = 0;
+  for (long i = 0; i < 40000; i++) s = s + (i & 7);
+  print_int(s);
+  return 0;
+}
+|});
+  }
+
+let test_sliced_deadline_ignores_queue_time () =
+  let c = Inject.default_campaign ~workloads:[ flip_ignored ] ~kinds:[ Inject.Bitflip ] ~seeds:8 in
+  let unsliced = Inject.run ~jobs:1 (c ()) in
+  let t0 = Unix.gettimeofday () in
+  let sliced = Inject.run ~jobs:1 ~slice:500 (c ~deadline_s:0.2 ()) in
+  let wall = Unix.gettimeofday () -. t0 in
+  check_int "no errors" 0 (List.length sliced.Inject.r_errors);
+  check_bool
+    (Printf.sprintf "the sliced campaign (%.2f s) outlasts one deadline" wall)
+    true (wall > 0.2);
+  check_bool "same records as the unsliced run without a deadline" true
+    (sliced.Inject.r_records = unsliced.Inject.r_records)
+
 let suite =
   [
     Alcotest.test_case "rng is key-deterministic" `Quick test_rng_deterministic;
@@ -184,4 +271,8 @@ let suite =
     Alcotest.test_case "resume from an unreadable file is refused" `Quick test_resume_unreadable;
     Alcotest.test_case "silent_count agrees with the matrix" `Slow
       test_silent_count_matches_matrix;
+    Alcotest.test_case "a sliced task has one deadline" `Quick
+      test_sliced_deadline_is_per_task;
+    Alcotest.test_case "a sliced task is not charged for queue time" `Quick
+      test_sliced_deadline_ignores_queue_time;
   ]

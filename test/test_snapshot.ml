@@ -415,7 +415,53 @@ let test_save_allocates_per_page () =
       check_bool "the service-note save landed" true
         (Cheri_snapshot.Resumable.read_note path = Ok (note ())))
 
-(* The slice-by-8 CRC against the textbook bytewise definition. *)
+(* The allocation proxy of a load: the file's bytes are read into one
+   string and the body is decoded in place, so the OCaml heap sees that
+   string, one string per saved page, and small change — about 2.2
+   bytes per image byte here. Copying the body out before decoding it
+   added another image-sized string (3.0). *)
+let test_load_allocates_per_byte () =
+  let m = preempt_at Abi.Mips ~at:5_000 in
+  for i = 0 to 255 do
+    Cheri_tagmem.Tagmem.store_word (Machine.mem m) ((8 lsl 20) + (i * 4096)) (Int64.of_int (i + 1))
+  done;
+  with_temp (fun path ->
+      let bytes = save_exn ~abi:"MIPS" ~path m in
+      check_bool (Printf.sprintf "a 1 MiB footprint: %d image bytes" bytes) true
+        (bytes >= 1 lsl 20);
+      Gc.full_major ();
+      let a0 = Gc.allocated_bytes () in
+      let img = load_exn path in
+      let per_byte = (Gc.allocated_bytes () -. a0) /. float_of_int bytes in
+      check_int "the load decoded the whole image" 5_000 (Snapshot.image_instret img);
+      check_bool
+        (Printf.sprintf "%.2f bytes allocated per image byte, at most 2.5" per_byte)
+        true (per_byte <= 2.5))
+
+(* A save that fails after the temp file exists (here: the rename onto
+   a directory) reports the error, removes the temp file and counts
+   itself, since checkpoint callers ignore the result. *)
+let test_failed_save_cleans_up () =
+  let errors = Cheri_obs.Obs.(counter default "snapshot_save_errors_total") in
+  let dir = Filename.temp_file "cheri-test-snapshot" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove (dir ^ ".tmp") with Sys_error _ -> ());
+      Sys.rmdir dir)
+    (fun () ->
+      let m = preempt_at Abi.Mips ~at:5_000 in
+      let before = Cheri_obs.Obs.Counter.value errors in
+      (match Snapshot.save ~abi:"MIPS" ~path:dir m with
+      | Error (Snapshot.Io _) -> ()
+      | Error e -> Alcotest.failf "wrong error class: %s" (Snapshot.error_to_string e)
+      | Ok _ -> Alcotest.fail "a save onto a directory succeeded");
+      check_bool "no temp file left behind" false (Sys.file_exists (dir ^ ".tmp"));
+      check_int "the failure is counted" (before + 1) (Cheri_obs.Obs.Counter.value errors);
+      check_bool "the directory is untouched" true (Sys.is_directory dir))
+
+(* The CRC kernel against the textbook bytewise definition. *)
 let crc_reference s =
   let c = ref 0xffffffff in
   String.iter
@@ -428,20 +474,46 @@ let crc_reference s =
     s;
   !c lxor 0xffffffff
 
-let test_crc_slicing () =
+let pattern n = String.init n (fun i -> Char.chr (((i * 167) + (i lsr 8) + 13) land 0xff))
+
+(* Lengths and offsets chosen to reach every path of the kernel: the
+   tables alone (under 64 bytes), the 64-byte fold with no, some and
+   many 16-byte blocks after it, and each 0-15 byte tail, at every
+   alignment of the first byte within a 16-byte load. *)
+let test_crc_kernel () =
   check_int "check value" 0xCBF43926 (Crc32.digest "123456789");
-  let buf = String.init 80 (fun i -> Char.chr (((i * 167) + 13) land 0xff)) in
-  for pos = 0 to 7 do
-    for len = 0 to 64 do
-      check_int
-        (Printf.sprintf "pos %d len %d" pos len)
-        (crc_reference (String.sub buf pos len))
-        (Crc32.digest_sub buf ~pos ~len)
+  let buf = pattern (4200 + 16) in
+  let check_range lo hi =
+    for pos = 0 to 15 do
+      for len = lo to hi do
+        let sub = String.sub buf pos len in
+        let want = crc_reference sub in
+        if Crc32.digest_sub buf ~pos ~len <> want || Crc32.digest sub <> want then
+          Alcotest.failf "pos %d len %d: kernel disagrees with the bytewise CRC" pos len
+      done
     done
-  done
+  in
+  check_range 0 300;
+  check_range 4096 4200;
+  let big = pattern ((4 lsl 20) + 13) in
+  check_int "4 MiB + 13 bytes" (crc_reference big) (Crc32.digest big);
+  (* composition at every split point: both pieces may take either path *)
+  let s = String.sub buf 3 300 in
+  let whole = crc_reference s in
+  for k = 0 to 300 do
+    let head = Crc32.update_sub 0 s ~pos:0 ~len:k in
+    if Crc32.update_sub head s ~pos:k ~len:(300 - k) <> whole then
+      Alcotest.failf "update split at %d disagrees with the whole digest" k
+  done;
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Crc32.update_sub: range outside the string") (fun () ->
+      ignore (Crc32.digest_sub s ~pos:1 ~len:300));
+  Alcotest.check_raises "length overflowing the range check"
+    (Invalid_argument "Crc32.update_sub: range outside the string") (fun () ->
+      ignore (Crc32.digest_sub s ~pos:1 ~len:max_int))
 
 let prop_crc_matches_reference =
-  QCheck.Test.make ~name:"slice-by-8 CRC-32 equals the bytewise reference and composes"
+  QCheck.Test.make ~name:"CRC-32 kernel equals the bytewise reference and composes"
     ~count:300
     QCheck.(pair string small_nat)
     (fun (s, k) ->
@@ -469,8 +541,12 @@ let suite =
       test_image_golden;
     Alcotest.test_case "a small program's save scans few pages" `Quick
       test_save_scans_few_pages;
-    Alcotest.test_case "CRC-32 slices agree with the bytewise form" `Quick test_crc_slicing;
+    Alcotest.test_case "CRC-32 kernel agrees with the bytewise form" `Quick test_crc_kernel;
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
     Alcotest.test_case "a save allocates a few words per page" `Quick
       test_save_allocates_per_page;
+    Alcotest.test_case "a load allocates under 2.5 bytes per image byte" `Quick
+      test_load_allocates_per_byte;
+    Alcotest.test_case "a failed save leaves no temp file and is counted" `Quick
+      test_failed_save_cleans_up;
   ]
