@@ -175,8 +175,10 @@ let execute_on_softcore opts abi src =
             go (left - slice)
         | Machine.Yielded ->
             (* whole budget spent: leave the last snapshot behind so a
-               --resume with a fresh --fuel can continue the run *)
+               --resume with a fresh --fuel can continue the run, but
+               not its spare, which only the next save would reuse *)
             save ();
+            Option.iter Snapshot.remove_spare opts.snapshot_to;
             Machine.Fuel_exhausted
         | finished ->
             (* the run is over; a crash-recovery snapshot would now only

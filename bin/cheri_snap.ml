@@ -108,7 +108,7 @@ let snapshot_midrun abi ~at path =
   | o -> fail "%s: program finished (%a) before the midpoint snapshot" (Abi.name abi)
            Machine.pp_outcome o);
   (match Snapshot.save ~abi:(Abi.name abi) ~path m with
-  | Ok _ -> ()
+  | Ok _ -> Snapshot.remove_spare path
   | Error e -> fail "%s: midpoint save failed: %s" (Abi.name abi) (Snapshot.error_to_string e));
   m
 

@@ -42,6 +42,7 @@
 
 module Json = Cheri_util.Json
 module Obs = Cheri_obs.Obs
+module Snapshot = Cheri_snapshot.Snapshot
 
 let jint n = Json.Num (string_of_int n)
 let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
@@ -275,8 +276,10 @@ let staging_dir r = Filename.concat r.cfg.r_dir "staging"
 
 let staged_path r gid = Filename.concat (staging_dir r) (Printf.sprintf "tenant_%04d.snap" gid)
 
+(* only the image moves; its spare stays behind and is deleted *)
 let stage_checkpoint r ~from_shard gid =
   let src = Service.Checkpoint.path ~dir:(shard_dir r.cfg from_shard) ~tenant:gid in
+  Snapshot.remove_spare src;
   if Sys.file_exists src then (
     match Unix.rename src (staged_path r gid) with
     | () -> true
@@ -335,12 +338,12 @@ let spawn_shard r (c : shard Supervisor.child) =
   (* the router owns tenant placement: a respawned shard must come up
      empty, not orphan-adopt leftovers of its previous incarnation
      (those checkpoints were staged at failover; anything left is a
-     torn straggler) *)
+     torn straggler), and so are their spares *)
   (match Sys.readdir (Filename.concat dir "checkpoints") with
   | files ->
       Array.iter
         (fun f ->
-          if Filename.check_suffix f ".snap" then
+          if Filename.check_suffix f ".snap" || Filename.check_suffix f (Snapshot.spare ".snap") then
             try Sys.remove (Filename.concat dir (Filename.concat "checkpoints" f))
             with Sys_error _ -> ())
         files

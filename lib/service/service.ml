@@ -419,6 +419,39 @@ let worker_main (w : worker_config) =
   let evict_mu = Mutex.create () in
   let evicted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_evicted tid = Mutex.protect evict_mu (fun () -> Hashtbl.mem evicted tid) in
+  (* compile cache: tenants often share sources (retries, fleets). An
+     entry lives exactly as long as some live tenant on this worker
+     uses it: [acquire] counts a reference, and the tenant's result
+     (done, failed or parked) drops it. A key whose compile raised was
+     never added, and compiling is deterministic, so [release] of a
+     key with no entry is that tenant's and a no-op. The cache is hit
+     from pool domains, hence the mutex. *)
+  let cache_mu = Mutex.create () in
+  let cache = Hashtbl.create 16 in
+  (* its size, for the heartbeat: read without the lock, so a beat
+     never waits behind a compile *)
+  let cache_entries = Atomic.make 0 in
+  let acquire abi key source =
+    Mutex.protect cache_mu (fun () ->
+        match Hashtbl.find_opt cache (key, source) with
+        | Some (linked, refs) ->
+            incr refs;
+            linked
+        | None ->
+            let linked = Codegen.compile_source abi source in
+            Hashtbl.add cache (key, source) (linked, ref 1);
+            Atomic.incr cache_entries;
+            linked)
+  in
+  let release (a : assignment) =
+    Mutex.protect cache_mu (fun () ->
+        match Hashtbl.find_opt cache (a.a_abi, a.a_source) with
+        | Some (_, refs) when !refs > 1 -> decr refs
+        | Some _ ->
+            Hashtbl.remove cache (a.a_abi, a.a_source);
+            Atomic.decr cache_entries
+        | None -> ())
+  in
   let payload () =
     Json.encode
       (Json.Obj
@@ -428,20 +461,8 @@ let worker_main (w : worker_config) =
            ("pid", jint (Unix.getpid ()));
            ("slices", jint (Atomic.get slices_done));
            ("done", jint (Atomic.get tenants_done));
+           ("compile_cache", jint (Atomic.get cache_entries));
          ])
-  in
-  (* compile cache: tenants often share sources (retries, fleets); the
-     cache is hit from pool domains, hence the mutex *)
-  let cache_mu = Mutex.create () in
-  let cache = Hashtbl.create 16 in
-  let compile_cached abi key source =
-    Mutex.protect cache_mu (fun () ->
-        match Hashtbl.find_opt cache (key, source) with
-        | Some linked -> linked
-        | None ->
-            let linked = Codegen.compile_source abi source in
-            Hashtbl.add cache (key, source) linked;
-            linked)
   in
   let init (a : assignment) =
     let abi =
@@ -449,7 +470,7 @@ let worker_main (w : worker_config) =
       | Some abi -> abi
       | None -> failwith (Printf.sprintf "unknown abi %S" a.a_abi)
     in
-    let linked = compile_cached abi a.a_abi a.a_source in
+    let linked = acquire abi a.a_abi a.a_source in
     let ckpt = Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant in
     let fresh () = Codegen.machine_for abi linked in
     (* Resume from the last checkpoint of this very tenant; every
@@ -554,6 +575,7 @@ let worker_main (w : worker_config) =
           Hashtbl.remove by_index cell.Pool.index;
           a)
     in
+    release a;
     match cell.Pool.result with
     | Ok (W_done r) ->
         Atomic.incr tenants_done;
@@ -1383,15 +1405,18 @@ let handlers s =
    load-verified (CRC and note schema): a valid self-describing
    checkpoint yields its meta so the caller can requeue the tenant; a
    corrupt or pre-migration one (no embedded assignment to requeue
-   from) is deleted and counted. Exposed for tests. *)
+   from) is deleted and counted. Spares ([*.snap.tmp]) are deleted
+   uncounted: nothing reads them, and a save recreates one. Exposed for
+   tests. *)
 let sweep_checkpoints ~dir =
   let cdir = Filename.concat dir "checkpoints" in
-  let files =
-    match Sys.readdir cdir with
-    | fs ->
-        Array.to_list fs |> List.filter (fun f -> Filename.check_suffix f ".snap") |> List.sort compare
-    | exception Sys_error _ -> []
-  in
+  let entries = try Array.to_list (Sys.readdir cdir) with Sys_error _ -> [] in
+  List.iter
+    (fun f ->
+      if Filename.check_suffix f (Cheri_snapshot.Snapshot.spare ".snap") then
+        try Sys.remove (Filename.concat cdir f) with Sys_error _ -> ())
+    entries;
+  let files = List.filter (fun f -> Filename.check_suffix f ".snap") entries |> List.sort compare in
   let valid, discarded =
     List.fold_left
       (fun (valid, discarded) f ->

@@ -30,4 +30,4 @@ let resume ~schema ~accept ~abi ~fresh path =
 
 let read_note path = Result.map Snapshot.image_note (Snapshot.load path)
 let save ?note ~abi ~path m = ignore (Snapshot.save ?note ~abi ~path m)
-let discard path = try Sys.remove path with Sys_error _ -> ()
+let discard = Snapshot.remove

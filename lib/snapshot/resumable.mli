@@ -44,4 +44,4 @@ val save : ?note:string -> abi:string -> path:string -> Machine.t -> unit
     costs only resume granularity. *)
 
 val discard : string -> unit
-(** Remove a checkpoint if there is one. *)
+(** Remove a checkpoint and its spare ({!Snapshot.remove}). *)

@@ -16,10 +16,14 @@
    fails the length check declared in the header (Truncated), a
    same-length corrupt file fails the CRC (Crc_mismatch).
 
-   Writes go through a temp file + rename, the same atomicity idiom as
-   the campaign checkpoints: a crash mid-save leaves either the old
-   snapshot or a `.tmp` orphan, never a half-written image under the
-   real name. *)
+   Each image has a standing spare beside it, `path.tmp`. A save
+   overwrites the spare in place, cuts it to the image's length and
+   swaps it with the image in one atomic exchange, so the real name
+   always holds a complete image: a crash mid-save tears only the
+   spare, which nothing reads. After the swap the spare holds the
+   previous image, and the next save rewrites it in blocks the file
+   system has already allocated, instead of creating a file and
+   freeing the old one on every save. *)
 
 module Machine = Cheri_isa.Machine
 module Cache = Cheri_isa.Cache
@@ -48,7 +52,8 @@ let m_save_s = Obs.histogram Obs.default "snapshot_save_seconds"
 let m_pages_scanned = Obs.counter Obs.default "snapshot_pages_scanned_total"
 
 (* Saves that returned an error, a count: the file system refused the
-   temp file, a write or the rename. Checkpoint callers such as
+   spare, a write or the swap. The save, load and restore totals count
+   successes only. Checkpoint callers such as
    {!Resumable.save} drop the error, so this is where a failing
    checkpoint shows. *)
 let m_save_errors = Obs.counter Obs.default "snapshot_save_errors_total"
@@ -62,8 +67,10 @@ let timed counter hist label f =
   Obs.Span.with_ Obs.default label (fun () ->
       let t0 = Unix.gettimeofday () in
       let r = f () in
-      Obs.Counter.incr counter;
-      Obs.Histogram.observe hist (Unix.gettimeofday () -. t0);
+      if Result.is_ok r then begin
+        Obs.Counter.incr counter;
+        Obs.Histogram.observe hist (Unix.gettimeofday () -. t0)
+      end;
       r)
 
 let format_version = "cheri_c.snap/v1"
@@ -422,6 +429,30 @@ let le32 v =
   Bytes.set_int32_le b 0 (Int32.of_int v);
   Bytes.to_string b
 
+let spare path = path ^ ".tmp"
+let remove_file f = try Sys.remove f with Sys_error _ -> ()
+let remove_spare path = remove_file (spare path)
+
+let remove path =
+  remove_file path;
+  remove_spare path
+
+external exchange : string -> string -> bool = "cheri_snapshot_exchange"
+
+(* Swap the written spare in as [path]. Only a regular file is
+   exchanged: swapping a directory (or anything else) would move it
+   under the spare's name. That case, a missing [path] and a refused
+   exchange (another OS, a file system without it) take the plain
+   rename, which replaces [path] or fails as a save always has. *)
+let install ~spare path =
+  let regular =
+    match Unix.lstat path with
+    | { Unix.st_kind = Unix.S_REG; _ } -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  if not (regular && exchange spare path) then Sys.rename spare path
+
 let save ?(note = "") ~abi ~path m =
   timed m_saves m_save_s "snapshot.save" @@ fun () ->
   let mem = Machine.mem m in
@@ -433,17 +464,27 @@ let save ?(note = "") ~abi ~path m =
   let header = header_to_json (header_of_machine ~abi ~note ~body_bytes m) in
   let lead = magic ^ le32 (String.length header) ^ header in
   let size = String.length lead + body_bytes + 4 in
-  (* stream the image to the file, folding each piece into the CRC as
-     it goes out, instead of assembling it in memory first *)
-  let tmp = path ^ ".tmp" in
+  let tmp = spare path in
   let failed msg =
     Obs.Counter.incr m_save_errors;
     Error (Io msg)
   in
-  match open_out_bin tmp with
-  | exception Sys_error msg -> failed msg
-  | oc -> (
+  let unix_failed e = failed (tmp ^ ": " ^ Unix.error_message e) in
+  (* no O_TRUNC: the spare's blocks are rewritten in place, and the
+     ftruncate below drops whatever a longer previous image left *)
+  match Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o666 with
+  | exception Unix.Unix_error (e, _, _) -> unix_failed e
+  | fd -> (
+      let oc = Unix.out_channel_of_descr fd in
+      (* a failed write (a full disk, say) or rename (onto a directory,
+         say) must not leak the channel or the spare *)
+      let abandon () =
+        close_out_noerr oc;
+        remove_file tmp
+      in
       try
+        (* stream the image to the file, folding each piece into the
+           CRC as it goes out, instead of assembling it in memory first *)
         let crc = ref 0 in
         let emit s pos len =
           output_substring oc s pos len;
@@ -452,16 +493,19 @@ let save ?(note = "") ~abi ~path m =
         emit lead 0 (String.length lead);
         write_body emit;
         output_string oc (le32 !crc);
+        flush oc;
+        Unix.ftruncate fd size;
         close_out oc;
-        Sys.rename tmp path;
+        install ~spare:tmp path;
         Obs.Counter.incr ~by:size m_save_bytes;
         Ok size
-      with Sys_error msg ->
-        (* a failed write (a full disk, say) or rename (onto a
-           directory, say) must not leak the channel or the temp file *)
-        close_out_noerr oc;
-        (try Sys.remove tmp with Sys_error _ -> ());
-        failed msg)
+      with
+      | Sys_error msg ->
+          abandon ();
+          failed msg
+      | Unix.Unix_error (e, _, _) ->
+          abandon ();
+          unix_failed e)
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)

@@ -15,7 +15,8 @@
     determinism argument).
 
     The file is magic + JSON header + little-endian binary body +
-    trailing CRC-32. Saves are atomic (temp file + rename). Loads are
+    trailing CRC-32. Saves are atomic (a standing spare beside the
+    image is rewritten, then swapped in). Loads are
     paranoid: a file that is truncated, corrupted, written by another
     format, or taken from a different program/ABI/configuration is
     refused with a structured {!error} — no exception escapes this
@@ -47,12 +48,27 @@ val error_to_string : error -> string
 
 val save :
   ?note:string -> abi:string -> path:string -> Cheri_isa.Machine.t -> (int, error) result
-(** Serialize the machine to [path], atomically (written to
-    [path ^ ".tmp"], then renamed). [abi] is the ABI key the program
-    was compiled under (e.g. ["CHERIv3"]); it is recorded in the
-    header and checked again on {!restore}. [note] is free-form text
-    for the caller (the fault campaigns stash their task state here).
-    Returns the file size in bytes. *)
+(** Serialize the machine to [path], atomically: the image is written
+    into the spare [path ^ ".tmp"], which is then exchanged with
+    [path] (or renamed over it, where [path] is missing, is not a
+    regular file or cannot be exchanged). [path] always holds a
+    complete image; after a save the spare holds the previous one and
+    is rewritten in place by the next save, so it stays until
+    {!remove}. [abi] is the ABI key the program was compiled under
+    (e.g. ["CHERIv3"]); it is recorded in the header and checked again
+    on {!restore}. [note] is free-form text for the caller (the fault
+    campaigns stash their task state here). Returns the file size in
+    bytes. *)
+
+val spare : string -> string
+(** The name of [path]'s spare, [path ^ ".tmp"]. *)
+
+val remove : string -> unit
+(** Delete the image at [path] and its spare; either may be missing. *)
+
+val remove_spare : string -> unit
+(** Delete only the spare of [path], for one-shot writers that leave
+    the image behind. *)
 
 (** {1 Loading and restoring} *)
 

@@ -16,7 +16,7 @@ let check_bool = Alcotest.(check bool)
 
 let with_temp f =
   let path = Filename.temp_file "cheri-test-resumable" ".tmp" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Snapshot.remove path) (fun () -> f path)
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -71,8 +71,10 @@ let test_resume_policy () =
        with
       | Error (Snapshot.Machine_mismatch _) -> ()
       | _ -> Alcotest.fail "strict restore accepted a foreign note");
+      check_bool "the save left a spare" true (Sys.file_exists (path ^ ".tmp"));
       Resumable.discard path;
       check_bool "discarded" false (Sys.file_exists path);
+      check_bool "the spare too" false (Sys.file_exists (path ^ ".tmp"));
       Resumable.discard path;
       check_bool "a missing checkpoint is scratch" true
         (Resumable.resume ~schema ~accept:(accept 3) ~abi:abi_name ~fresh path |> Option.is_none);
@@ -227,6 +229,51 @@ let test_cli_resume_unreadable () =
       ("bin/cheri_fuzz.exe", [| "--jobs"; "0" |], 2, "--jobs expects a positive integer");
     ]
 
+(* A save never tears the image. cheri-run checkpointing every 2000
+   instructions is SIGKILLed at staggered instants, so some kills land
+   mid-save; whatever stands at the path afterwards must load. A run
+   that spends its whole budget keeps its image and drops the spare. *)
+let test_kill_mid_save () =
+  with_temp @@ fun src ->
+  (* a 1 MiB image that changes between saves, so it takes many
+     write calls and a torn one would fail its CRC *)
+  write_file src
+    "int main(void) { long *a = (long *)malloc(8 * 131072); long i = 0; \
+     while (1) { a[(i * 512) % 131072] = i; i = i + 1; } return 0; }";
+  with_temp @@ fun snap ->
+  Sys.remove snap;
+  let exe = built "bin/cheri_run.exe" in
+  let run args =
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process exe
+        (Array.append [| exe; "--slice"; "2000"; "--snapshot"; snap |] args)
+        devnull devnull devnull
+    in
+    Unix.close devnull;
+    pid
+  in
+  let loaded = ref 0 in
+  for k = 0 to 7 do
+    let pid = run [| "--fuel"; "1000000000"; src |] in
+    Unix.sleepf (0.05 +. (0.03 *. float_of_int k));
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    if Sys.file_exists snap then
+      match Snapshot.load snap with
+      | Ok _ -> incr loaded
+      | Error e -> Alcotest.failf "kill %d left a torn image: %s" k (Snapshot.error_to_string e)
+  done;
+  check_bool (Printf.sprintf "%d of 8 kills found an image" !loaded) true (!loaded > 0);
+  let pid = run [| "--fuel"; "50000"; src |] in
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 1 -> ()
+  | _ -> Alcotest.fail "a run out of fuel does not exit 1");
+  (match Snapshot.load snap with
+  | Ok img -> check_int "the image is the end of the budget" 50_000 (Snapshot.image_instret img)
+  | Error e -> Alcotest.failf "the fuel-exhausted image: %s" (Snapshot.error_to_string e));
+  check_bool "no spare beside it" false (Sys.file_exists (snap ^ ".tmp"))
+
 let suite =
   [
     Alcotest.test_case "resume accepts only its own task's checkpoint" `Quick test_resume_policy;
@@ -234,4 +281,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_totality;
     Alcotest.test_case "cheri-inject/cheri-fuzz: unreadable --resume exits 2" `Quick
       test_cli_resume_unreadable;
+    Alcotest.test_case "cheri-run: a kill mid-save never tears the image" `Quick
+      test_kill_mid_save;
   ]

@@ -424,7 +424,23 @@ let test_sweep_checkpoints () =
        with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "snapshot save: %a" Cheri_snapshot.Snapshot.pp_error e);
+      (* spares: one beside a valid image (a second save leaves it),
+         one whose image never landed *)
+      (match
+         Cheri_snapshot.Snapshot.save ~note ~abi:"CHERIv3"
+           ~path:(Service.Checkpoint.path ~dir ~tenant:4)
+           m
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "snapshot save: %a" Cheri_snapshot.Snapshot.pp_error e);
+      let spare tenant = Service.Checkpoint.path ~dir ~tenant ^ ".tmp" in
+      check_bool "the second save left a spare" true (Sys.file_exists (spare 4));
+      let oc = open_out_bin (spare 9) in
+      output_string oc "torn";
+      close_out oc;
       let recovered, discarded = Service.sweep_checkpoints ~dir in
+      check_bool "no spare survives the sweep" false
+        (Sys.file_exists (spare 4) || Sys.file_exists (spare 9));
       check_int "one orphan recovered" 1 (List.length recovered);
       check_int "corrupt + pre-migration discarded" 2 discarded;
       let meta = List.hd recovered in
@@ -561,6 +577,29 @@ let test_drain_reply_per_client () =
           | _, Unix.WEXITED 0 -> ()
           | _ -> Alcotest.fail "drained server did not exit 0"))
 
+(* give a server the chance to stop its own children (a SIGKILLed
+   router would orphan its shard) before SIGKILL *)
+let reap pid =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        go ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+    | _ -> ()
+  in
+  try go () with Unix.Unix_error _ -> ()
+
+let shutdown sock =
+  try
+    let c = Chaos.Client.connect sock in
+    ignore (Chaos.Client.request c (Json.Obj [ ("op", Json.Str "shutdown") ]));
+    Chaos.Client.close c
+  with Unix.Unix_error _ -> ()
+
 (* -- one submit validation for both tiers ------------------------------------- *)
 
 (* The same malformed submits sent to a real supervisor and a real
@@ -579,30 +618,7 @@ let test_submit_validation_shared () =
           r_workers = 1 }
       in
       let pids = [ Chaos.Client.spawn_server scfg; Chaos.Client.spawn_router rcfg ] in
-      (* give each a chance to stop its own children (a SIGKILLed
-         router would orphan its shard) before SIGKILL *)
-      let reap pid =
-        let deadline = Unix.gettimeofday () +. 10. in
-        let rec go () =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ when Unix.gettimeofday () < deadline ->
-              Unix.sleepf 0.02;
-              go ()
-          | 0, _ ->
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid)
-          | _ -> ()
-        in
-        try go () with Unix.Unix_error _ -> ()
-      in
       let sockets = [ scfg.Service.socket; rcfg.Cheri_service.Router.r_socket ] in
-      let shutdown sock =
-        try
-          let c = Chaos.Client.connect sock in
-          ignore (Chaos.Client.request c (Json.Obj [ ("op", Json.Str "shutdown") ]));
-          Chaos.Client.close c
-        with Unix.Unix_error _ -> ()
-      in
       Fun.protect
         ~finally:(fun () ->
           List.iter shutdown sockets;
@@ -631,6 +647,132 @@ let test_submit_validation_shared () =
             ];
           List.iter Chaos.Client.close clients))
 
+(* -- checkpoint files and compile-cache entries do not outlive tenants ---------- *)
+
+let snap_files dir =
+  Array.to_list (try Sys.readdir dir with Sys_error _ -> [||])
+  |> List.filter (fun f -> Filename.check_suffix f ".snap" || Filename.check_suffix f ".snap.tmp")
+
+(* A worker's compile cache holds an entry only while a live tenant
+   uses it: after k tenants with distinct sources finish, the worker's
+   heartbeat reports zero entries, and the tenants' checkpoints and
+   their spares are gone. The server is the real cheri-serve binary: a
+   worker re-executed from this test binary would print the qcheck
+   seed into its event pipe, and the supervisor would never read a
+   "done" event from it. *)
+let test_worker_releases_tenants () =
+  with_tmpdir (fun dir ->
+      let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cheri_serve.exe" in
+      let sock = Filename.concat dir "serve.sock" in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process exe
+          [| exe; "--dir"; dir; "--workers"; "1"; "--slice"; "5000" |]
+          devnull devnull devnull
+      in
+      Unix.close devnull;
+      Fun.protect
+        ~finally:(fun () ->
+          shutdown sock;
+          reap pid)
+        (fun () ->
+          check_bool "server socket came up" true (Chaos.Client.wait_socket sock ~timeout_s:15.0);
+          let c = Chaos.Client.connect sock in
+          let request fields =
+            match Chaos.Client.request c (Json.Obj fields) with
+            | Ok j -> j
+            | Error e -> Alcotest.failf "no reply: %s" e
+          in
+          let k = 3 in
+          let tenants =
+            List.init k (fun i ->
+                let source =
+                  Printf.sprintf
+                    "int main(void) { long s = 0; for (long i = 0; i < %d; i++) s = s + i; \
+                     print_int(s); return 0; }"
+                    (3000 + i)
+                in
+                let r =
+                  request
+                    [ ("op", Json.Str "submit"); ("source", Json.Str source); ("abi", Json.Str "cheriv3") ]
+                in
+                match Json.mem_int "tenant" r with
+                | Some t -> t
+                | None -> Alcotest.failf "submit refused: %s" (Json.encode r))
+          in
+          (* [probe ()] is [Ok ()] when satisfied, else [Error last_seen] *)
+          let rec await what ~deadline probe =
+            match probe () with
+            | Ok () -> ()
+            | Error seen when Unix.gettimeofday () > deadline ->
+                Alcotest.failf "timed out: %s (last seen %s)" what seen
+            | Error _ ->
+                Unix.sleepf 0.05;
+                await what ~deadline probe
+          in
+          let deadline = Unix.gettimeofday () +. 60. in
+          List.iter
+            (fun t ->
+              await (Printf.sprintf "tenant %d done" t) ~deadline (fun () ->
+                  let r = request [ ("op", Json.Str "poll"); ("tenant", Json.Num (string_of_int t)) ] in
+                  if Json.mem_str "state" r = Some "done" then Ok () else Error (Json.encode r)))
+            tenants;
+          Chaos.Client.close c;
+          (* the worker beats on its own schedule, and discards a
+             tenant's checkpoint just after reporting it done *)
+          let hb = Filename.concat dir "workers/worker_0.status.json" in
+          let beat () =
+            match Cheri_util.File.read hb with
+            | Ok s -> Result.to_option (Json.parse s)
+            | Error _ -> None
+          in
+          let deadline = Unix.gettimeofday () +. 10. in
+          await "the worker reports its tenants released" ~deadline (fun () ->
+              match beat () with
+              | Some j when Json.mem_int "done" j = Some k && Json.mem_int "compile_cache" j = Some 0 ->
+                  Ok ()
+              | Some j -> Error (Json.encode j)
+              | None -> Error "no heartbeat");
+          await "the checkpoints and spares are gone" ~deadline (fun () ->
+              match snap_files (Filename.concat dir "checkpoints") with
+              | [] -> Ok ()
+              | fs -> Error (String.concat " " fs))))
+
+(* The router deletes a shard's leftover checkpoints, spares included,
+   before it starts the shard. *)
+let test_shard_spawn_sweeps_spares () =
+  with_tmpdir (fun dir ->
+      let rcfg =
+        { (Cheri_service.Router.default_rconfig ~dir) with
+          Cheri_service.Router.r_shards = 1;
+          r_workers = 1 }
+      in
+      let cdir = Filename.concat (Cheri_service.Router.shard_dir rcfg 0) "checkpoints" in
+      Cheri_service.Supervisor.mkdir_p cdir;
+      List.iter
+        (fun f ->
+          let oc = open_out_bin (Filename.concat cdir f) in
+          output_string oc "left over";
+          close_out oc)
+        [ "tenant_0007.snap"; "tenant_0007.snap.tmp"; "tenant_0009.snap.tmp" ];
+      let sock = rcfg.Cheri_service.Router.r_socket in
+      let pid = Chaos.Client.spawn_router rcfg in
+      Fun.protect
+        ~finally:(fun () ->
+          shutdown sock;
+          reap pid)
+        (fun () ->
+          check_bool "router socket came up" true (Chaos.Client.wait_socket sock ~timeout_s:15.0);
+          (* the socket is bound before the shards spawn; the first
+             status file is written after *)
+          let status = Filename.concat dir "status.json" in
+          let deadline = Unix.gettimeofday () +. 15. in
+          while (not (Sys.file_exists status)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.02
+          done;
+          check_bool "router status written" true (Sys.file_exists status);
+          Alcotest.(check (list string)) "nothing left in the shard's checkpoints" [] (snap_files cdir)))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -653,6 +795,10 @@ let suite =
     Alcotest.test_case "orphan checkpoint sweep" `Quick test_sweep_checkpoints;
     Alcotest.test_case "both tiers answer malformed submits identically" `Quick
       test_submit_validation_shared;
+    Alcotest.test_case "finished tenants leave no cache entry, checkpoint or spare" `Quick
+      test_worker_releases_tenants;
+    Alcotest.test_case "a shard spawn sweeps checkpoints and spares" `Quick
+      test_shard_spawn_sweeps_spares;
     Alcotest.test_case "socket claim probes before unlinking" `Quick test_bind_listener;
     Alcotest.test_case "run_serial deterministic slicing" `Quick
       test_run_serial_slicing_invariant;

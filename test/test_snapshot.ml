@@ -65,7 +65,7 @@ let preempt_at abi ~at =
 
 let with_temp f =
   let path = Filename.temp_file "cheri-test-snapshot" ".snap" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Snapshot.remove path) (fun () -> f path)
 
 let save_exn ~abi ~path m =
   match Snapshot.save ~abi ~path m with
@@ -438,11 +438,15 @@ let test_load_allocates_per_byte () =
         (Printf.sprintf "%.2f bytes allocated per image byte, at most 2.5" per_byte)
         true (per_byte <= 2.5))
 
-(* A save that fails after the temp file exists (here: the rename onto
-   a directory) reports the error, removes the temp file and counts
-   itself, since checkpoint callers ignore the result. *)
+(* A save that fails after the spare exists (here: the rename onto a
+   directory, which is never exchanged) reports the error, removes the
+   spare and counts itself as an error, not as a save, since
+   checkpoint callers ignore the result. A load that fails is not a
+   load either. *)
 let test_failed_save_cleans_up () =
   let errors = Cheri_obs.Obs.(counter default "snapshot_save_errors_total") in
+  let saves = Cheri_obs.Obs.(counter default "snapshot_saves_total") in
+  let loads = Cheri_obs.Obs.(counter default "snapshot_loads_total") in
   let dir = Filename.temp_file "cheri-test-snapshot" ".dir" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -453,13 +457,80 @@ let test_failed_save_cleans_up () =
     (fun () ->
       let m = preempt_at Abi.Mips ~at:5_000 in
       let before = Cheri_obs.Obs.Counter.value errors in
+      let saves0 = Cheri_obs.Obs.Counter.value saves in
       (match Snapshot.save ~abi:"MIPS" ~path:dir m with
       | Error (Snapshot.Io _) -> ()
       | Error e -> Alcotest.failf "wrong error class: %s" (Snapshot.error_to_string e)
       | Ok _ -> Alcotest.fail "a save onto a directory succeeded");
-      check_bool "no temp file left behind" false (Sys.file_exists (dir ^ ".tmp"));
+      check_bool "no spare left behind" false (Sys.file_exists (dir ^ ".tmp"));
       check_int "the failure is counted" (before + 1) (Cheri_obs.Obs.Counter.value errors);
-      check_bool "the directory is untouched" true (Sys.is_directory dir))
+      check_int "the failure is not a save" saves0 (Cheri_obs.Obs.Counter.value saves);
+      check_bool "the directory is untouched" true (Sys.is_directory dir);
+      let loads0 = Cheri_obs.Obs.Counter.value loads in
+      (match Snapshot.load dir with
+      | Error (Snapshot.Io _) -> ()
+      | _ -> Alcotest.fail "a load of a directory is not an Io error");
+      check_int "the failed load is not a load" loads0 (Cheri_obs.Obs.Counter.value loads))
+
+(* -- the standing spare ---------------------------------------------------------- *)
+
+(* No new file per save: the image and its spare trade places, so ten
+   saves to one path show at most two inode numbers there. Each image
+   seen stays open until the end, so a save that made a fresh file
+   could not hide behind a reused inode number. Needs a file system
+   with RENAME_EXCHANGE (ext4, xfs, btrfs, tmpfs). *)
+let test_save_reuses_spare () =
+  let m = preempt_at Abi.Mips ~at:5_000 in
+  with_temp (fun path ->
+      let held =
+        List.init 10 (fun _ ->
+            ignore (save_exn ~abi:"MIPS" ~path m);
+            let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+            (fd, (Unix.fstat fd).Unix.st_ino))
+      in
+      List.iter (fun (fd, _) -> Unix.close fd) held;
+      let inodes = List.length (List.sort_uniq compare (List.map snd held)) in
+      check_bool (Printf.sprintf "%d distinct inodes at the path, at most 2" inodes) true
+        (inodes <= 2);
+      check_bool "the spare stands beside the image" true (Sys.file_exists (path ^ ".tmp")))
+
+(* A small image written into a spare that held a large one is cut to
+   its own length, byte for byte the image a fresh file gets. *)
+let test_smaller_save_truncates () =
+  let big = preempt_at Abi.Mips ~at:5_000 in
+  for i = 0 to 255 do
+    Cheri_tagmem.Tagmem.store_word (Machine.mem big) ((8 lsl 20) + (i * 4096)) (Int64.of_int (i + 1))
+  done;
+  let small = preempt_at Abi.Mips ~at:5_000 in
+  with_temp (fun fresh ->
+      Sys.remove fresh;
+      let want = save_exn ~abi:"MIPS" ~path:fresh small in
+      with_temp (fun path ->
+          (* twice, so the image and the spare both hold the large one *)
+          let large = save_exn ~abi:"MIPS" ~path big in
+          ignore (save_exn ~abi:"MIPS" ~path big);
+          let n = save_exn ~abi:"MIPS" ~path small in
+          check_bool (Printf.sprintf "the first image is larger (%d > %d)" large n) true (large > n);
+          check_int "the file is the returned size" n (Unix.stat path).Unix.st_size;
+          check_int "the same size as a fresh file's" want n;
+          Alcotest.(check string) "the same bytes as a fresh file's" (Digest.to_hex (Digest.file fresh))
+            (Digest.to_hex (Digest.file path));
+          check_int "it loads" 5_000 (Snapshot.image_instret (load_exn path))))
+
+(* Nothing reads the spare: garbage in it changes neither what a load
+   returns nor the next save. *)
+let test_spare_is_never_read () =
+  let m = preempt_at Abi.Mips ~at:5_000 in
+  with_temp (fun path ->
+      ignore (save_exn ~abi:"MIPS" ~path m);
+      let want = Snapshot.describe (load_exn path) in
+      let oc = open_out_bin (path ^ ".tmp") in
+      output_string oc (String.make 200_000 '\xa5');
+      close_out oc;
+      Alcotest.(check string) "load ignores the spare" want (Snapshot.describe (load_exn path));
+      let n = save_exn ~abi:"MIPS" ~path m in
+      check_int "a save over a garbage spare is cut to size" n (Unix.stat path).Unix.st_size;
+      Alcotest.(check string) "and loads" want (Snapshot.describe (load_exn path)))
 
 (* The CRC kernel against the textbook bytewise definition. *)
 let crc_reference s =
@@ -549,4 +620,7 @@ let suite =
       test_load_allocates_per_byte;
     Alcotest.test_case "a failed save leaves no temp file and is counted" `Quick
       test_failed_save_cleans_up;
+    Alcotest.test_case "saves to one path reuse two files" `Quick test_save_reuses_spare;
+    Alcotest.test_case "a smaller save is cut to its size" `Quick test_smaller_save_truncates;
+    Alcotest.test_case "the spare is never read" `Quick test_spare_is_never_read;
   ]
