@@ -68,7 +68,13 @@ type linked = {
 exception Undefined_symbol of string
 
 let link ?(data_base = 0x10000L) (b : Builder.t) =
-  let code = Array.of_list (List.rev b.Builder.code) in
+  (* Filled in place from a [Nop]-initialised array: [Array.of_list] or
+     [Array.map] seeds the array with a young boxed instruction, and
+     [caml_make_vect] empties the minor heap first whenever that array
+     is too large for it (over 256 instructions). *)
+  let n = b.Builder.code_len in
+  let code = Array.make n Insn.Nop in
+  List.iteri (fun i insn -> code.(n - 1 - i) <- insn) b.Builder.code;
   let resolve_target = function
     | Insn.Abs _ as t -> t
     | Insn.Sym s -> (
@@ -86,7 +92,9 @@ let link ?(data_base = 0x10000L) (b : Builder.t) =
             | Some idx -> Insn.Imm (Int64.add (Int64.of_int idx) addend)
             | None -> raise (Undefined_symbol s)))
   in
-  let code = Array.map (fun i -> Insn.map_imm resolve_imm (Insn.map_target resolve_target i)) code in
+  Array.iteri
+    (fun k i -> code.(k) <- Insn.map_imm resolve_imm (Insn.map_target resolve_target i))
+    code;
   {
     code;
     data = Buffer.to_bytes b.Builder.data;

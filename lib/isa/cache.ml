@@ -9,8 +9,9 @@
 
 type t = {
   cname : string;
-  sets : int array array;  (* sets.(set).(way) = line number, -1 = invalid *)
-  lru : int array array;  (* higher = more recently used *)
+  sets : int array;
+      (* flat, [set * ways + way]: the line number held there, -1 = invalid *)
+  lru : int array;  (* same layout; higher = more recently used *)
   line_bytes : int;
   line_shift : int;
   set_mask : int;  (* set_count - 1; set count is a power of two *)
@@ -37,8 +38,8 @@ let create ~name ~size_bytes ~ways ~line_bytes =
   if set_count land (set_count - 1) <> 0 then invalid_arg "Cache.create: set count must be a power of two";
   {
     cname = name;
-    sets = Array.make_matrix set_count ways (-1);
-    lru = Array.make_matrix set_count ways 0;
+    sets = Array.make (set_count * ways) (-1);
+    lru = Array.make (set_count * ways) 0;
     line_bytes;
     line_shift = log2 line_bytes;
     set_mask = set_count - 1;
@@ -52,30 +53,31 @@ let create ~name ~size_bytes ~ways ~line_bytes =
 
 let name t = t.cname
 
-(* Closure-free probe: the way holding [line], or -1. *)
-let rec probe (ways_row : int array) line nways i =
-  if i >= nways then -1 else if Array.unsafe_get ways_row i = line then i else probe ways_row line nways (i + 1)
+(* Closure-free probe of slots [i, stop): the slot holding [line], or -1. *)
+let rec probe (sets : int array) line i stop =
+  if i >= stop then -1 else if Array.unsafe_get sets i = line then i else probe sets line (i + 1) stop
 
+(* The least recently used slot of [victim, stop). *)
+let rec oldest (lru : int array) victim i stop =
+  if i >= stop then victim
+  else oldest lru (if Array.unsafe_get lru i < Array.unsafe_get lru victim then i else victim) (i + 1) stop
+
+(* Every index below lies in [base, base + ways), inside both arrays. *)
 let access_line t line =
   t.clock <- t.clock + 1;
-  let set = line land t.set_mask in
-  let ways_row = t.sets.(set) in
-  let way = probe ways_row line t.ways 0 in
-  if way >= 0 then begin
+  let base = (line land t.set_mask) * t.ways in
+  let stop = base + t.ways in
+  let slot = probe t.sets line base stop in
+  if slot >= 0 then begin
     t.hits <- t.hits + 1;
-    t.lru.(set).(way) <- t.clock;
+    Array.unsafe_set t.lru slot t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* evict the least recently used way *)
-    let lru_row = t.lru.(set) in
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if lru_row.(w) < lru_row.(!victim) then victim := w
-    done;
-    ways_row.(!victim) <- line;
-    lru_row.(!victim) <- t.clock;
+    let victim = oldest t.lru base (base + 1) stop in
+    Array.unsafe_set t.sets victim line;
+    Array.unsafe_set t.lru victim t.clock;
     false
   end
 
@@ -111,49 +113,40 @@ let reset_stats t =
   t.misses <- 0
 
 let flush t =
-  Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.sets;
-  Array.iter (fun l -> Array.fill l 0 (Array.length l) 0) t.lru;
+  Array.fill t.sets 0 (Array.length t.sets) (-1);
+  Array.fill t.lru 0 (Array.length t.lru) 0;
   t.fetch_line <- -1
 
 (* -- snapshot state ------------------------------------------------------ *)
 (* The mutable model state as one flat int array: counters first, then
-   every set's line numbers, then every set's LRU stamps. Geometry
-   (set count, ways, line size) is configuration, not state — restore
-   into a cache of the same geometry only. *)
+   every set's line numbers, then every set's LRU stamps — the layout of
+   [sets] and [lru] themselves, so both directions are two blits.
+   Geometry (set count, ways, line size) is configuration, not state —
+   restore into a cache of the same geometry only. *)
 
 let snapshot_words t = 4 + (2 * t.set_count * t.ways)
 
 let snapshot_state t =
+  let n = t.set_count * t.ways in
   let a = Array.make (snapshot_words t) 0 in
   a.(0) <- t.clock;
   a.(1) <- t.hits;
   a.(2) <- t.misses;
   a.(3) <- t.fetch_line;
-  let k = ref 4 in
-  for s = 0 to t.set_count - 1 do
-    for w = 0 to t.ways - 1 do
-      a.(!k) <- t.sets.(s).(w);
-      a.(!k + (t.set_count * t.ways)) <- t.lru.(s).(w);
-      incr k
-    done
-  done;
+  Array.blit t.sets 0 a 4 n;
+  Array.blit t.lru 0 a (4 + n) n;
   a
 
 let restore_state t a =
   if Array.length a <> snapshot_words t then
     invalid_arg "Cache.restore_state: state does not match this cache's geometry";
+  let n = t.set_count * t.ways in
   t.clock <- a.(0);
   t.hits <- a.(1);
   t.misses <- a.(2);
   t.fetch_line <- a.(3);
-  let k = ref 4 in
-  for s = 0 to t.set_count - 1 do
-    for w = 0 to t.ways - 1 do
-      t.sets.(s).(w) <- a.(!k);
-      t.lru.(s).(w) <- a.(!k + (t.set_count * t.ways));
-      incr k
-    done
-  done
+  Array.blit a 4 t.sets 0 n;
+  Array.blit a (4 + n) t.lru 0 n
 
 module Timing = struct
   type config = {
@@ -199,7 +192,7 @@ module Timing = struct
 
   let access_cycles_int h addr ~size =
     let first = line_cycles_int h addr in
-    let last_byte = addr + max 0 (size - 1) in
+    let last_byte = if size > 1 then addr + size - 1 else addr in
     if size > 0 && last_byte lsr h.l1.line_shift <> addr lsr h.l1.line_shift then
       first + line_cycles_int h last_byte
     else first

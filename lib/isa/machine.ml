@@ -265,7 +265,7 @@ let create cfg ~program =
       cap_meta = Array.make 32 0;
       pcc =
         Cap.make ~base:0L
-          ~length:(Int64.of_int (max 1 code_len))
+          ~length:(Int64.of_int (if code_len > 1 then code_len else 1))
           ~perms:(Perms.of_list Perms.Execute [ Perms.Global ]);
       pc = 0;
       cycles = 0;
@@ -1274,7 +1274,7 @@ let run ?(fuel = default_fuel) ?deadline_s ?(yield = false) t =
          marks a spent chunk: [retire] returns it for nothing else. *)
       t.deadline <- Unix.gettimeofday () +. budget;
       let rec chunks remaining =
-        let n = min remaining deadline_stride in
+        let n = if remaining < deadline_stride then remaining else deadline_stride in
         match retire t n Yielded with
         | Yielded when remaining > n ->
             if Unix.gettimeofday () > t.deadline then Deadline_exceeded
@@ -1440,5 +1440,5 @@ let allocated_blocks t =
   Hashtbl.fold (fun base size acc -> (base, size) :: acc) t.allocated []
   |> List.sort (fun (a, _) (b, _) -> Bits.ucompare a b)
 
-let inject_alloc_failure t ~after = t.alloc_fail_after <- Some (max 0 after)
-let inject_free_failure t ~after = t.free_fail_after <- Some (max 0 after)
+let inject_alloc_failure t ~after = t.alloc_fail_after <- Some (if after > 0 then after else 0)
+let inject_free_failure t ~after = t.free_fail_after <- Some (if after > 0 then after else 0)

@@ -716,6 +716,7 @@ type server = {
   s_tenants : (int, tenant) Hashtbl.t;
   mutable s_next_tenant : int;
   s_workers : worker Supervisor.t;
+  s_worker_prog : string option;  (* what a worker re-executes; None = this binary *)
   s_hb : Obs.Heartbeat.t;
   s_t0 : float;
   s_job_seconds : Obs.Histogram.t;
@@ -724,6 +725,7 @@ type server = {
   mutable s_requeues : int;
   mutable s_worker_deaths : int;
   mutable s_stall_kills : int;
+  mutable s_frame_kills : int;
   mutable s_corruptions : int;
   mutable s_corrupted : int list;
   mutable s_corrupt_armed : int;  (* counts down; 0 = fired/disarmed *)
@@ -745,6 +747,7 @@ let c_failed = lazy (counter "failed_total")
 let c_requeues = lazy (counter "requeues_total")
 let c_deaths = lazy (counter "worker_deaths_total")
 let c_stalls = lazy (counter "stall_kills_total")
+let c_frame_kills = lazy (counter "corrupt_frame_kills_total")
 let c_corruptions = lazy (counter "corruptions_total")
 
 let c_orphans_requeued = lazy (Obs.counter Obs.default "service_orphans_requeued_total")
@@ -762,7 +765,7 @@ let spawn_worker s (c : worker Supervisor.child) =
     worker_config_to_json
       { w_dir = cfg.dir; w_id = wk.wk_id; w_jobs = cfg.worker_jobs; w_heartbeat_s = cfg.heartbeat_s }
   in
-  Supervisor.spawn c ~stdin:to_r ~stdout:from_w [ worker_marker; wcfg ];
+  Supervisor.spawn ?prog:s.s_worker_prog c ~stdin:to_r ~stdout:from_w [ worker_marker; wcfg ];
   Unix.close to_r;
   Unix.close from_w;
   Unix.set_nonblock from_r;
@@ -801,6 +804,7 @@ let status_fields s =
     ("requeues", jint s.s_requeues);
     ("worker_deaths", jint s.s_worker_deaths);
     ("stall_kills", jint s.s_stall_kills);
+    ("corrupt_frame_kills", jint s.s_frame_kills);
     ("corruptions", jint s.s_corruptions);
     ("corrupted", Json.Arr (List.rev_map jint s.s_corrupted));
     ( "workers",
@@ -984,19 +988,35 @@ let handle_worker_frame s wk frame =
             (Error (Option.value ~default:"worker error" (Json.mem_str "detail" j)))
       | _ -> ())
 
-let drain_worker_frames s wk =
+(* A frame stream that stops parsing never parses again: the reader
+   cannot find the next frame boundary, so no later done, drained or
+   error event of that worker would be read, and its fresh heartbeat
+   would keep its tenants [running] for good. Such a worker is killed
+   like a stalled one (marked, so it gets no new tenants and is killed
+   once); its reap requeues the tenants from their checkpoints. The
+   worker side does the same on a corrupt supervisor stream: it exits. *)
+let drain_worker_frames s (c : worker Supervisor.child) =
+  let wk = c.data in
   let rec go () =
     match Protocol.Reader.next wk.wk_reader with
     | `Frame f ->
         handle_worker_frame s wk f;
         go ()
-    | `Awaiting | `Corrupt _ -> ()
+    | `Awaiting -> ()
+    | `Corrupt _ ->
+        if c.alive && not c.stalled then begin
+          c.stalled <- true;
+          s.s_frame_kills <- s.s_frame_kills + 1;
+          tick c_frame_kills;
+          try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
+        end
   in
   go ()
 
 (* read whatever the worker pipe holds right now; [`Eof] once the
    write end is gone (worker dead and buffer drained) *)
-let pump_worker s wk =
+let pump_worker s (c : worker Supervisor.child) =
+  let wk = c.data in
   let buf = Bytes.create 65536 in
   let rec go () =
     match Unix.read wk.wk_from buf 0 (Bytes.length buf) with
@@ -1009,7 +1029,7 @@ let pump_worker s wk =
     | exception Unix.Unix_error (_, _, _) -> `Eof
   in
   let state = go () in
-  drain_worker_frames s wk;
+  drain_worker_frames s c;
   state
 
 (* the reap callback: [c] is already marked dead *)
@@ -1023,7 +1043,7 @@ let on_worker_death s (c : worker Supervisor.child) =
   (* completions that reached the pipe before the crash are honored
      first — only tenants with no buffered done event are requeued,
      which is what bounds the loss at one in-flight slice *)
-  let rec drain_to_eof () = match pump_worker s wk with `Eof -> () | `Open -> drain_to_eof () in
+  let rec drain_to_eof () = match pump_worker s c with `Eof -> () | `Open -> drain_to_eof () in
   drain_to_eof ();
   (try Unix.close wk.wk_from with Unix.Unix_error _ -> ());
   (try Unix.close wk.wk_to with Unix.Unix_error _ -> ());
@@ -1454,7 +1474,7 @@ let maybe_finish_drain s =
     end
   end
 
-let server_main (cfg : config) =
+let server_main ?worker_prog (cfg : config) =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   sigterm_drain := false;
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> sigterm_drain := true));
@@ -1479,6 +1499,7 @@ let server_main (cfg : config) =
               wk_reader = Protocol.Reader.create ();
               wk_tenants = [];
             });
+      s_worker_prog = worker_prog;
       s_hb =
         Obs.Heartbeat.create
           ~interval_s:(if cfg.status_s > 0. then cfg.status_s else 1.0)
@@ -1490,6 +1511,7 @@ let server_main (cfg : config) =
       s_requeues = 0;
       s_worker_deaths = 0;
       s_stall_kills = 0;
+      s_frame_kills = 0;
       s_corruptions = 0;
       s_corrupted = [];
       s_corrupt_armed = cfg.corrupt_requeue;
@@ -1537,7 +1559,7 @@ let server_main (cfg : config) =
   let pump_fd fd =
     Array.iter
       (fun (c : worker Supervisor.child) ->
-        if c.alive && c.data.wk_from = fd then ignore (pump_worker s c.data : [ `Eof | `Open ]))
+        if c.alive && c.data.wk_from = fd then ignore (pump_worker s c : [ `Eof | `Open ]))
       s.s_workers
   in
   let rec loop () =

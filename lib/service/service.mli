@@ -216,9 +216,19 @@ val child_dispatch : unit -> unit
     {!server_marker}, the process runs as that service child on the
     JSON config in [argv.(2)] and never returns. *)
 
-val server_main : config -> unit
+val server_main : ?worker_prog:string -> config -> unit
 (** Run the supervisor in this process: sweep orphaned checkpoints,
     bind the socket, spawn workers, serve until a [shutdown] request —
     or drain (wire op or SIGTERM: park every tenant at its next yield,
     write the manifest, stop) and return. Exits 2 with a structured
-    message if the socket path is genuinely in use. *)
+    message if the socket path is genuinely in use.
+
+    Each worker runs [worker_prog] (default [Sys.executable_name]) with
+    {!worker_marker} and its JSON config as arguments; the program must
+    call {!child_dispatch} first. A test can pass a wrapper that
+    disturbs a worker's frame stream.
+
+    A worker whose frame stream turns corrupt is SIGKILLed (counted in
+    [serve_corrupt_frame_kills_total] and the [corrupt_frame_kills]
+    stats field) and reaped like any death: its tenants resume from
+    their checkpoints. *)

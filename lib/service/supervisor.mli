@@ -11,7 +11,9 @@ type 'a child = {
   data : 'a;  (** the tier's own per-slot state *)
   mutable pid : int;  (** [-1] before the first spawn *)
   mutable alive : bool;
-  mutable stalled : bool;  (** SIGKILLed by {!probe}, reap pending *)
+  mutable stalled : bool;
+      (** SIGKILLed by {!probe} (or by the tier, for a corrupt frame
+          stream), reap pending *)
   mutable spawned_at : float;
 }
 

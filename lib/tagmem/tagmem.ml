@@ -29,6 +29,10 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+(* Int-typed [min]: [Stdlib.min] is polymorphic and compiles to a call
+   into the runtime's generic compare. *)
+let[@inline] imin (a : int) b = if a <= b then a else b
+
 let chunk_shift = 12
 let chunk_bytes = 1 lsl chunk_shift
 
@@ -52,8 +56,11 @@ external string_get64 : string -> int -> int64 = "%caml_string_get64u"
 let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
 let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
 let[@inline] le64 v = if Sys.big_endian then bswap64 v else v
-let[@inline] get_byte d a = Bigarray.Array1.unsafe_get d a
-let[@inline] set_byte d a c = Bigarray.Array1.unsafe_set d a c
+(* Typed as [store] so the compiler emits a direct byte load or store:
+   an accessor whose kind and layout are left polymorphic compiles to
+   the generic [caml_ba_get_1]/[caml_ba_set_1] C calls. *)
+let[@inline] get_byte (d : store) a = Bigarray.Array1.unsafe_get d a
+let[@inline] set_byte (d : store) a c = Bigarray.Array1.unsafe_set d a c
 
 (* Copies between the store and OCaml bytes move 8 bytes at a time, in
    native order on both sides (so no swap); only a tail shorter than a
@@ -150,7 +157,7 @@ let set_tag_bit t gi v =
   let byte = Char.code (Bytes.get t.tags (gi lsr 3)) in
   let mask = 1 lsl (gi land 7) in
   let byte = if v then byte lor mask else byte land lnot mask in
-  Bytes.set t.tags (gi lsr 3) (Char.chr byte)
+  Bytes.set t.tags (gi lsr 3) (Char.unsafe_chr byte)
 
 (* Clear the tags of every granule [a, a+len) touches. [collateral] is
    true on the data path — a plain store detagging a live capability is
@@ -266,12 +273,10 @@ let cap_width = Cheri_core.Capability.byte_width
    array, no closure: these run once per CLC/CSC retired. *)
 
 (* The meta word only carries bits 0-47 (perms, sealed, otype), so read
-   the six live bytes into a native int instead of boxing an Int64.
-   [a] has already been bounds-checked for the full 32-byte capability,
-   so the byte reads at a+24 .. a+29 are in range. *)
-let[@inline] meta_int t a =
-  let g i = Char.code (get_byte t.data (a + 24 + i)) in
-  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24) lor (g 4 lsl 32) lor (g 5 lsl 40)
+   it as one 64-bit load and keep the low 48 bits as a native int
+   instead of boxing an Int64. [a] has already been bounds-checked for
+   the full 32-byte capability, so the word at a+24 is in range. *)
+let[@inline] meta_int t a = Int64.to_int (le64 (get64 t.data (a + 24))) land 0xffff_ffff_ffff
 
 let load_cap t a =
   if a land (cap_width - 1) <> 0 then
@@ -425,7 +430,7 @@ let nonzero_pages t n ~page_bytes ~live ~is_zero =
   let acc = ref [] in
   for idx = ((n + page_bytes - 1) / page_bytes) - 1 downto 0 do
     let off = idx * page_bytes in
-    let len = min page_bytes (n - off) in
+    let len = imin page_bytes (n - off) in
     if live off len then begin
       t.scanned <- t.scanned + 1;
       if not (is_zero off len) then acc := (idx, len) :: !acc
@@ -443,7 +448,7 @@ let scan_pages t ~page_bytes =
   (* tag byte [i] holds the bits of the 8 granules from [i * 8] *)
   let tag_data_range off len =
     let lo = (off * 8) lsl t.granule_shift in
-    any_marked t lo (min (((off + len) * 8) lsl t.granule_shift) n - 1)
+    any_marked t lo (imin (((off + len) * 8) lsl t.granule_shift) n - 1)
   in
   let data =
     nonzero_pages t n ~page_bytes
@@ -462,7 +467,7 @@ let blit_data_page t ~page_bytes idx buf pos =
   if idx < 0 || idx > (n - 1) / page_bytes then
     invalid_arg "Tagmem.blit_data_page: page outside the store";
   let off = idx * page_bytes in
-  let len = min page_bytes (n - off) in
+  let len = imin page_bytes (n - off) in
   if pos < 0 || pos > Bytes.length buf - len then
     invalid_arg "Tagmem.blit_data_page: page does not fit the buffer";
   blit_out t.data off buf pos len
@@ -500,7 +505,7 @@ let restore_pages t ~page_bytes ~data ~tags =
   for c = 0 to Bytes.length t.dirty - 1 do
     if Bytes.unsafe_get t.dirty c <> '\000' then begin
       let lo = c lsl chunk_shift in
-      let len = min chunk_bytes (n - lo) in
+      let len = imin chunk_bytes (n - lo) in
       Bigarray.Array1.(fill (sub t.data lo len) '\000');
       let fb = granule_index t lo lsr 3 and lb = granule_index t (lo + len - 1) lsr 3 in
       Bytes.fill t.tags fb (lb - fb + 1) '\000';
@@ -525,7 +530,7 @@ let restore_pages t ~page_bytes ~data ~tags =
           if c <> '\000' then
             for bit = 0 to 7 do
               if Char.code c land (1 lsl bit) <> 0 then
-                mark t (min (((off + i) * 8) + bit) last lsl t.granule_shift)
+                mark t (imin (((off + i) * 8) + bit) last lsl t.granule_shift)
             done)
         page)
     tags

@@ -99,6 +99,32 @@ let test_machine_rejects_unresolved () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "machine accepted unresolved code"
 
+(* Linking must not force a minor collection. The builder's
+   instructions are promoted first, so the only young blocks are the
+   ones the link makes; the first instruction's resolved jump is one of
+   them, and seeding a 300-slot array with it would empty the minor
+   heap. A full major collection, not just a minor one, comes first:
+   the array is allocated in the major heap, and with enough major
+   allocation pending since the last slice that would request a major
+   slice, which may empty the minor heap too. *)
+let test_link_forces_no_minor_gc () =
+  let b = B.create () in
+  B.emit b (I.J (I.Sym "end"));
+  for k = 1 to 300 do
+    B.emit b (I.Li (1 + (k mod 8), I.Imm (Int64.of_int k)))
+  done;
+  B.label b "end";
+  B.emit b I.Halt;
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let l = Asm.link b in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "minor collections during link" 0 (after - before);
+  check_int "every instruction linked" 302 (Array.length l.Asm.code);
+  match (l.Asm.code.(0), l.Asm.code.(300)) with
+  | I.J (I.Abs 301), I.Li (_, I.Imm 300L) -> ()
+  | i, j -> Alcotest.failf "misplaced instructions: %a, %a" I.pp i I.pp j
+
 let suite =
   [
     Alcotest.test_case "label resolution" `Quick test_label_resolution;
@@ -110,4 +136,5 @@ let suite =
     Alcotest.test_case "code symbols as immediates" `Quick test_code_symbol_as_immediate;
     Alcotest.test_case "loader reserves data segment" `Quick test_loader_reserves_data;
     Alcotest.test_case "machine rejects unresolved code" `Quick test_machine_rejects_unresolved;
+    Alcotest.test_case "link forces no minor collection" `Quick test_link_forces_no_minor_gc;
   ]

@@ -1,9 +1,4 @@
 let () =
-  (* the service tests spawn real supervisors and routers of this
-     binary, which in turn spawn their shards and workers: such a
-     re-executed child is never a test run *)
-  Cheri_service.Service.child_dispatch ();
-  Cheri_service.Router.child_dispatch ();
   Alcotest.run "cheri_c"
     [
       ("bits", Test_bits.suite);
@@ -11,6 +6,7 @@ let () =
       ("cap_ops", Test_cap_ops.suite);
       ("tagmem", Test_tagmem.suite);
       ("tagmem_ref", Test_tagmem_model.suite);
+      ("cache_ref", Test_cache_model.suite);
       ("machine", Test_machine.suite);
       ("decoded", Test_decoded.suite);
       ("asm", Test_asm.suite);

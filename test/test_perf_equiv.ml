@@ -8,9 +8,9 @@
    timing model, not just the host speed, and fails loudly here.
 
    The allocation-budget test then pins the point of the exercise: the
-   softcore must retire Dhrystone (CHERIv3, test scale) under 8 GC
-   minor words per instruction even in the dev profile — the seed
-   measured 41.59. *)
+   softcore must retire Dhrystone (CHERIv3, test scale) with under 2
+   GC minor words per instruction even in the dev profile — the seed
+   measured 41.59; the gate itself is tighter (below). *)
 
 module W = Cheri_workloads
 module Abi = Cheri_compiler.Abi
@@ -82,8 +82,12 @@ let test_golden_cells () =
 
 (* The allocation budget. [Gc.minor_words] is exact (not sampled), so
    the measurement is deterministic up to what the run itself
-   allocates; the budget leaves ~20% headroom over the measured 6.5. *)
-let words_per_insn_budget = 8.0
+   allocates; the budget leaves 20% headroom over the measured 1.10.
+   What remains is the int64 each [Tagmem] load returns and each store
+   takes (3 words, 0.37 loads and stores per instruction): the dev
+   profile boxes them at the module boundary, the release build inlines
+   them away. *)
+let words_per_insn_budget = 1.32
 
 let test_allocation_budget () =
   let abi = Abi.Cheri Cheri_core.Cap_ops.V3 in
@@ -100,13 +104,13 @@ let test_allocation_budget () =
   let dw = Gc.minor_words () -. w0 in
   let wpi = dw /. float_of_int (Machine.stats m).Machine.st_instret in
   if wpi >= words_per_insn_budget then
-    Alcotest.failf "allocation budget blown: %.2f minor words/insn (budget %.1f)" wpi
+    Alcotest.failf "allocation budget blown: %.2f minor words/insn (budget %.2f)" wpi
       words_per_insn_budget
 
 let suite =
   [
     Alcotest.test_case "golden (cycles, instret, output) per workload x ABI" `Slow
       test_golden_cells;
-    Alcotest.test_case "Dhrystone CHERIv3 under 8 minor words/insn" `Slow
+    Alcotest.test_case "Dhrystone CHERIv3 under 2 minor words/insn" `Slow
       test_allocation_budget;
   ]

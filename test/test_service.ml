@@ -10,6 +10,7 @@ module Admission = Cheri_service.Admission
 module Service = Cheri_service.Service
 module Frontend = Cheri_service.Frontend
 module Chaos = Cheri_service.Chaos
+module Supervisor = Cheri_service.Supervisor
 module Json = Cheri_util.Json
 
 let check_int = Alcotest.(check int)
@@ -385,6 +386,16 @@ let with_tmpdir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))) (fun () -> f dir)
 
+(* Service processes run from the cheri-serve binary, which dispatches
+   service children before anything else. This test binary does not:
+   QCheck_alcotest prints its seed line to stdout while the suites
+   initialise, so a worker re-executed from it would start its frame
+   stream with that line, and the supervisor kills a worker whose frame
+   stream is corrupt. *)
+let serve_exe () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cheri_serve.exe" in
+  if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe
+
 let test_sweep_checkpoints () =
   with_tmpdir (fun dir ->
       Unix.mkdir (Filename.concat dir "checkpoints") 0o755;
@@ -503,9 +514,10 @@ let test_drain_reply_per_client () =
           tick_s = 0.02;
         }
       in
+      let exe = serve_exe () in
       let pid =
-        Unix.create_process Sys.executable_name
-          [| Sys.executable_name; Service.server_marker; Service.config_to_json cfg |]
+        Unix.create_process exe
+          [| exe; Service.server_marker; Service.config_to_json cfg |]
           Unix.stdin Unix.stdout Unix.stderr
       in
       Fun.protect
@@ -604,8 +616,7 @@ let shutdown sock =
 
 (* The same malformed submits sent to a real supervisor and a real
    router get byte-identical bad_request replies: both tiers run the
-   one validation. Needs the test binary to dispatch service and
-   router children (see test_main.ml). *)
+   one validation. *)
 let test_submit_validation_shared () =
   with_tmpdir (fun dir ->
       let sdir = Filename.concat dir "svc" and rdir = Filename.concat dir "fleet" in
@@ -617,7 +628,14 @@ let test_submit_validation_shared () =
           Cheri_service.Router.r_shards = 1;
           r_workers = 1 }
       in
-      let pids = [ Chaos.Client.spawn_server scfg; Chaos.Client.spawn_router rcfg ] in
+      let prog = serve_exe () in
+      let pids =
+        [
+          Supervisor.exec ~prog [ Service.server_marker; Service.config_to_json scfg ];
+          Supervisor.exec ~prog
+            [ Cheri_service.Router.router_marker; Cheri_service.Router.rconfig_to_json rcfg ];
+        ]
+      in
       let sockets = [ scfg.Service.socket; rcfg.Cheri_service.Router.r_socket ] in
       Fun.protect
         ~finally:(fun () ->
@@ -656,13 +674,10 @@ let snap_files dir =
 (* A worker's compile cache holds an entry only while a live tenant
    uses it: after k tenants with distinct sources finish, the worker's
    heartbeat reports zero entries, and the tenants' checkpoints and
-   their spares are gone. The server is the real cheri-serve binary: a
-   worker re-executed from this test binary would print the qcheck
-   seed into its event pipe, and the supervisor would never read a
-   "done" event from it. *)
+   their spares are gone. *)
 let test_worker_releases_tenants () =
   with_tmpdir (fun dir ->
-      let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cheri_serve.exe" in
+      let exe = serve_exe () in
       let sock = Filename.concat dir "serve.sock" in
       let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
       let pid =
@@ -738,6 +753,71 @@ let test_worker_releases_tenants () =
               | [] -> Ok ()
               | fs -> Error (String.concat " " fs))))
 
+(* -- a corrupt worker stream costs the worker, not its tenants ------------------ *)
+
+(* One stray byte ahead of a worker's frames leaves its stream
+   unparseable for good. The supervisor must SIGKILL that worker, so
+   its tenant is requeued and finishes on the next worker, instead of
+   staying [running] behind the worker's fresh heartbeat. The
+   supervisor runs on a domain of this process; its workers are
+   cheri-serve behind a wrapper whose first incarnation writes
+   the stray byte to its stdout, the worker's frame stream. *)
+let test_corrupt_worker_stream_kills_worker () =
+  with_tmpdir (fun dir ->
+      let exe = serve_exe () in
+      let fired = Filename.concat dir "stray.fired" and wrapper = Filename.concat dir "worker.sh" in
+      let oc = open_out_bin wrapper in
+      Printf.fprintf oc "#!/bin/sh\nif [ ! -e %s ]; then : > %s; printf x; fi\nexec %s \"$@\"\n"
+        (Filename.quote fired) (Filename.quote fired) (Filename.quote exe);
+      close_out oc;
+      Unix.chmod wrapper 0o755;
+      let cfg = { (Service.default_config ~dir) with Service.workers = 1; slice = 5000 } in
+      let sock = cfg.Service.socket in
+      let server = Domain.spawn (fun () -> Service.server_main ~worker_prog:wrapper cfg) in
+      Fun.protect
+        ~finally:(fun () ->
+          shutdown sock;
+          Domain.join server)
+        (fun () ->
+          check_bool "server socket came up" true (Chaos.Client.wait_socket sock ~timeout_s:15.0);
+          let c = Chaos.Client.connect sock in
+          let request fields =
+            match Chaos.Client.request c (Json.Obj fields) with
+            | Ok j -> j
+            | Error e -> Alcotest.failf "no reply: %s" e
+          in
+          let source =
+            "int main(void) { long s = 0; for (long i = 0; i < 3000; i++) s = s + i; \
+             print_int(s); return 0; }"
+          in
+          let tenant =
+            let r = request [ ("op", Json.Str "submit"); ("source", Json.Str source) ] in
+            match Json.mem_int "tenant" r with
+            | Some t -> t
+            | None -> Alcotest.failf "submit refused: %s" (Json.encode r)
+          in
+          let deadline = Unix.gettimeofday () +. 30. in
+          let rec await () =
+            let r = request [ ("op", Json.Str "poll"); ("tenant", Json.Num (string_of_int tenant)) ] in
+            match Json.mem_str "state" r with
+            | Some "done" -> r
+            | _ when Unix.gettimeofday () > deadline ->
+                Alcotest.failf "tenant never finished: %s" (Json.encode r)
+            | _ ->
+                Unix.sleepf 0.05;
+                await ()
+          in
+          let r = await () in
+          check_bool "the stray byte was written" true (Sys.file_exists fired);
+          let result = Option.get (Json.member "result" r) in
+          check_bool "the tenant ran again" true (Json.mem_int "restarts" result = Some 1);
+          check_bool "the tenant's output is intact" true
+            (Json.mem_str "output" result = Some "4498500");
+          let st = request [ ("op", Json.Str "stats") ] in
+          check_bool "one corrupt-frame kill" true (Json.mem_int "corrupt_frame_kills" st = Some 1);
+          check_bool "one worker death" true (Json.mem_int "worker_deaths" st = Some 1);
+          Chaos.Client.close c))
+
 (* The router deletes a shard's leftover checkpoints, spares included,
    before it starts the shard. *)
 let test_shard_spawn_sweeps_spares () =
@@ -756,7 +836,10 @@ let test_shard_spawn_sweeps_spares () =
           close_out oc)
         [ "tenant_0007.snap"; "tenant_0007.snap.tmp"; "tenant_0009.snap.tmp" ];
       let sock = rcfg.Cheri_service.Router.r_socket in
-      let pid = Chaos.Client.spawn_router rcfg in
+      let pid =
+        Supervisor.exec ~prog:(serve_exe ())
+          [ Cheri_service.Router.router_marker; Cheri_service.Router.rconfig_to_json rcfg ]
+      in
       Fun.protect
         ~finally:(fun () ->
           shutdown sock;
@@ -797,6 +880,8 @@ let suite =
       test_submit_validation_shared;
     Alcotest.test_case "finished tenants leave no cache entry, checkpoint or spare" `Quick
       test_worker_releases_tenants;
+    Alcotest.test_case "a corrupt worker stream kills the worker" `Quick
+      test_corrupt_worker_stream_kills_worker;
     Alcotest.test_case "a shard spawn sweeps checkpoints and spares" `Quick
       test_shard_spawn_sweeps_spares;
     Alcotest.test_case "socket claim probes before unlinking" `Quick test_bind_listener;

@@ -365,6 +365,26 @@ let test_snapshot_scans_only_touched_pages () =
   (* the two touched data pages, plus the two tag pages covering them *)
   check_int "pages scanned" 4 (Mem.pages_scanned m - before)
 
+(* The capability spill/fill paths run once per CLC/CSC retired, so a
+   round trip through the register-file entry points must not allocate:
+   10,000 calls stay under one minor word per call. *)
+let test_cap_fields_allocation () =
+  let m = mem () in
+  let lane () = Bytes.make 32 '\000' in
+  let base = lane () and len = lane () and off = lane () and otype = lane () in
+  Mem.store_cap_i64 m ~addr:64L (Cap.make ~base:0x40L ~length:0x20L ~perms:Perms.read_only);
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls / 2 do
+    let meta = Mem.load_cap_fields m 64 ~base ~len ~off ~otype ~pos:8 in
+    Mem.store_cap_fields m 128 ~base ~len ~off ~pos:8 ~meta
+      ~otype:(Int64.to_int (Bytes.get_int64_le otype 8))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call >= 1.0 then Alcotest.failf "%.2f minor words per call (budget 1)" per_call;
+  check_bool "the copy kept its tag" true (Mem.tag_at m 128);
+  check_i64 "the copy kept its base" 0x40L (Mem.load_int m 128 ~size:8)
+
 let suite =
   [
     Alcotest.test_case "int roundtrip" `Quick test_int_roundtrip;
@@ -393,4 +413,5 @@ let suite =
     Alcotest.test_case "snapshot scans only touched pages" `Quick
       test_snapshot_scans_only_touched_pages;
     QCheck_alcotest.to_alcotest prop_dirty_tracking_matches_full_scan;
+    Alcotest.test_case "cap field transfers allocate nothing" `Quick test_cap_fields_allocation;
   ]

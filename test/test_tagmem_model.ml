@@ -24,14 +24,16 @@ exception Bus
 
 let need md a len = if a < 0 || len < 0 || a > Bytes.length md.bytes - len then raise Bus
 
-(* a data-path write: the bytes land and every touched granule loses its tag *)
+(* a data-path write: the bytes land and every touched granule loses its
+   tag; a zero-length write touches no granule *)
 let write md a s =
   let len = String.length s in
   need md a len;
   Bytes.blit_string s 0 md.bytes a len;
-  for gi = a / md.g to (a + len - 1) / md.g do
-    md.tags.(gi) <- false
-  done
+  if len > 0 then
+    for gi = a / md.g to (a + len - 1) / md.g do
+      md.tags.(gi) <- false
+    done
 
 let le v =
   let b = Bytes.create 8 in
