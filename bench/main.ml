@@ -9,39 +9,31 @@
      bench/main.exe f1|f2|f3|f4  one figure
      bench/main.exe ablations    the ablation studies
      bench/main.exe micro        Bechamel microbenchmarks only
-     bench/main.exe json [FILE]  machine-readable per-workload results
-                                 (default FILE: [bench_output_file] below)
      bench/main.exe inject [FILE]  full fault-injection campaign: the
                                  per-ABI detection matrix over every
                                  builtin workload and fault kind
                                  (default FILE: [inject_output_file])
      bench/main.exe smoke        fast telemetry-overhead assertions (runs
                                  under dune runtest)
-     bench/main.exe compare [--threshold P] [--quick] OLD.json NEW.json
-                                 the regression gate: diff two committed
-                                 BENCH_PR*.json files of the same schema
-                                 family and exit 1 on any metric worse
-                                 than its bound; --quick compares only
-                                 the cell intersection. A perfbench
-                                 result (perfbench-trajectory) takes its
-                                 gated workloads, metrics, directions
-                                 and bounds from the BENCHMARK.json
-                                 beside NEW; the older families use P%
-                                 (default 10) for every metric
-     bench/main.exe compare --self-test FILE
-                                 prove the gate bites: FILE vs itself
-                                 must pass, FILE vs a synthetically
-                                 worsened copy (20%, or past every
-                                 BENCHMARK.json bound) must fail
+     bench/main.exe compare FILE...
+                                 the regression gate: each FILE is a
+                                 perfbench result (perfbench-trajectory/v1)
+                                 whose change side is gated against its
+                                 own parent side, with the workloads,
+                                 metrics, directions and bounds of the
+                                 BENCHMARK.json beside FILE; exit 1 on
+                                 any metric worse than its bound, or if
+                                 a copy worsened past every bound is not
+                                 flagged on every metric
 
    Softcore throughput, snapshot save/restore and the multi-tenant
    service are measured by perfbench (paper-sweep, resume-chain,
    tenant-burst: `python3 perfbench/run.py --workload W`).
 
-   Every figure/ablation/json cell is an independent (program x ABI)
-   run with per-run machine state, so they fan out over the
-   Cheri_exec.Exec domain pool; results are keyed by submission index,
-   so any --jobs value produces identical tables. *)
+   Every figure/ablation cell is an independent (program x ABI) run
+   with per-run machine state, so they fan out over the Cheri_exec.Exec
+   domain pool; results are keyed by submission index, so any --jobs
+   value produces identical tables. *)
 
 module W = Cheri_workloads
 module A = Cheri_analysis
@@ -50,14 +42,9 @@ module Machine = Cheri_isa.Machine
 module Telemetry = Cheri_telemetry.Telemetry
 module Exec = Cheri_exec.Exec
 module Inject = Cheri_inject.Inject
-module Json = Cheri_util.Json
 module Bench_compare = Cheri_obs.Bench_compare
 
-(* the default output of `bench/main.exe json`, bumped once per PR so
-   the performance trajectory diffs file-to-file *)
-let bench_output_file = "BENCH_PR6.json"
-
-(* this PR's artifact: the fault-injection detection matrix *)
+(* the committed fault-injection detection matrix *)
 let inject_output_file = "BENCH_PR3.json"
 
 (* set from --jobs; default: a few domains (see Pool.default_jobs) *)
@@ -263,116 +250,15 @@ let ablations () =
   ablation_v2_v3_arith ();
   ablation_fail_modes ()
 
-(* -- machine-readable results (json subcommand) ------------------------------- *)
-
-(* One measurement per (workload, ABI), with telemetry attached, so
-   future PRs can diff the performance trajectory file-to-file. *)
-let json_workloads () =
-  let olden =
-    List.map
-      (fun (k : W.Olden.kernel) ->
-        ("Olden/" ^ k.W.Olden.kname, k.W.Olden.source W.Olden.default, None))
-      W.Olden.kernels
-  in
-  let rest =
-    [
-      ("Dhrystone", W.Dhrystone.source W.Dhrystone.default, None);
-      ( "tcpdump",
-        W.Tcpdump_sim.source W.Tcpdump_sim.default,
-        Some (W.Tcpdump_sim.source_v2 W.Tcpdump_sim.default) );
-      ("zlib", W.Zlib_like.source { W.Zlib_like.input_size = 32768; boundary_copy = false }, None);
-    ]
-  in
-  olden @ rest
-
-let measurement_json workload (m : W.Runner.measurement) =
-  let t = Option.get m.W.Runner.telemetry in
-  Printf.sprintf
-    "    {\"workload\":\"%s\",\"abi\":\"%s\",\"cycles\":%d,\"instret\":%d,\"l1_misses\":%d,\"l2_misses\":%d,\"cap_mem_ops\":%d,\"allocs\":%d,\"frees\":%d,\"alloc_bytes\":%Ld,\"collateral_tag_clears\":%d,\"syscalls\":%d}"
-    (Json.escape workload)
-    (Json.escape (Abi.name m.W.Runner.abi))
-    m.W.Runner.cycles m.W.Runner.instret m.W.Runner.l1_misses m.W.Runner.l2_misses
-    m.W.Runner.cap_mem_ops t.Telemetry.allocs t.Telemetry.frees t.Telemetry.alloc_bytes
-    t.Telemetry.collateral_tag_clears t.Telemetry.syscalls
-
-(* The whole sweep — every (workload x ABI) pair — fanned over the
-   pool in one flat task list. Architectural results are bit-identical
-   whatever the domain count (per-run machine state, results keyed by
-   submission index); only the reported sweep timing varies. *)
-let bench_json path =
-  (* an unwritable destination is refused before the minute-long sweep *)
-  Cheri_util.Cli.write_output ~flag:"json" path "";
-  let tasks =
-    List.concat_map
-      (fun (name, src, v2_source) ->
-        List.map
-          (fun abi ->
-            let src =
-              match (abi, v2_source) with
-              | Abi.Cheri Cheri_core.Cap_ops.V2, Some s -> s
-              | _ -> src
-            in
-            (name, abi, src))
-          Abi.all)
-      (json_workloads ())
-  in
-  Format.fprintf ppf "measuring %d (workload x ABI) runs on %d domain(s)...@."
-    (List.length tasks) !jobs;
-  if !jobs > Domain.recommended_domain_count () then
-    Format.fprintf ppf
-      "(note: %d jobs on %d recommended domain(s) — oversubscription stalls the OCaml\n\
-      \ stop-the-world collector, so wall-clock will not improve on this machine)@."
-      !jobs
-      (Domain.recommended_domain_count ());
-  let cells, wall_s =
-    Exec.wall (fun () ->
-        Exec.Pool.map ~jobs:!jobs
-          (fun (_, abi, src) ->
-            W.Runner.run ~sink:(Telemetry.Sink.create ()) abi src)
-          tasks)
-  in
-  let rows =
-    List.map2 (fun (name, _, _) cell -> measurement_json name (Exec.Pool.get cell)) tasks cells
-  in
-  (* the differential check the sequential path did per workload:
-     outputs must agree across the three ABIs of each workload *)
-  List.iter
-    (fun row ->
-      match List.map Exec.Pool.get row with
-      | ms -> (
-          match W.Runner.check_agreement ms with
-          | Some e -> W.Runner.fail e
-          | None -> ()))
-    (let rec chunk3 = function
-       | a :: b :: c :: rest -> [ a; b; c ] :: chunk3 rest
-       | [] -> []
-       | _ -> assert false
-     in
-     chunk3 cells);
-  let serial_s = Exec.Pool.serial_seconds cells in
-  let speedup = if wall_s > 0. then serial_s /. wall_s else 1. in
-  let body =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"cheri_c.bench/v2\",\n\
-      \  \"clock_hz\": 100000000,\n\
-      \  \"sweep\": {\"jobs\":%d,\"tasks\":%d,\"wall_s\":%.6f,\"serial_s\":%.6f,\"speedup\":%.2f},\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }\n"
-      !jobs (List.length tasks) wall_s serial_s speedup
-      (String.concat ",\n" rows)
-  in
-  Cheri_util.Cli.write_output ~flag:"json" path body;
-  Format.fprintf ppf "sweep wall %.2fs, serial %.2fs, speedup %.2fx@." wall_s serial_s speedup;
-  Format.fprintf ppf "wrote %s (%d measurements)@." path (List.length rows)
-
 (* -- fault-injection detection matrix (inject subcommand) --------------------- *)
 
 (* The full campaign behind BENCH_PR3.json: every builtin workload x
-   every ABI x every fault kind x 8 seeds. Like the json sweep, the
-   report is bit-identical whatever --jobs is (fault parameters derive
-   only from the task key), so only wall-clock varies. *)
+   every ABI x every fault kind x 8 seeds. The report is bit-identical
+   whatever --jobs is (fault parameters derive only from the task key),
+   so only wall-clock varies. *)
 let bench_inject path =
+  (* an unwritable destination is refused before the campaign *)
+  Cheri_util.Cli.write_output ~flag:"inject" path "";
   section "Fault-injection detection matrix (full campaign)";
   let c = Inject.default_campaign ~seeds:8 () in
   let n_tasks =
@@ -530,107 +416,39 @@ let micro () =
 
 (* -- bench regression gate (compare subcommand) -------------------------------- *)
 
-let read_bench_file path =
-  match Cheri_util.File.read path with
-  | Ok s -> s
-  | Error msg ->
-      Format.eprintf "compare: %s@." msg;
-      exit 2
-
-(* a perfbench-trajectory file is gated by the BENCHMARK.json beside
-   NEW; the legacy families never read it *)
-let spec_beside path =
-  Result.to_option (Cheri_util.File.read (Filename.concat (Filename.dirname path) "BENCHMARK.json"))
-
-(* diff OLD NEW; exit 0 when within bounds, 1 on a regression, 2 on
-   a malformed or mismatched input *)
-let compare_files ?threshold_pct ~quick old_path new_path =
-  let old_json = read_bench_file old_path and new_json = read_bench_file new_path in
-  match
-    Bench_compare.diff ?threshold_pct ~quick ?spec:(spec_beside new_path) ~old_json ~new_json ()
-  with
-  | Error msg ->
-      Format.eprintf "compare: %s@." msg;
-      exit 2
-  | Ok outcome ->
-      Format.fprintf ppf "compare %s -> %s@.%a@." old_path new_path Bench_compare.pp_outcome
-        outcome;
-      if outcome.Bench_compare.o_regressed then exit 1
-
-(* the gate must bite: FILE vs itself passes, FILE vs a synthetically
-   worsened copy fails on every gated metric *)
-let compare_self_test path =
-  let json = read_bench_file path in
-  let spec = spec_beside path in
-  (match Bench_compare.diff ?spec ~old_json:json ~new_json:json () with
-  | Error msg ->
-      Format.eprintf "compare --self-test: %s: %s@." path msg;
-      exit 2
-  | Ok o when o.Bench_compare.o_regressed ->
-      Format.eprintf "compare --self-test: %s regressed against itself@." path;
-      exit 1
-  | Ok o ->
-      Format.fprintf ppf "self vs self: %d metrics, none regressed: ok@."
-        (List.length o.Bench_compare.o_metrics));
-  match Bench_compare.doctor_worsen ?spec json with
-  | Error msg ->
-      Format.eprintf "compare --self-test: doctoring %s failed: %s@." path msg;
-      exit 2
-  | Ok (doctored, factor) -> (
-      match Bench_compare.diff ?spec ~old_json:json ~new_json:doctored () with
-      | Error msg ->
-          Format.eprintf "compare --self-test: %s@." msg;
-          exit 2
-      | Ok o ->
-          let n = List.length o.Bench_compare.o_metrics in
-          let bad = List.filter (fun m -> m.Bench_compare.m_regressed) o.Bench_compare.o_metrics in
-          if not o.Bench_compare.o_regressed || List.length bad <> n then begin
-            Format.eprintf
-              "compare --self-test: %g%% synthetic regression only flagged %d/%d metrics@."
-              (factor *. 100.) (List.length bad) n;
-            exit 1
-          end;
-          Format.fprintf ppf "self vs %g%%-worsened self: all %d metrics flagged: ok@."
-            (factor *. 100.) n)
-
-let compare_cmd rest =
-  let threshold = ref None in
-  let quick = ref false in
-  let selftest = ref None in
-  let files = ref [] in
-  let rec p = function
-    | "--quick" :: r ->
-        quick := true;
-        p r
-    | "--threshold" :: v :: r -> (
-        match float_of_string_opt v with
-        | Some t when t > 0. ->
-            threshold := Some t;
-            p r
-        | _ ->
-            Format.eprintf "compare: --threshold expects a positive percentage@.";
-            exit 2)
-    | "--self-test" :: f :: r ->
-        selftest := Some f;
-        p r
-    | [ ("--threshold" | "--self-test") as f ] ->
-        Format.eprintf "compare: %s requires an argument@." f;
-        exit 2
-    | f :: r ->
-        files := f :: !files;
-        p r
-    | [] -> ()
+(* gate FILE's change side against its parent side, then check that the
+   gate bites on a copy worsened past every bound; true when both pass.
+   A malformed or foreign FILE exits 2 with one line. *)
+let compare_file path =
+  let read p =
+    match Cheri_util.File.read p with
+    | Ok s -> s
+    | Error msg -> Cheri_util.Cli.die "compare: %s" msg
   in
-  p rest;
-  match (!selftest, List.rev !files) with
-  | Some f, [] -> compare_self_test f
-  | None, [ old_path; new_path ] ->
-      compare_files ?threshold_pct:!threshold ~quick:!quick old_path new_path
-  | _ ->
-      Format.eprintf
-        "usage: bench/main.exe compare [--threshold P] [--quick] OLD.json NEW.json@.\n\
-        \       bench/main.exe compare --self-test FILE@.";
-      exit 2
+  let json = read path in
+  let spec = read (Filename.concat (Filename.dirname path) "BENCHMARK.json") in
+  let ok = function Ok v -> v | Error msg -> Cheri_util.Cli.die "compare: %s: %s" path msg in
+  let o = ok (Bench_compare.diff ~spec json) in
+  let doctored, factor = ok (Bench_compare.doctor_worsen ~spec json) in
+  let bite = ok (Bench_compare.diff ~spec doctored) in
+  let n = List.length bite.Bench_compare.o_metrics in
+  let flagged = List.filter (fun m -> m.Bench_compare.m_regressed) bite.Bench_compare.o_metrics in
+  let bites = List.length flagged = n in
+  Format.fprintf ppf
+    "compare %s@.%a@.  bite check: change vs itself %g%% worse flags %d/%d metrics%s@." path
+    Bench_compare.pp_outcome o (factor *. 100.) (List.length flagged) n
+    (if bites then "" else ": the gate does not bite");
+  (not o.Bench_compare.o_regressed) && bites
+
+let compare_cmd = function
+  | [] -> Cheri_util.Cli.die "usage: bench/main.exe compare FILE..."
+  | files -> (
+      match List.find_opt (fun f -> String.starts_with ~prefix:"-" f) files with
+      | Some flag -> Cheri_util.Cli.die "compare: unknown flag %s" flag
+      | None ->
+          (* every file is reported before the exit code is decided *)
+          let passed = List.map compare_file files in
+          if not (List.for_all Fun.id passed) then exit 1)
 
 (* -- driver ---------------------------------------------------------------------- *)
 
@@ -678,8 +496,6 @@ let () =
      | "micro" -> micro ()
      | "smoke" -> smoke ()
      | "compare" -> compare_cmd (List.tl positional)
-     | "json" ->
-         bench_json (match positional with _ :: f :: _ -> f | _ -> bench_output_file)
      | "inject" ->
          bench_inject (match positional with _ :: f :: _ -> f | _ -> inject_output_file)
      | other ->

@@ -344,19 +344,6 @@ let test_status_json () =
 
 (* -- the bench regression gate -------------------------------------------- *)
 
-let bench_file cycles =
-  Printf.sprintf
-    {|{"schema":"cheri_c.bench/v1","results":[
-  {"workload":"dhry","abi":"A","cycles":%d,"instret":1000},
-  {"workload":"zlib","abi":"A","cycles":5000,"instret":2000}
-]}|}
-    cycles
-
-let diff_exn ?threshold_pct ?quick ?spec old_json new_json =
-  match BC.diff ?threshold_pct ?quick ?spec ~old_json ~new_json () with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "diff failed: %s" e
-
 (* a BENCHMARK.json in miniature: two gated workloads, three metrics,
    RSS with the tighter bound *)
 let spec_with ?(jobs_better = "higher") () =
@@ -369,10 +356,10 @@ let spec_with ?(jobs_better = "higher") () =
 
 let spec = spec_with ()
 
-(* a perfbench result whose change side holds [workloads] (paper-sweep
-   is measured but not in the spec); [value w metric v] perturbs one
+(* one side of a perfbench result, holding [workloads] (paper-sweep is
+   measured but not in the spec); [value w metric v] perturbs one
    metric of one workload *)
-let traj ?(correct = fun _ -> true) ?(failed = fun _ -> 0) ?(value = fun _ _ v -> v)
+let side ?(correct = fun _ -> true) ?(failed = fun _ -> 0) ?(value = fun _ _ v -> v)
     ?(workloads = [ "tenant-burst"; "resume-chain"; "paper-sweep" ]) () =
   let metric w (name, v) =
     Printf.sprintf {|"%s":{"value":%s,"unit":"u"}|} name (J.number (value w name v))
@@ -383,35 +370,25 @@ let traj ?(correct = fun _ -> true) ?(failed = fun _ -> 0) ?(value = fun _ _ v -
       (String.concat ","
          (List.map (metric w) [ ("jobs_per_s", 10.); ("latency_p50_s", 1.); ("rss_peak_mib", 100.) ]))
   in
-  Printf.sprintf {|{"schema":"perfbench-trajectory/v1","parent":{},"change":{%s}}|}
-    (String.concat "," (List.map cell workloads))
+  Printf.sprintf "{%s}" (String.concat "," (List.map cell workloads))
+
+let base = side ()
+
+let traj ?(schema = "perfbench-trajectory/v1") ?(parent = base) ?(change = base) () =
+  Printf.sprintf {|{"schema":"%s","parent":%s,"change":%s}|} schema parent change
 
 let scale w0 m0 k w m v = if w = w0 && m = m0 then v *. k else v
 
+let diff_exn ?(spec = spec) json =
+  match BC.diff ~spec json with Ok o -> o | Error e -> Alcotest.failf "diff failed: %s" e
+
+(* does a change side with [value] regress against the unperturbed parent? *)
+let regressed ?spec value = (diff_exn ?spec (traj ~change:(side ~value ()) ())).BC.o_regressed
+
 let test_compare_thresholds () =
-  let o = diff_exn (bench_file 1000) (bench_file 1000) in
-  check_bool "identical files pass" false o.BC.o_regressed;
-  check_int "both cells, both metrics gated" 4 (List.length o.BC.o_metrics);
-  (* +9% stays under the default 10% threshold; +20% trips it *)
-  check_bool "9% within threshold" false (diff_exn (bench_file 1000) (bench_file 1090)).BC.o_regressed;
-  let worse = diff_exn (bench_file 1000) (bench_file 1200) in
-  check_bool "20% regresses" true worse.BC.o_regressed;
-  let m =
-    List.find (fun m -> m.BC.m_cell = "dhry/A" && m.BC.m_name = "cycles") worse.BC.o_metrics
-  in
-  check_float "signed delta, positive = worse" 20.0 m.BC.m_delta_pct;
-  check_bool "improvement never regresses" false
-    (diff_exn (bench_file 1000) (bench_file 500)).BC.o_regressed;
-  (* a tighter threshold bites on the 9% drift *)
-  check_bool "custom threshold" true
-    (diff_exn ~threshold_pct:5.0 (bench_file 1000) (bench_file 1090)).BC.o_regressed;
-  (* perfbench-trajectory: cells, metrics, directions and bounds all
-     come from the spec *)
-  let base = traj () in
-  let o = diff_exn ~spec base base in
-  check_bool "identical results pass" false o.BC.o_regressed;
+  let o = diff_exn (traj ()) in
+  check_bool "identical sides pass" false o.BC.o_regressed;
   check_int "2 gated workloads x 3 metrics" 6 (List.length o.BC.o_metrics);
-  let regressed ?(spec = spec) value = (diff_exn ~spec base (traj ~value ())).BC.o_regressed in
   check_bool "jobs/s -30% regresses (higher is better)" true
     (regressed (scale "tenant-burst" "jobs_per_s" 0.7));
   check_bool "jobs/s +50% does not" false (regressed (scale "tenant-burst" "jobs_per_s" 1.5));
@@ -421,90 +398,123 @@ let test_compare_thresholds () =
     (regressed (scale "resume-chain" "rss_peak_mib" 1.22));
   check_bool "p50 +22% does not (bound 0.25)" false
     (regressed (scale "resume-chain" "latency_p50_s" 1.22));
-  let o = diff_exn ~spec base (traj ~value:(scale "resume-chain" "rss_peak_mib" 1.22) ()) in
+  let o = diff_exn (traj ~change:(side ~value:(scale "resume-chain" "rss_peak_mib" 1.22) ()) ()) in
   let m = List.find (fun m -> m.BC.m_regressed) o.BC.o_metrics in
   check_string "the RSS cell" "resume-chain" m.BC.m_cell;
   check_float "its bound" 20.0 m.BC.m_bound_pct;
+  check_float "signed delta, positive = worse" 22.0 m.BC.m_delta_pct;
+  check_float "the parent side is OLD" 100.0 m.BC.m_old;
   check_bool "a workload absent from the spec is ignored" false
-    (regressed (scale "paper-sweep" "rss_peak_mib" 10.))
+    (regressed (scale "paper-sweep" "rss_peak_mib" 10.));
+  (* the change is gated against its own parent, whatever its values *)
+  let slow_parent = side ~value:(scale "tenant-burst" "jobs_per_s" 0.5) () in
+  check_bool "a change faster than its parent passes" false
+    (diff_exn (traj ~parent:slow_parent ())).BC.o_regressed;
+  check_bool "a parent faster than its change regresses" true
+    (diff_exn (traj ~change:slow_parent ())).BC.o_regressed
+
+let test_compare_zero_parent () =
+  (* every parent job failed: jobs/s 0 -> 10 is an improvement *)
+  let value w m v = if w = "tenant-burst" && m = "jobs_per_s" then 0. else v in
+  let o = diff_exn (traj ~parent:(side ~value ~failed:(fun _ -> 100) ()) ()) in
+  check_bool "0 -> positive, higher is better: no regression" false o.BC.o_regressed;
+  let m =
+    List.find (fun m -> m.BC.m_name = "jobs_per_s" && m.BC.m_cell = "tenant-burst") o.BC.o_metrics
+  in
+  check_bool "delta is -inf" true (m.BC.m_delta_pct = neg_infinity);
+  let value w m v = if w = "resume-chain" && m = "latency_p50_s" then 0. else v in
+  check_bool "0 -> positive, lower is better: regression" true
+    (diff_exn (traj ~parent:(side ~value ()) ())).BC.o_regressed;
+  check_bool "0 -> 0 is no change" false
+    (diff_exn (traj ~parent:(side ~value ()) ~change:(side ~value ()) ())).BC.o_regressed
 
 let test_compare_missing_and_mismatch () =
-  let small =
-    {|{"schema":"cheri_c.bench/v2","results":[{"workload":"dhry","abi":"A","cycles":1000,"instret":1000}]}|}
-  in
-  (* a cell that vanished is a regression — unless --quick, which gates
-     only the intersection (for comparing against an older, smaller sweep) *)
-  let o = diff_exn (bench_file 1000) small in
-  check_bool "missing cell regresses" true o.BC.o_regressed;
-  check_bool "missing cell named" true (List.mem "zlib/A" o.BC.o_missing);
-  check_bool "quick ignores missing" false
-    (diff_exn ~quick:true (bench_file 1000) small).BC.o_regressed;
-  (* v1 vs v2 of one family is fine (asserted above); families must match *)
-  let perf = {|{"schema":"cheri_c.bench-perf/v1","results":[]}|} in
-  (match BC.diff ~old_json:(bench_file 1000) ~new_json:perf () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "family mismatch accepted");
-  (match BC.diff ~old_json:"{not json" ~new_json:"{}" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed JSON accepted");
-  (match BC.diff ~old_json:{|{"schema":"cheri_c.weird/v1"}|} ~new_json:{|{"schema":"cheri_c.weird/v1"}|} () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown family accepted");
-  (* perfbench-trajectory: a missing gated workload, an incorrect run
-     and a larger failed share each regress *)
-  let base = traj () in
-  let o = diff_exn ~spec base (traj ~workloads:[ "tenant-burst"; "paper-sweep" ] ()) in
-  check_bool "missing workload regresses" true o.BC.o_regressed;
-  check_bool "missing workload named" true (o.BC.o_missing = [ "resume-chain" ]);
-  check_bool "quick ignores it" false
-    (diff_exn ~quick:true ~spec base (traj ~workloads:[ "tenant-burst" ] ())).BC.o_regressed;
-  let o = diff_exn ~spec base (traj ~correct:(fun w -> w <> "tenant-burst") ()) in
-  check_bool "correct:false regresses" true (o.BC.o_regressed && o.BC.o_failures <> []);
-  let failing w = if w = "resume-chain" then 1 else 0 in
-  check_bool "a larger failed share regresses" true
-    (diff_exn ~spec base (traj ~failed:failing ())).BC.o_regressed;
-  check_bool "an equal failed share does not" false
-    (diff_exn ~spec (traj ~failed:failing ()) (traj ~failed:failing ())).BC.o_regressed;
-  check_bool "paper-sweep's correctness is not gated" false
-    (diff_exn ~spec base (traj ~correct:(fun w -> w <> "paper-sweep") ())).BC.o_regressed;
-  let not_a_number =
-    {|{"schema":"perfbench-trajectory/v1","change":{"tenant-burst":{"correct":true,
-"attempted":1,"failed":0,"metrics":{"jobs_per_s":{"value":"fast"}}}}}|}
-  in
   List.iter
-    (fun (what, threshold_pct, spec, new_json) ->
-      match BC.diff ?threshold_pct ?spec ~old_json:base ~new_json () with
+    (fun (what, spec, json) ->
+      match BC.diff ~spec json with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s accepted" what)
     [
-      ("a malformed spec", None, Some "{not json", base);
-      ("a spec without end_to_end", None, Some {|{"workloads":[{"name":"x"}]}|}, base);
-      ("a missing spec", None, None, base);
-      ("a metric that is not a number", None, Some spec, not_a_number);
-      ("--threshold with a perfbench result", Some 10., Some spec, base);
-    ]
+      ( "a gated workload missing from the change side",
+        spec,
+        traj ~change:(side ~workloads:[ "tenant-burst"; "paper-sweep" ] ()) () );
+      ( "a gated workload missing from the parent side",
+        spec,
+        traj ~parent:(side ~workloads:[ "resume-chain" ] ()) () );
+      ("another schema", spec, traj ~schema:"cheri_c.bench/v2" ());
+      ( "a legacy document",
+        spec,
+        {|{"schema":"cheri_c.bench/v2",
+"results":[{"workload":"dhry","abi":"A","cycles":1000,"instret":1000}]}|}
+      );
+      ("malformed JSON", spec, "{not json");
+      ("a malformed spec", "{not json", traj ());
+      ("a spec without end_to_end", {|{"workloads":[{"name":"x"}]}|}, traj ());
+      ( "a metric that is not a number",
+        spec,
+        traj
+          ~change:
+            {|{"tenant-burst":{"correct":true,"attempted":1,"failed":0,
+"metrics":{"jobs_per_s":{"value":"fast"}}}}|}
+          () );
+    ];
+  (* an incorrect change or a larger failed share regresses *)
+  let o = diff_exn (traj ~change:(side ~correct:(fun w -> w <> "tenant-burst") ()) ()) in
+  check_bool "correct:false regresses" true (o.BC.o_regressed && o.BC.o_failures <> []);
+  check_bool "an incorrect parent does not" false
+    (diff_exn (traj ~parent:(side ~correct:(fun w -> w <> "tenant-burst") ()) ())).BC.o_regressed;
+  let failing w = if w = "resume-chain" then 1 else 0 in
+  check_bool "a larger failed share regresses" true
+    (diff_exn (traj ~change:(side ~failed:failing ()) ())).BC.o_regressed;
+  let both = side ~failed:failing () in
+  check_bool "an equal failed share does not" false
+    (diff_exn (traj ~parent:both ~change:both ())).BC.o_regressed;
+  check_bool "paper-sweep's correctness is not gated" false
+    (diff_exn (traj ~change:(side ~correct:(fun w -> w <> "paper-sweep") ()) ())).BC.o_regressed
 
 let test_compare_doctor_worsen () =
-  List.iter
-    (fun (old_json, spec) ->
-      let doctored, factor =
-        match BC.doctor_worsen ?spec old_json with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "doctor_worsen failed: %s" e
-      in
-      ignore (parse_ok "doctored report" doctored);
-      let o = diff_exn ?spec old_json doctored in
-      check_bool "synthetic regression flagged" true o.BC.o_regressed;
-      check_bool "every gated metric regressed" true
-        (List.for_all (fun m -> m.BC.m_regressed) o.BC.o_metrics);
-      (* past the largest bound: 20% would leave RSS (bound 0.2) unflagged *)
-      if spec <> None then begin
-        check_int "all 6 gated metrics" 6 (List.length o.BC.o_metrics);
-        check_bool "factor past every bound" true (factor > 0.25);
-        let twenty, _ = Result.get_ok (BC.doctor_worsen ~factor:0.2 ?spec old_json) in
-        check_bool "20% misses RSS" false (diff_exn ?spec old_json twenty).BC.o_regressed
-      end)
-    [ (bench_file 1000, None); (traj (), Some spec) ]
+  (* the BENCH_PR16 shape: a change far better than its parent (RSS 590
+     -> 66 MiB), so worsening the change side alone would not bite *)
+  let parent =
+    side
+      ~value:(fun _ m v ->
+        match m with "rss_peak_mib" -> 5.9 *. v | "jobs_per_s" -> 0.5 *. v | _ -> 2. *. v)
+      ()
+  in
+  let change = side ~value:(fun _ m v -> if m = "rss_peak_mib" then 0.66 *. v else v) () in
+  let json = traj ~parent ~change () in
+  check_bool "the file itself passes" false (diff_exn json).BC.o_regressed;
+  let doctored, factor =
+    match BC.doctor_worsen ~spec json with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "doctor_worsen failed: %s" e
+  in
+  ignore (parse_ok "doctored report" doctored);
+  let o = diff_exn doctored in
+  check_int "all 6 gated metrics" 6 (List.length o.BC.o_metrics);
+  check_bool "every gated metric regressed" true
+    (List.for_all (fun m -> m.BC.m_regressed) o.BC.o_metrics);
+  check_bool "the doctored parent is the change side" true
+    (List.for_all
+       (fun m -> m.BC.m_name <> "rss_peak_mib" || m.BC.m_old = 66.)
+       o.BC.o_metrics);
+  (* past the largest bound: a factor under it leaves metrics unflagged *)
+  check_bool "factor past every bound" true (factor > 0.25);
+  let mild, _ = Result.get_ok (BC.doctor_worsen ~factor:0.15 ~spec json) in
+  check_bool "15% flags nothing" false (diff_exn mild).BC.o_regressed;
+  (* against the far worse parent, the worsened change still passes *)
+  let worse _ m v =
+    match m with
+    | "rss_peak_mib" -> 0.66 *. v *. (1. +. factor)
+    | "jobs_per_s" -> v *. (1. -. factor)
+    | _ -> v *. (1. +. factor)
+  in
+  let change_only = traj ~parent ~change:(side ~value:worse ()) () in
+  check_bool "worsening only the change side would not bite" false
+    (diff_exn change_only).BC.o_regressed;
+  match BC.doctor_worsen ~spec (traj ~schema:"cheri_c.bench/v2" ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "doctored a foreign schema"
 
 let suite =
   [
@@ -523,6 +533,8 @@ let suite =
     Alcotest.test_case "heartbeat probe on real files" `Quick test_heartbeat_probe;
     Alcotest.test_case "status payload" `Quick test_status_json;
     Alcotest.test_case "compare thresholds" `Quick test_compare_thresholds;
+    Alcotest.test_case "compare zero parent value takes the direction" `Quick
+      test_compare_zero_parent;
     Alcotest.test_case "compare missing cells + mismatches" `Quick
       test_compare_missing_and_mismatch;
     Alcotest.test_case "compare gate bites on doctored report" `Quick
