@@ -63,6 +63,7 @@ type linked = {
   data_base : int64;
   code_symbols : (string * int) list;
   data_symbols : (string * int64) list;
+  decoded : Cheri_isa.Decoded.program option Atomic.t;
 }
 
 exception Undefined_symbol of string
@@ -104,6 +105,7 @@ let link ?(data_base = 0x10000L) (b : Builder.t) =
       Hashtbl.fold
         (fun k v acc -> (k, Int64.add data_base (Int64.of_int v)) :: acc)
         b.Builder.data_labels [];
+    decoded = Atomic.make None;
   }
 
 let code_symbol l name =
@@ -116,13 +118,23 @@ let data_symbol l name =
   | Some a -> a
   | None -> raise (Undefined_symbol name)
 
+(* Two domains that both find [None] both decode; the one whose
+   [compare_and_set] fails drops its table and takes the winner's. *)
+let program l =
+  match Atomic.get l.decoded with
+  | Some p -> p
+  | None ->
+      let p = Cheri_isa.Decoded.compile l.code in
+      if Atomic.compare_and_set l.decoded None (Some p) then p
+      else Option.get (Atomic.get l.decoded)
+
 let make_machine ?config l =
   let config =
     match config with
     | Some c -> { c with Machine.data_base = l.data_base }
     | None -> { (Machine.default_config Cheri_core.Cap_ops.V3) with data_base = l.data_base }
   in
-  let m = Machine.create config ~program:(Cheri_isa.Decoded.compile l.code) in
+  let m = Machine.create config ~program:(program l) in
   if Bytes.length l.data > 0 then begin
     Mem.store_bytes_i64 (Machine.mem m) ~addr:l.data_base l.data;
     Machine.reserve_data m l.data_base (Int64.of_int (Bytes.length l.data))

@@ -38,12 +38,14 @@ module Builder : sig
   val data_align : t -> int -> unit
 end
 
-type linked = {
+type linked = private {
   code : Insn.t array;
   data : bytes;
   data_base : int64;
   code_symbols : (string * int) list;
   data_symbols : (string * int64) list;
+  decoded : Cheri_isa.Decoded.program option Atomic.t;
+      (** {!program}'s table once the first machine is made *)
 }
 
 exception Undefined_symbol of string
@@ -57,10 +59,16 @@ val link : ?data_base:int64 -> Builder.t -> linked
 val code_symbol : linked -> string -> int
 val data_symbol : linked -> string -> int64
 
+val program : linked -> Cheri_isa.Decoded.program
+(** The decoded program, compiled on the first call and shared by every
+    later one: the table is immutable, and its {!Cheri_isa.Decoded.digest}
+    memo is computed once for all machines of this [linked]. Safe to call
+    from several domains; a race decodes twice and keeps one table. *)
+
 val make_machine : ?config:Machine.config -> linked -> Machine.t
 (** A machine at reset with the data segment copied into memory at
-    [data_base] and removed from the malloc free list. The default
-    config is [Machine.default_config V3]. *)
+    [data_base] and removed from the malloc free list, running
+    {!program}. The default config is [Machine.default_config V3]. *)
 
 val run_code :
   ?config:Machine.config -> ?fuel:int -> Insn.t list -> Machine.outcome * Machine.t

@@ -65,10 +65,11 @@ val create : config -> program:Decoded.program -> t
     stack capability (register 11) over the stack region, stack
     pointer (GPR 29) at the top of memory.
 
-    The machine executes a {e pre-decoded} program ({!Decoded.compile});
-    callers that load the same program into several machines (the fuzz
-    campaigns, the injection engine's thousands-of-runs sweeps) compile
-    once and share the table. *)
+    The machine executes a {e pre-decoded} program ({!Decoded.compile})
+    and never writes to it, so several machines may share one table:
+    the assembler's loader gives every machine of one linked program
+    the same table (the injection engine's thousands-of-runs sweeps,
+    resumes into fresh machines). *)
 
 val create_code : config -> code:Insn.t array -> t
 (** [create cfg ~program:(Decoded.compile code)] — the pre-decode-stage

@@ -160,10 +160,11 @@ let gen_op =
 (* (ways, sets): 32-byte lines, so each cache is [ways * sets * 32] bytes *)
 let gen_geometry = QCheck.Gen.(pair (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 2; 4; 8 ]))
 
+let print_stream ((w, s), (w2, s2), ops) =
+  Printf.sprintf "L1 %dx%d, L2 %dx%d: %s" w s w2 s2 (String.concat "; " (List.map pp_op ops))
+
 let arb_stream =
-  QCheck.make
-    ~print:(fun ((w, s), (w2, s2), ops) ->
-      Printf.sprintf "L1 %dx%d, L2 %dx%d: %s" w s w2 s2 (String.concat "; " (List.map pp_op ops)))
+  QCheck.make ~print:print_stream
     QCheck.Gen.(triple gen_geometry gen_geometry (list_size (int_range 1 300) gen_op))
 
 let config (w1, s1) (w2, s2) =
@@ -179,33 +180,55 @@ let config (w1, s1) (w2, s2) =
 (* One single cache takes the [access*] ops and a hierarchy the
    [Cycles] ops, on both sides; after every op the results, the
    counters and the complete snapshot state must be equal. *)
+let agrees_with_ref (g1, g2, ops) =
+  let cfg = config g1 g2 in
+  let c = Cache.create ~name:"c" ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways ~line_bytes:32 in
+  let rc = Ref.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways ~line_bytes:32 in
+  let h = Cache.Timing.create cfg and rh = Ref.timing cfg in
+  let same_state () =
+    Cache.snapshot_state c = Ref.snapshot_state rc
+    && Cache.snapshot_state (Cache.Timing.l1 h) = Ref.snapshot_state rh.Ref.l1
+    && Cache.snapshot_state (Cache.Timing.l2 h) = Ref.snapshot_state rh.Ref.l2
+    && Cache.hits c = rc.Ref.hits
+    && Cache.misses c = rc.Ref.misses
+  in
+  List.for_all
+    (fun op ->
+      let agree =
+        match op with
+        | Access a -> Cache.access c a = Ref.access rc a
+        | Access_int a -> Cache.access_int c a = Ref.access_int rc a
+        | Fetch a -> Cache.access_fetch c a = Ref.access_fetch rc a
+        | Cycles (a, size) -> Cache.Timing.access_cycles h a ~size = Ref.access_cycles rh a ~size
+      in
+      if not agree then QCheck.Test.fail_reportf "%s disagrees" (pp_op op);
+      same_state () || QCheck.Test.fail_reportf "state differs after %s" (pp_op op))
+    ops
+
 let prop_flat_equals_nested =
   QCheck.Test.make ~name:"flat cache equals the nested-array reference" ~count:300 arb_stream
-    (fun (g1, g2, ops) ->
-      let cfg = config g1 g2 in
-      let c = Cache.create ~name:"c" ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways ~line_bytes:32 in
-      let rc = Ref.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways ~line_bytes:32 in
-      let h = Cache.Timing.create cfg and rh = Ref.timing cfg in
-      let same_state () =
-        Cache.snapshot_state c = Ref.snapshot_state rc
-        && Cache.snapshot_state (Cache.Timing.l1 h) = Ref.snapshot_state rh.Ref.l1
-        && Cache.snapshot_state (Cache.Timing.l2 h) = Ref.snapshot_state rh.Ref.l2
-        && Cache.hits c = rc.Ref.hits
-        && Cache.misses c = rc.Ref.misses
-      in
-      List.for_all
-        (fun op ->
-          let agree =
-            match op with
-            | Access a -> Cache.access c a = Ref.access rc a
-            | Access_int a -> Cache.access_int c a = Ref.access_int rc a
-            | Fetch a -> Cache.access_fetch c a = Ref.access_fetch rc a
-            | Cycles (a, size) ->
-                Cache.Timing.access_cycles h a ~size = Ref.access_cycles rh a ~size
-          in
-          if not agree then QCheck.Test.fail_reportf "%s disagrees" (pp_op op);
-          same_state () || QCheck.Test.fail_reportf "state differs after %s" (pp_op op))
-        ops)
+    agrees_with_ref
+
+(* The L1 hit path of [Timing.access_cycles]: data accesses of 1 to 8
+   bytes, 15 in 16 of them inside a working set the size of L1, so
+   that after the first touch of each line nearly every probe hits in
+   whichever way holds it; the rest land in the same sets from further
+   away and make the evictions that the hit path's LRU stamps decide. *)
+let gen_hit_heavy =
+  QCheck.Gen.(
+    gen_geometry >>= fun ((w, s) as g1) ->
+    gen_geometry >>= fun g2 ->
+    let l1_bytes = w * s * 32 in
+    let addr =
+      frequency [ (15, int_bound (l1_bytes - 1)); (1, map (fun k -> (k * l1_bytes) + 16) (int_range 1 8)) ]
+    in
+    let op = map2 (fun a n -> Cycles (Int64.of_int a, n)) addr (oneofl [ 1; 2; 4; 8 ]) in
+    map (fun ops -> (g1, g2, ops)) (list_size (int_range 1 300) op))
+
+let prop_hit_path_equals_nested =
+  QCheck.Test.make ~name:"L1 hit path equals the nested-array reference" ~count:300
+    (QCheck.make ~print:print_stream gen_hit_heavy)
+    agrees_with_ref
 
 (* [restore_state] is the inverse of [snapshot_state]: a cache restored
    from a midpoint replays the rest of the stream exactly as the
@@ -230,5 +253,6 @@ let prop_restore_replays =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_flat_equals_nested;
+    QCheck_alcotest.to_alcotest prop_hit_path_equals_nested;
     QCheck_alcotest.to_alcotest prop_restore_replays;
   ]

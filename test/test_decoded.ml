@@ -26,9 +26,10 @@ let run_compiled abi linked =
   (Format.asprintf "%a" Machine.pp_outcome outcome,
    Machine.output m, st.Machine.st_cycles, st.Machine.st_instret)
 
-(* Two machines built from two independent Decoded.compile runs of the
-   same linked image must execute identically: outcome, output bytes,
-   cycle count and retired-instruction count. *)
+(* Two machines built from two independent compiles of the same source
+   (two decodes) must execute identically: outcome, output bytes, cycle
+   count and retired-instruction count; so must a second machine on the
+   first one's shared decoded table. *)
 let prop_decode_deterministic =
   QCheck.Test.make ~name:"decode: independent compiles execute identically" ~count:20
     QCheck.(int_bound 10_000)
@@ -38,7 +39,10 @@ let prop_decode_deterministic =
         (fun abi ->
           match Codegen.compile_source abi src with
           | exception Abi.Unsupported _ -> true (* e.g. pointer diff under V2 *)
-          | linked -> run_compiled abi linked = run_compiled abi linked)
+          | linked ->
+              let first = run_compiled abi linked in
+              first = run_compiled abi (Codegen.compile_source abi src)
+              && first = run_compiled abi linked)
         abis)
 
 (* Decode bookkeeping: the table remembers its source verbatim, keeps
@@ -110,6 +114,60 @@ let test_create_code_rejects_unresolved () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Machine.create_code accepted unresolved code"
 
+(* -- one decode per linked program ------------------------------------------ *)
+
+module Asm = Cheri_asm.Asm
+module Snapshot = Cheri_snapshot.Snapshot
+
+let v3 = Abi.Cheri Cheri_core.Cap_ops.V3
+let small_source = Cheri_workloads.Dhrystone.source { Cheri_workloads.Dhrystone.iterations = 5 }
+let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what (Snapshot.error_to_string e)
+
+let test_machines_share_program () =
+  let linked = Codegen.compile_source v3 small_source in
+  let m1 = Codegen.machine_for v3 linked and m2 = Codegen.machine_for v3 linked in
+  Alcotest.(check bool) "one decoded program" true (Machine.program m1 == Machine.program m2);
+  Alcotest.(check bool) "the linked's program" true (Machine.program m1 == Asm.program linked)
+
+(* A restore checks the image's code digest against the machine's
+   program; on a fresh machine of the same [linked] that is the digest
+   the save already computed, not a second print-and-hash. *)
+let test_restore_reuses_digest () =
+  let abi = Abi.name v3 in
+  let linked = Codegen.compile_source v3 small_source in
+  let m = Codegen.machine_for v3 linked in
+  (match Machine.run ~fuel:1000 ~yield:true m with
+  | Machine.Yielded -> ()
+  | o -> Alcotest.failf "expected a yield: %a" Machine.pp_outcome o);
+  let path = Filename.temp_file "decode_once" ".snap" in
+  Fun.protect ~finally:(fun () -> Snapshot.remove path) @@ fun () ->
+  ignore (ok "save" (Snapshot.save ~abi ~path m));
+  let saved = Decoded.digest ~abi (Machine.program m) in
+  let img = ok "load" (Snapshot.load path) in
+  let restored () =
+    let r = Codegen.machine_for v3 linked in
+    ok "restore" (Snapshot.restore r ~abi img);
+    Decoded.digest ~abi (Machine.program r)
+  in
+  let first = restored () in
+  let second = restored () in
+  Alcotest.(check bool) "first restore: the memoised string" true (first == saved);
+  Alcotest.(check bool) "second restore: the memoised string" true (second == saved);
+  Alcotest.(check (list string))
+    "one memo entry" [ abi ]
+    (List.map fst (Machine.program m).Decoded.digests)
+
+let test_compiles_share_nothing () =
+  let abi = Abi.name v3 in
+  let a = Codegen.compile_source v3 small_source and b = Codegen.compile_source v3 small_source in
+  let pa = Asm.program a and pb = Asm.program b in
+  Alcotest.(check bool) "two programs" true (pa != pb);
+  Alcotest.(check bool) "two code arrays" true (a.Asm.code != b.Asm.code);
+  ignore (Decoded.digest ~abi pa);
+  Alcotest.(check int) "the other's memo is empty" 0 (List.length pb.Decoded.digests);
+  Alcotest.(check bool) "b's machine runs b's program" true
+    (Machine.program (Codegen.machine_for v3 b) == pb)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_decode_deterministic;
@@ -123,4 +181,8 @@ let suite =
       test_rejects_register_out_of_range;
     Alcotest.test_case "create_code rejects unresolved code" `Quick
       test_create_code_rejects_unresolved;
+    Alcotest.test_case "machines of one linked share its program" `Quick
+      test_machines_share_program;
+    Alcotest.test_case "a restore reuses the program's digest" `Quick test_restore_reuses_digest;
+    Alcotest.test_case "two compiles share no program" `Quick test_compiles_share_nothing;
   ]
