@@ -73,24 +73,11 @@ let interp_impl (e : Registry.entry) : impl =
         | exception exn -> { impl; status = Stuck (Printexc.to_string exn); out = "" });
   }
 
-let compiled_impl ?slice (abi : Abi.t) : impl =
+let compiled_impl (abi : Abi.t) : impl =
   let impl = "isa/" ^ Abi.name abi in
   let execute src =
     let m = Cheri_compiler.Codegen.(machine_for abi (compile abi (typed src))) in
-    match slice with
-    | None -> (Machine.run m, m)
-    | Some n ->
-        (* run in bounded fuel slices via [Yielded]: the machine stops
-           only between instructions, so outcome and output are
-           identical to the unsliced run for every slice size *)
-        let n = max 1 n in
-        let rec go left =
-          match Machine.run ~fuel:(min n left) ~yield:true m with
-          | Machine.Yielded when left > n -> go (left - n)
-          | Machine.Yielded -> Machine.Fuel_exhausted
-          | o -> o
-        in
-        (go Machine.default_fuel, m)
+    (Machine.run m, m)
   in
   {
     impl_name = impl;
@@ -109,8 +96,7 @@ let compiled_impl ?slice (abi : Abi.t) : impl =
         | exception exn -> { impl; status = Stuck (Printexc.to_string exn); out = "" });
   }
 
-let default_impls ?slice () =
-  List.map interp_impl Registry.entries @ List.map (compiled_impl ?slice) Abi.all
+let default_impls () = List.map interp_impl Registry.entries @ List.map compiled_impl Abi.all
 
 (* -- divergence detection --------------------------------------------------- *)
 
@@ -244,11 +230,9 @@ let journal ~first_seed ~seeds ~shrink : (int, int * divergence option) Journal.
     decode = seed_of_json;
   }
 
-let run ?impls ?slice ?(shrink = false) ?(jobs = 1) ?(first_seed = 0) ?checkpoint
+let run ?impls ?(shrink = false) ?(jobs = 1) ?(first_seed = 0) ?checkpoint
     ?resume ?(obs = Obs.default) ?heartbeat ~seeds () : report =
-  (* [slice] only shapes how the softcore implementations spend fuel;
-     with deterministic impls the report is identical either way *)
-  let impls = match impls with Some i -> i | None -> default_impls ?slice () in
+  let impls = match impls with Some i -> i | None -> default_impls () in
   let seed_list = List.init seeds (fun i -> first_seed + i) in
   let journal =
     Journal.start ?resume ?checkpoint (journal ~first_seed ~seeds ~shrink) ~tasks:seed_list

@@ -666,14 +666,13 @@ module Progress = struct
 end
 
 let timing_json ~jobs ~wall_s ?serial_s task_seconds =
-  let num f = if f <> f then Json.Null else Json.Num (Json.number f) in
-  let q p = num (quantile_of task_seconds p) in
+  let q p = Json.float (quantile_of task_seconds p) in
   Json.encode
     (Json.Obj
-       (("jobs", Json.Num (string_of_int jobs)) :: ("wall_s", num wall_s)
-        :: Option.to_list (Option.map (fun s -> ("serial_s", num s)) serial_s)
+       (("jobs", Json.int jobs) :: ("wall_s", Json.float wall_s)
+        :: Option.to_list (Option.map (fun s -> ("serial_s", Json.float s)) serial_s)
        @ [
-           ("tasks_timed", Json.Num (string_of_int (List.length task_seconds)));
+           ("tasks_timed", Json.int (List.length task_seconds));
            ("task_wall_p50_s", q 0.5);
            ("task_wall_p90_s", q 0.9);
            ("task_wall_p99_s", q 0.99);

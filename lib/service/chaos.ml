@@ -25,8 +25,6 @@
 
 module Json = Cheri_util.Json
 
-let jint n = Json.Num (string_of_int n)
-let jstr s = Json.Str s
 let now = Unix.gettimeofday
 
 let rec rm_rf path =
@@ -128,24 +126,66 @@ let abis = [| "mips"; "cheriv2"; "cheriv3" |]
 type cfg = {
   ch_tenants : int;
   ch_kills : int;
-  ch_seed : int;
-  ch_workers : int;
-  ch_worker_jobs : int;
-  ch_slice : int;
   ch_keep : bool;
   ch_verbose : bool;
+  ch_fleet : Router.rconfig;
 }
 
+(* Both harnesses tune the service for a fast run with many
+   checkpoints: 20k-instruction slices, short ticks and retry hints,
+   and a heartbeat the stall probe catches within a second. *)
 let default =
   {
     ch_tenants = 16;
     ch_kills = 3;
-    ch_seed = 42;
-    ch_workers = 2;
-    ch_worker_jobs = 1;
-    ch_slice = 20_000;
     ch_keep = false;
     ch_verbose = false;
+    ch_fleet =
+      {
+        (Router.default_rconfig ~dir:"") with
+        Router.r_service =
+          {
+            (Service.default_config ~dir:"") with
+            Service.slice = 20_000;
+            fuel = 50_000_000;
+            heartbeat_s = 0.3;
+            tick_s = 0.02;
+            retry_base_s = 0.02;
+            seed = 42;
+          };
+      };
+  }
+
+let fleet_default =
+  let r = default.ch_fleet in
+  {
+    default with
+    ch_tenants = 15;
+    ch_kills = 0;
+    ch_fleet =
+      {
+        r with
+        Router.r_take_s = 0.1;
+        r_req_timeout_s = 2.0;
+        r_service = { r.Router.r_service with Service.workers = 1; status_s = 0.4; seed = 7 };
+      };
+  }
+
+(* [c]'s service placed in [dir] with its socket at [dir/sock]: the
+   admission cap is a quarter of the tenants (at least 2), so the
+   opening burst overflows it, and any kill arms the corrupt-requeue
+   hook on the first requeue. *)
+let placed c ~dir ~sock =
+  {
+    c.ch_fleet with
+    Router.r_service =
+      {
+        c.ch_fleet.Router.r_service with
+        Service.dir;
+        socket = Filename.concat dir sock;
+        capacity = max 2 (c.ch_tenants / 4);
+        corrupt_requeue = (if c.ch_kills > 0 then 1 else 0);
+      };
   }
 
 type spec = {
@@ -196,7 +236,7 @@ let request ss j =
   | Ok r -> r
   | Error e -> raise (Chaos_failure (ss.label ^ " request failed: " ^ e))
 
-let stats ss = request ss (Json.Obj [ ("op", jstr "stats") ])
+let stats ss = request ss (Json.Obj [ ("op", Json.str "stats") ])
 
 (* spawn the service with [spawn], wait for its socket and run [body]
    on a session; the process is SIGKILLed and reaped whatever happens,
@@ -225,11 +265,11 @@ let submit ss sp =
   let req =
     Json.Obj
       [
-        ("op", jstr "submit");
-        ("source", jstr sp.x_source);
-        ("abi", jstr sp.x_abi);
-        ("fuel", jint sp.x_fuel);
-        ("slice", jint sp.x_slice);
+        ("op", Json.str "submit");
+        ("source", Json.str sp.x_source);
+        ("abi", Json.str sp.x_abi);
+        ("fuel", Json.int sp.x_fuel);
+        ("slice", Json.int sp.x_slice);
       ]
   in
   let r = request ss req in
@@ -283,7 +323,7 @@ let drive ss specs ~limit_s ~check ~disruptions ~fire =
       (fun sp ->
         match (sp.x_tid, sp.x_result) with
         | Some tid, None -> (
-            let r = request ss (Json.Obj [ ("op", jstr "poll"); ("tenant", jint tid) ]) in
+            let r = request ss (Json.Obj [ ("op", Json.str "poll"); ("tenant", Json.int tid) ]) in
             match Json.mem_str "state" r with
             | Some "done" ->
                 sp.x_result <- Json.member "result" r;
@@ -378,25 +418,12 @@ let run (c : cfg) =
   let info fmt =
     Printf.ksprintf (fun m -> if c.ch_verbose then Printf.eprintf "chaos: %s\n%!" m) fmt
   in
-  let dir = Printf.sprintf "/tmp/cheri-serve-%d-%d" (Unix.getpid ()) c.ch_seed in
-  let capacity = max 2 (c.ch_tenants / 4) in
-  let scfg =
-    {
-      (Service.default_config ~dir) with
-      Service.workers = c.ch_workers;
-      worker_jobs = c.ch_worker_jobs;
-      capacity;
-      slice = c.ch_slice;
-      fuel = 50_000_000;
-      heartbeat_s = 0.3;
-      tick_s = 0.02;
-      retry_base_s = 0.02;
-      seed = c.ch_seed;
-      corrupt_requeue = (if c.ch_kills > 0 then 1 else 0);
-    }
-  in
-  let specs = make_specs ~seed:c.ch_seed ~slice:c.ch_slice c.ch_tenants in
-  info "state dir %s, capacity %d, %d workers" dir capacity c.ch_workers;
+  let seed = c.ch_fleet.Router.r_service.Service.seed in
+  let dir = Printf.sprintf "/tmp/cheri-serve-%d-%d" (Unix.getpid ()) seed in
+  let scfg = (placed c ~dir ~sock:"serve.sock").Router.r_service in
+  let capacity = scfg.Service.capacity in
+  let specs = make_specs ~seed ~slice:scfg.Service.slice c.ch_tenants in
+  info "state dir %s, capacity %d, %d workers" dir capacity scfg.Service.workers;
   with_service ~label:"server" ~dir ~keep:c.ch_keep ~socket:scfg.Service.socket
     ~socket_timeout_s:10.0
     ~spawn:(fun () -> Client.spawn_server scfg)
@@ -507,7 +534,7 @@ let run (c : cfg) =
       if worker_deaths > 0 && requeues > corruptions && !resumed_seen = 0 then
         err ss "no tenant ever resumed from a checkpoint despite %d requeues" requeues;
       (* ---- shutdown ---- *)
-      (match Client.request ss.cl (Json.Obj [ ("op", jstr "shutdown") ]) with
+      (match Client.request ss.cl (Json.Obj [ ("op", Json.str "shutdown") ]) with
       | Ok _ -> ()
       | Error e -> err ss "shutdown request failed: %s" e);
       Client.close ss.cl;
@@ -536,63 +563,27 @@ let run = guard ~tag:"chaos" run
    migrations the router says it performed. Finally the router itself
    is SIGTERMed and must exit 0 leaving a fleet manifest. *)
 
-type fleet_cfg = {
-  f_tenants : int;
-  f_shards : int;
-  f_workers : int;  (* per shard *)
-  f_seed : int;
-  f_slice : int;
-  f_keep : bool;
-  f_verbose : bool;
-}
-
-let fleet_default =
-  {
-    f_tenants = 15;
-    f_shards = 3;
-    f_workers = 1;
-    f_seed = 7;
-    f_slice = 20_000;
-    f_keep = false;
-    f_verbose = false;
-  }
-
 let read_manifest path =
   Option.bind (Supervisor.read_file path) (fun s -> Result.to_option (Service.manifest_of_json s))
 
-let run_fleet (c : fleet_cfg) =
+let run_fleet (c : cfg) =
   let info fmt =
-    Printf.ksprintf (fun m -> if c.f_verbose then Printf.eprintf "chaos-fleet: %s\n%!" m) fmt
+    Printf.ksprintf (fun m -> if c.ch_verbose then Printf.eprintf "chaos-fleet: %s\n%!" m) fmt
   in
-  let dir = Printf.sprintf "/tmp/cheri-fleet-%d-%d" (Unix.getpid ()) c.f_seed in
-  let capacity = max 2 (c.f_tenants / 4) in
-  let rcfg =
-    {
-      (Router.default_rconfig ~dir) with
-      Router.r_shards = max 3 c.f_shards;
-      r_workers = c.f_workers;
-      r_worker_jobs = 1;
-      r_capacity = capacity;
-      r_slice = c.f_slice;
-      r_fuel = 50_000_000;
-      r_heartbeat_s = 0.3;
-      r_status_s = 0.4;
-      r_tick_s = 0.02;
-      r_take_s = 0.1;
-      r_req_timeout_s = 2.0;
-      r_retry_base_s = 0.02;
-      r_seed = c.f_seed;
-    }
-  in
-  let specs = make_specs ~seed:c.f_seed ~slice:c.f_slice c.f_tenants in
+  let seed = c.ch_fleet.Router.r_service.Service.seed in
+  let dir = Printf.sprintf "/tmp/cheri-fleet-%d-%d" (Unix.getpid ()) seed in
+  let rcfg = placed c ~dir ~sock:"fleet.sock" in
+  let svc = rcfg.Router.r_service in
+  let capacity = svc.Service.capacity in
+  let specs = make_specs ~seed ~slice:svc.Service.slice c.ch_tenants in
   info "fleet dir %s, %d shards, capacity %d" dir rcfg.Router.r_shards capacity;
-  with_service ~label:"fleet" ~dir ~keep:c.f_keep ~socket:rcfg.Router.r_socket
+  with_service ~label:"fleet" ~dir ~keep:c.ch_keep ~socket:svc.Service.socket
     ~socket_timeout_s:15.0
     ~spawn:(fun () -> Client.spawn_router rcfg)
     (fun router_pid ss ->
       (* idle soak past the shard spawn grace plus staleness windows: a
          router that reaps healthy idle shards fails here *)
-      Unix.sleepf (3.0 +. (2.0 *. rcfg.Router.r_status_s) +. 1.5);
+      Unix.sleepf (3.0 +. (2.0 *. svc.Service.status_s) +. 1.5);
       (let st = stats ss in
        match (Json.mem_int "shard_deaths" st, Json.mem_int "stall_kills" st) with
        | Some 0, Some 0 -> ()
@@ -647,11 +638,13 @@ let run_fleet (c : fleet_cfg) =
                     stat st "shard_deaths" > deaths0)
             | `AdminDrain ->
                 info "admin drain shard %d (%d tenants), then rebalance" id n;
-                (let r = request ss (Json.Obj [ ("op", jstr "drain"); ("shard", jint id) ]) in
+                (let r =
+                   request ss (Json.Obj [ ("op", Json.str "drain"); ("shard", Json.int id) ])
+                 in
                  if Json.mem_bool "ok" r <> Some true then
                    err ss "admin drain refused: %s" (Json.encode r));
                 await ~label:"admin drain" ~deadline_s:30.0 (fun st -> stat st "drains" > drains0);
-                let r = request ss (Json.Obj [ ("op", jstr "rebalance") ]) in
+                let r = request ss (Json.Obj [ ("op", Json.str "rebalance") ]) in
                 if Json.mem_bool "ok" r <> Some true then
                   err ss "rebalance refused: %s" (Json.encode r)
                 else if Option.value ~default:0 (Json.mem_int "revived" r) < 1 then
@@ -679,7 +672,7 @@ let run_fleet (c : fleet_cfg) =
           err ss "expected exactly 2 shard drains (1 SIGTERM + 1 admin), saw %d" drains;
         if migrations < 1 then err ss "shard faults displaced no tenants (migrations = 0)"
       end;
-      check_admission ss ~capacity ~tenants:c.f_tenants;
+      check_admission ss ~capacity ~tenants:c.ch_tenants;
       if ss.best_hint > Admission.hint_cap_s +. 1e-9 then
         err ss "retry_after_s hint %.3f exceeds the %.0f s ceiling" ss.best_hint
           Admission.hint_cap_s;
@@ -711,13 +704,13 @@ let run_fleet (c : fleet_cfg) =
          accounted for (here all terminal, so all T_done entries) *)
       (match read_manifest (Service.manifest_path ~dir) with
       | Some entries ->
-          if List.length entries <> c.f_tenants then
-            err ss "fleet manifest lists %d tenants, expected %d" (List.length entries) c.f_tenants
+          if List.length entries <> c.ch_tenants then
+            err ss "fleet manifest lists %d tenants, expected %d" (List.length entries) c.ch_tenants
       | None -> err ss "router left no parseable fleet manifest at %s" (Service.manifest_path ~dir));
       verdict ~tag:"chaos-fleet" ss
         (Printf.sprintf
            "%d tenants byte-identical across %d shards through 1 stall, 1 SIGKILL, 1 SIGTERM \
             drain, 1 admin drain+rebalance; %d migrations exactly accounted, %d rejections"
-           c.f_tenants rcfg.Router.r_shards migrations ss.rejections))
+           c.ch_tenants rcfg.Router.r_shards migrations ss.rejections))
 
 let run_fleet = guard ~tag:"chaos-fleet" run_fleet

@@ -8,17 +8,28 @@
 
 type cfg = {
   ch_tenants : int;
-  ch_kills : int;  (** SIGKILLs on top of the one stall-kill *)
-  ch_seed : int;
-  ch_workers : int;
-  ch_worker_jobs : int;
-  ch_slice : int;  (** per-slice fuel (small = many checkpoints) *)
+  ch_kills : int;  (** worker SIGKILLs on top of the one stall-kill; [run] only *)
   ch_keep : bool;  (** keep the state dir for post-mortem *)
   ch_verbose : bool;
+  ch_fleet : Router.rconfig;
+      (** the service under test. {!run} starts one supervisor on its
+          [r_service] and reads none of the router fields; {!run_fleet}
+          starts the whole fleet. Both place it with {!placed}. *)
 }
 
 val default : cfg
-(** 16 tenants, 3 kills, seed 42, 2 workers x 1 domain, 20k slices. *)
+(** The worker harness: 16 tenants, 3 kills, seed 42, 2 workers x 1
+    domain, 20k-instruction slices. *)
+
+val fleet_default : cfg
+(** The fleet harness: 15 tenants over 3 shards x 1 worker, seed 7,
+    20k-instruction slices, no kills. *)
+
+val placed : cfg -> dir:string -> sock:string -> Router.rconfig
+(** The service a harness starts: [ch_fleet] with its state in [dir],
+    its socket at [dir/sock], an admission cap of a quarter of the
+    tenants (at least 2) and the corrupt-requeue hook armed iff
+    [ch_kills > 0]. Exposed for tests. *)
 
 val run : cfg -> int
 (** Run the harness; returns a process exit code (0 = every assertion
@@ -27,20 +38,7 @@ val run : cfg -> int
 
 (** {1 Fleet harness} — shard-level faults against the {!Router}. *)
 
-type fleet_cfg = {
-  f_tenants : int;
-  f_shards : int;  (** clamped to >= 3 *)
-  f_workers : int;  (** worker processes per shard *)
-  f_seed : int;
-  f_slice : int;
-  f_keep : bool;
-  f_verbose : bool;
-}
-
-val fleet_default : fleet_cfg
-(** 15 tenants over 3 shards x 1 worker, seed 7, 20k slices. *)
-
-val run_fleet : fleet_cfg -> int
+val run_fleet : cfg -> int
 (** Drive a router fleet through one whole-shard SIGSTOP (stale-
     heartbeat SIGKILL + failover), one direct SIGTERM drain under
     load, one whole-shard SIGKILL, and one admin drain + rebalance;
@@ -49,7 +47,8 @@ val run_fleet : fleet_cfg -> int
     accounting (sum of per-tenant migration counters = router
     migrations; deaths/stalls/drains exactly as scheduled), admission
     hints under the {!Admission.hint_cap_s} ceiling, and a clean
-    SIGTERM exit 0 leaving a fleet manifest. Returns an exit code. *)
+    SIGTERM exit 0 leaving a fleet manifest. Returns an exit code.
+    The schedule needs at least 3 shards. *)
 
 (** Minimal protocol client, shared with perfbench and the tests. *)
 module Client : sig

@@ -44,121 +44,69 @@ module Json = Cheri_util.Json
 module Obs = Cheri_obs.Obs
 module Snapshot = Cheri_snapshot.Snapshot
 
-let jint n = Json.Num (string_of_int n)
-let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
-let jbool b = Json.Bool b
-let jstr s = Json.Str s
 let now = Unix.gettimeofday
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
+(* The fleet's supervisor settings are one Service.config: the router
+   reads its socket, directory, admission and timing from it, and
+   every shard runs a copy of it placed in its own directory. *)
 type rconfig = {
-  r_dir : string;  (** fleet state directory; shard [k] lives in [shard_<k>/] *)
-  r_socket : string;  (** the one client-facing socket *)
   r_shards : int;
-  r_workers : int;  (** worker processes per shard *)
-  r_worker_jobs : int;
-  r_capacity : int;  (** fleet-wide admission cap *)
-  r_slice : int;
-  r_fuel : int;
-  r_heartbeat_s : float;  (** worker heartbeat inside each shard *)
-  r_status_s : float;  (** shard status-file beat; stale after 2x *)
-  r_tick_s : float;  (** router select timeout / maintenance period *)
   r_take_s : float;  (** per-shard result-harvest period *)
   r_req_timeout_s : float;  (** wire deadline for one shard request *)
-  r_retry_base_s : float;
-  r_seed : int;
+  r_service : Service.config;
 }
 
 let default_rconfig ~dir =
   {
-    r_dir = dir;
-    r_socket = Filename.concat dir "fleet.sock";
     r_shards = 3;
-    r_workers = 2;
-    r_worker_jobs = 1;
-    r_capacity = 64;
-    r_slice = 100_000;
-    r_fuel = Cheri_isa.Machine.default_fuel;
-    r_heartbeat_s = 0.25;
-    r_status_s = 0.25;
-    r_tick_s = 0.05;
     r_take_s = 0.2;
     r_req_timeout_s = 1.5;
-    r_retry_base_s = 0.05;
-    r_seed = 0;
+    r_service =
+      {
+        (Service.default_config ~dir) with
+        Service.socket = Filename.concat dir "fleet.sock";
+        status_s = 0.25;
+      };
   }
 
 let rconfig_to_json c =
-  Json.encode
-    (Json.Obj
-       [
-         ("dir", jstr c.r_dir);
-         ("socket", jstr c.r_socket);
-         ("shards", jint c.r_shards);
-         ("workers", jint c.r_workers);
-         ("worker_jobs", jint c.r_worker_jobs);
-         ("capacity", jint c.r_capacity);
-         ("slice", jint c.r_slice);
-         ("fuel", jint c.r_fuel);
-         ("heartbeat_s", jfloat c.r_heartbeat_s);
-         ("status_s", jfloat c.r_status_s);
-         ("tick_s", jfloat c.r_tick_s);
-         ("take_s", jfloat c.r_take_s);
-         ("req_timeout_s", jfloat c.r_req_timeout_s);
-         ("retry_base_s", jfloat c.r_retry_base_s);
-         ("seed", jint c.r_seed);
-       ])
+  Printf.sprintf {|{"shards":%d,"take_s":%s,"req_timeout_s":%s,"service":%s}|} c.r_shards
+    (Json.number c.r_take_s) (Json.number c.r_req_timeout_s) (Service.config_to_json c.r_service)
 
 let rconfig_of_json s =
-  match Json.parse s with
-  | Error e -> Error ("rconfig: " ^ e)
-  | Ok j -> (
-      match Json.mem_str "dir" j with
-      | None -> Error "rconfig: missing dir"
-      | Some dir ->
-          let d = default_rconfig ~dir in
-          let i k dflt = Option.value ~default:dflt (Json.mem_int k j) in
-          let f k dflt = Option.value ~default:dflt (Json.mem_float k j) in
-          Ok
-            {
-              r_dir = dir;
-              r_socket = Option.value ~default:d.r_socket (Json.mem_str "socket" j);
-              r_shards = i "shards" d.r_shards;
-              r_workers = i "workers" d.r_workers;
-              r_worker_jobs = i "worker_jobs" d.r_worker_jobs;
-              r_capacity = i "capacity" d.r_capacity;
-              r_slice = i "slice" d.r_slice;
-              r_fuel = i "fuel" d.r_fuel;
-              r_heartbeat_s = f "heartbeat_s" d.r_heartbeat_s;
-              r_status_s = f "status_s" d.r_status_s;
-              r_tick_s = f "tick_s" d.r_tick_s;
-              r_take_s = f "take_s" d.r_take_s;
-              r_req_timeout_s = f "req_timeout_s" d.r_req_timeout_s;
-              r_retry_base_s = f "retry_base_s" d.r_retry_base_s;
-              r_seed = i "seed" d.r_seed;
-            })
+  let ( let* ) = Result.bind in
+  let* j = Result.map_error (( ^ ) "rconfig: ") (Json.parse s) in
+  let* service =
+    match Json.member "service" j with
+    | Some (Json.Obj _ as o) -> Service.config_of_json (Json.encode o)
+    | _ -> Error "rconfig: missing service object"
+  in
+  let d = default_rconfig ~dir:service.Service.dir in
+  let f k dflt = Option.value ~default:dflt (Json.mem_float k j) in
+  Ok
+    {
+      r_shards = Option.value ~default:d.r_shards (Json.mem_int "shards" j);
+      r_take_s = f "take_s" d.r_take_s;
+      r_req_timeout_s = f "req_timeout_s" d.r_req_timeout_s;
+      r_service = service;
+    }
 
-let shard_dir cfg k = Filename.concat cfg.r_dir (Printf.sprintf "shard_%d" k)
+let shard_dir cfg k = Filename.concat cfg.r_service.Service.dir (Printf.sprintf "shard_%d" k)
 
 let shard_config cfg k : Service.config =
   let dir = shard_dir cfg k in
   {
-    (Service.default_config ~dir) with
-    Service.workers = cfg.r_workers;
-    worker_jobs = cfg.r_worker_jobs;
+    cfg.r_service with
+    Service.dir;
+    socket = (Service.default_config ~dir).Service.socket;
     (* per-shard admission never gates router placements (adoption is
-       forced); a generous cap just keeps direct-to-shard debugging
-       submissions possible *)
-    capacity = max 1 cfg.r_capacity;
-    slice = cfg.r_slice;
-    fuel = cfg.r_fuel;
-    heartbeat_s = cfg.r_heartbeat_s;
-    tick_s = cfg.r_tick_s;
-    status_s = cfg.r_status_s;
-    retry_base_s = cfg.r_retry_base_s;
-    seed = cfg.r_seed + ((k + 1) * 7919);
+       forced); the fleet-wide cap just keeps direct-to-shard debugging
+       submissions possible, and a supervisor refuses a cap below 1 *)
+    capacity = max 1 cfg.r_service.Service.capacity;
+    seed = cfg.r_service.Service.seed + ((k + 1) * 7919);
     corrupt_requeue = 0;
   }
 
@@ -268,11 +216,11 @@ let eligible (c : shard Supervisor.child) =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint staging                                                  *)
 
-(* A checkpoint leaving a shard is parked under [r_dir/staging] until
+(* A checkpoint leaving a shard is parked under [dir/staging] until
    its tenant lands somewhere: the dead/drained shard slot will be
    respawned on the same directory, and its startup orphan sweep must
    find nothing — the router, not the shard, owns these tenants. *)
-let staging_dir r = Filename.concat r.cfg.r_dir "staging"
+let staging_dir r = Filename.concat r.cfg.r_service.dir "staging"
 
 let staged_path r gid = Filename.concat (staging_dir r) (Printf.sprintf "tenant_%04d.snap" gid)
 
@@ -540,8 +488,8 @@ let respawn_shards r =
 let probe_shards r =
   Supervisor.probe r.shards
     ~wedged:(fun c -> c.data.sh_timeouts >= 3)
-    ~grace_s:(3.0 +. (2. *. r.cfg.r_status_s))
-    ~interval_s:r.cfg.r_status_s
+    ~grace_s:(3.0 +. (2. *. r.cfg.r_service.status_s))
+    ~interval_s:r.cfg.r_service.status_s
     ~path:(fun c -> shard_status_path r.cfg c.data.sh_id)
     ~on_stale:(fun c ->
       r.stall_kills <- r.stall_kills + 1;
@@ -552,7 +500,7 @@ let take_from r (c : shard Supervisor.child) =
   let sh = c.data in
   if c.alive && now () -. sh.sh_last_take >= r.cfg.r_take_s then begin
     sh.sh_last_take <- now ();
-    match shard_request r sh (Json.Obj [ ("op", jstr "take") ]) with
+    match shard_request r sh (Json.Obj [ ("op", Json.str "take") ]) with
     | `Ok j -> (
         match Json.member "entries" j with
         | Some (Json.Arr es) ->
@@ -574,16 +522,16 @@ let submit_to_shard r sh (t : rtenant) =
   let req =
     Json.Obj
       ([
-         ("op", jstr "submit");
-         ("tenant", jint t.rt_gid);
-         ("source", jstr t.rt_source);
-         ("abi", jstr t.rt_abi);
-         ("fuel", jint t.rt_fuel);
-         ("slice", jint t.rt_slice);
-         ("restarts", jint t.rt_restarts);
-         ("migrations", jint t.rt_migrations);
+         ("op", Json.str "submit");
+         ("tenant", Json.int t.rt_gid);
+         ("source", Json.str t.rt_source);
+         ("abi", Json.str t.rt_abi);
+         ("fuel", Json.int t.rt_fuel);
+         ("slice", Json.int t.rt_slice);
+         ("restarts", Json.int t.rt_restarts);
+         ("migrations", Json.int t.rt_migrations);
        ]
-      @ match t.rt_deadline_s with Some d -> [ ("deadline_s", jfloat d) ] | None -> [])
+      @ match t.rt_deadline_s with Some d -> [ ("deadline_s", Json.float d) ] | None -> [])
   in
   match shard_request r sh req with
   | `Ok j when Json.mem_bool "ok" j = Some true ->
@@ -605,7 +553,7 @@ let schedule r =
     in
     List.iter
       (fun t ->
-        let order = hrw_order ~seed:r.cfg.r_seed ~shards:r.cfg.r_shards t.rt_gid in
+        let order = hrw_order ~seed:r.cfg.r_service.seed ~shards:r.cfg.r_shards t.rt_gid in
         ignore
           (List.exists
              (fun k ->
@@ -621,7 +569,7 @@ let schedule r =
    actually shrank *)
 let update_capacity r =
   let live = Array.fold_left (fun a c -> if eligible c then a + 1 else a) 0 r.shards in
-  let cap = max 1 (r.cfg.r_capacity * max 1 live / max 1 r.cfg.r_shards) in
+  let cap = max 1 (r.cfg.r_service.capacity * max 1 live / max 1 r.cfg.r_shards) in
   Admission.set_capacity r.adm cap;
   Obs.Gauge.set (Lazy.force g_shards_live) (float_of_int live);
   for k = 0 to Array.length r.shards - 1 do
@@ -637,7 +585,7 @@ let drain_shard (c : shard Supervisor.child) ~hold =
     sh.sh_draining <- true;
     sh.sh_drain_t <- now ();
     if hold then sh.sh_held <- true;
-    ignore (shard_send_oneway sh (Json.Obj [ ("op", jstr "drain") ]) : bool)
+    ignore (shard_send_oneway sh (Json.Obj [ ("op", Json.str "drain") ]) : bool)
   end
   else if (not c.alive) && hold then sh.sh_held <- true
 
@@ -690,7 +638,7 @@ let fleet_manifest_entries r =
 
 let write_fleet_manifest r =
   let entries = fleet_manifest_entries r in
-  Service.write_manifest ~dir:r.cfg.r_dir entries;
+  Service.write_manifest ~dir:r.cfg.r_service.dir entries;
   List.length entries
 
 (* a SIGTERM fleet drain is finished once every shard has exited (their
@@ -710,12 +658,12 @@ let err = Frontend.err
 let handle_submit r j =
   if r.draining then err "draining"
   else
-    match Service.submit_of_json ~fuel:r.cfg.r_fuel ~slice:r.cfg.r_slice j with
+    match Service.submit_of_json ~fuel:r.cfg.r_service.fuel ~slice:r.cfg.r_service.slice j with
     | Error reply -> reply
     | Ok sb -> (
         match Admission.request r.adm with
         | Admission.Reject { retry_after_s } ->
-            err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
+            err "overloaded" ~extra:[ ("retry_after_s", Json.float retry_after_s) ]
         | Admission.Admit ->
             let gid = r.next_gid in
             r.next_gid <- gid + 1;
@@ -734,25 +682,25 @@ let handle_submit r j =
                 rt_has_ckpt = false;
                 rt_mig_t = 0.;
               };
-            Json.Obj [ ("ok", jbool true); ("tenant", jint gid) ])
+            Json.Obj [ ("ok", Json.bool true); ("tenant", Json.int gid) ])
 
 let handle_poll r j =
   match Json.mem_int "tenant" j with
-  | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
+  | None -> err "bad_request" ~extra:[ ("detail", Json.str "missing tenant") ]
   | Some gid -> (
       match Hashtbl.find_opt r.tenants gid with
       | None -> err "unknown_tenant"
       | Some t ->
-          let base = [ ("ok", jbool true); ("tenant", jint gid) ] in
+          let base = [ ("ok", Json.bool true); ("tenant", Json.int gid) ] in
           let state, extra =
             match t.rt_place with
             | P_queued -> ("queued", [])
-            | P_shard k -> ("running", [ ("shard", jint k) ])
+            | P_shard k -> ("running", [ ("shard", Json.int k) ])
             | P_done { pd_restarts; pd_result } ->
                 ("done", [ ("result", Service.result_json pd_result ~restarts:pd_restarts) ])
-            | P_failed d -> ("failed", [ ("detail", jstr d) ])
+            | P_failed d -> ("failed", [ ("detail", Json.str d) ])
           in
-          Json.Obj (base @ [ ("state", jstr state) ] @ extra))
+          Json.Obj (base @ [ ("state", Json.str state) ] @ extra))
 
 let status_fields r =
   let queued = ref 0 and placed = ref 0 and done_ = ref 0 and failed = ref 0 in
@@ -768,23 +716,23 @@ let status_fields r =
     Array.fold_left (fun a (c : shard Supervisor.child) -> if c.alive then a + 1 else a) 0 r.shards
   in
   [
-    ("schema", jstr "cheri_c.serve-fleet-status/v1");
-    ("pid", jint (Unix.getpid ()));
-    ("shards_total", jint r.cfg.r_shards);
-    ("shards_live", jint live_shards);
-    ("capacity", jint (Admission.capacity r.adm));
-    ("live", jint (Admission.live r.adm));
-    ("queued", jint !queued);
-    ("running", jint !placed);
-    ("done", jint !done_);
-    ("failed", jint !failed);
-    ("admitted", jint (Admission.admitted r.adm));
-    ("rejected", jint (Admission.rejected r.adm));
-    ("migrations", jint r.migrations);
-    ("drains", jint r.drains);
-    ("shard_deaths", jint r.shard_deaths);
-    ("stall_kills", jint r.stall_kills);
-    ("draining", jbool r.draining);
+    ("schema", Json.str "cheri_c.serve-fleet-status/v1");
+    ("pid", Json.int (Unix.getpid ()));
+    ("shards_total", Json.int r.cfg.r_shards);
+    ("shards_live", Json.int live_shards);
+    ("capacity", Json.int (Admission.capacity r.adm));
+    ("live", Json.int (Admission.live r.adm));
+    ("queued", Json.int !queued);
+    ("running", Json.int !placed);
+    ("done", Json.int !done_);
+    ("failed", Json.int !failed);
+    ("admitted", Json.int (Admission.admitted r.adm));
+    ("rejected", Json.int (Admission.rejected r.adm));
+    ("migrations", Json.int r.migrations);
+    ("drains", Json.int r.drains);
+    ("shard_deaths", Json.int r.shard_deaths);
+    ("stall_kills", Json.int r.stall_kills);
+    ("draining", Json.bool r.draining);
     ( "shards",
       Json.Arr
         (Array.to_list r.shards
@@ -792,29 +740,29 @@ let status_fields r =
                let sh = c.data in
                Json.Obj
                  [
-                   ("id", jint sh.sh_id);
-                   ("pid", jint c.pid);
-                   ("alive", jbool c.alive);
-                   ("draining", jbool sh.sh_draining);
-                   ("held", jbool sh.sh_held);
-                   ("tenants", jint (placed_on r sh.sh_id));
+                   ("id", Json.int sh.sh_id);
+                   ("pid", Json.int c.pid);
+                   ("alive", Json.bool c.alive);
+                   ("draining", Json.bool sh.sh_draining);
+                   ("held", Json.bool sh.sh_held);
+                   ("tenants", Json.int (placed_on r sh.sh_id));
                  ])) );
-    ("elapsed_s", jfloat (now () -. r.t0));
+    ("elapsed_s", Json.float (now () -. r.t0));
   ]
 
 let status_payload r () = Json.encode (Json.Obj (status_fields r))
 
 let handle_admin_drain r j =
   match Json.mem_int "shard" j with
-  | None -> err "bad_request" ~extra:[ ("detail", jstr "missing shard") ]
+  | None -> err "bad_request" ~extra:[ ("detail", Json.str "missing shard") ]
   | Some k when k < 0 || k >= r.cfg.r_shards -> err "unknown_shard"
   | Some k ->
       let c = r.shards.(k) in
       if not c.alive then
-        Json.Obj [ ("ok", jbool true); ("shard", jint k); ("state", jstr "down") ]
+        Json.Obj [ ("ok", Json.bool true); ("shard", Json.int k); ("state", Json.str "down") ]
       else begin
         drain_shard c ~hold:true;
-        Json.Obj [ ("ok", jbool true); ("shard", jint k); ("state", jstr "draining") ]
+        Json.Obj [ ("ok", Json.bool true); ("shard", Json.int k); ("state", Json.str "draining") ]
       end
 
 (* revive held slots, then evict every tenant sitting on a shard that
@@ -835,14 +783,14 @@ let handle_rebalance r =
     (fun _ t ->
       match t.rt_place with
       | P_shard k -> (
-          let order = hrw_order ~seed:r.cfg.r_seed ~shards:r.cfg.r_shards t.rt_gid in
+          let order = hrw_order ~seed:r.cfg.r_service.seed ~shards:r.cfg.r_shards t.rt_gid in
           match List.find_opt (fun s -> eligible r.shards.(s)) order with
           | Some owner when owner <> k ->
               let c = r.shards.(k) in
               if c.alive then begin
                 match
                   shard_request r c.data
-                    (Json.Obj [ ("op", jstr "evict"); ("tenant", jint t.rt_gid) ])
+                    (Json.Obj [ ("op", Json.str "evict"); ("tenant", Json.int t.rt_gid) ])
                 with
                 | `Ok _ -> incr evictions
                 | `Timeout | `Error _ | `Down -> ()
@@ -851,7 +799,7 @@ let handle_rebalance r =
       | _ -> ())
     r.tenants;
   Json.Obj
-    [ ("ok", jbool true); ("revived", jint !revived); ("evictions", jint !evictions) ]
+    [ ("ok", Json.bool true); ("revived", Json.int !revived); ("evictions", Json.int !evictions) ]
 
 (* the router's own ops; stats, metrics and shutdown are the
    Frontend's *)
@@ -878,11 +826,12 @@ let handlers r =
 let shutdown_shards r =
   Supervisor.stop r.shards ~deadline_s:5.0
     ~quit:(fun c ->
-      ignore (shard_send_oneway c.data (Json.Obj [ ("op", jstr "shutdown") ]) : bool))
+      ignore (shard_send_oneway c.data (Json.Obj [ ("op", Json.str "shutdown") ]) : bool))
     ~on_kill:(fun c -> kill_workers r c.data)
     ~on_exit:(on_shard_exit r)
 
 let router_main (cfg : rconfig) =
+  let svc = cfg.r_service in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   sigterm_fleet := false;
   (* register the fleet counters up front so the metrics op exports
@@ -891,15 +840,15 @@ let router_main (cfg : rconfig) =
     (fun c -> ignore (Lazy.force c))
     [ c_migrations; c_drains; c_shard_deaths; c_stall_kills ];
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> sigterm_fleet := true));
-  Supervisor.mkdir_p (Filename.concat cfg.r_dir "staging");
-  (try Sys.remove (Service.manifest_path ~dir:cfg.r_dir) with Sys_error _ -> ());
-  let fe = Frontend.listen cfg.r_socket in
+  Supervisor.mkdir_p (Filename.concat svc.dir "staging");
+  (try Sys.remove (Service.manifest_path ~dir:svc.dir) with Sys_error _ -> ());
+  let fe = Frontend.listen svc.socket in
   let r =
     {
       cfg;
       adm =
-        Admission.create ~seed:cfg.r_seed ~retry_base_s:cfg.r_retry_base_s
-          ~capacity:(max 1 cfg.r_capacity) ();
+        Admission.create ~seed:svc.seed ~retry_base_s:svc.retry_base_s
+          ~capacity:(max 1 svc.capacity) ();
       fe;
       tenants = Hashtbl.create 64;
       next_gid = 0;
@@ -917,8 +866,8 @@ let router_main (cfg : rconfig) =
             });
       hb =
         Obs.Heartbeat.create
-          ~interval_s:(if cfg.r_status_s > 0. then cfg.r_status_s else 1.0)
-          ~path:(Filename.concat cfg.r_dir "status.json") ();
+          ~interval_s:(if svc.status_s > 0. then svc.status_s else 1.0)
+          ~path:(Filename.concat svc.dir "status.json") ();
       t0 = now ();
       shutdown = false;
       draining = false;
@@ -935,7 +884,7 @@ let router_main (cfg : rconfig) =
   let h = handlers r in
   let rec loop () =
     if not r.shutdown then begin
-      Frontend.tick r.fe h ~timeout_s:cfg.r_tick_s;
+      Frontend.tick r.fe h ~timeout_s:svc.tick_s;
       if !sigterm_fleet then initiate_fleet_drain r;
       reap_shards r;
       probe_shards r;

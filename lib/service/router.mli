@@ -28,31 +28,36 @@
     ({!Service.manifest_path} in the fleet directory), and exits 0. *)
 
 type rconfig = {
-  r_dir : string;  (** fleet state directory; shard [k] lives in [shard_<k>/] *)
-  r_socket : string;  (** the one client-facing socket *)
   r_shards : int;
-  r_workers : int;  (** worker processes per shard *)
-  r_worker_jobs : int;
-  r_capacity : int;  (** fleet-wide admission cap *)
-  r_slice : int;
-  r_fuel : int;
-  r_heartbeat_s : float;  (** worker heartbeat inside each shard *)
-  r_status_s : float;  (** shard status-file beat; stale after 2x *)
-  r_tick_s : float;  (** router select timeout / maintenance period *)
   r_take_s : float;  (** per-shard result-harvest period *)
   r_req_timeout_s : float;  (** wire deadline for one shard request *)
-  r_retry_base_s : float;
-  r_seed : int;
+  r_service : Service.config;
+      (** the fleet's supervisor settings. The router listens on its
+          [socket], keeps its state in [dir] (shard [k] in
+          [shard_<k>/]), admits up to [capacity] tenants fleet-wide,
+          ticks every [tick_s], beats its status file every [status_s]
+          (a shard is stale after 2x), and seeds placement and
+          retry hints from [seed]; every shard runs a copy of it
+          ({!shard_config}). *)
 }
 
 val default_rconfig : dir:string -> rconfig
-(** 3 shards x 2 workers x 1 domain, fleet capacity 64. *)
+(** 3 shards over {!Service.default_config} with the socket
+    [DIR/fleet.sock] and 0.25 s status beats. *)
 
 val rconfig_to_json : rconfig -> string
+(** The three router fields beside the supervisor settings, nested
+    under ["service"] exactly as {!Service.config_to_json} writes them. *)
+
 val rconfig_of_json : string -> (rconfig, string) result
+(** [Error] on anything but an object whose ["service"] member
+    {!Service.config_of_json} accepts; router fields default. *)
 
 val shard_dir : rconfig -> int -> string
 val shard_config : rconfig -> int -> Service.config
+(** Shard [k]'s supervisor: the fleet's {!rconfig.r_service} in
+    [shard_<k>/] on its own socket, with seed [seed + (k+1) * 7919],
+    a capacity of at least 1 and the corrupt-requeue hook off. *)
 
 val mix : int -> int
 (** The splitmix-style step behind placement (and the chaos harness's

@@ -41,10 +41,6 @@ module Codegen = Cheri_compiler.Codegen
 module Machine = Cheri_isa.Machine
 module Resumable = Cheri_snapshot.Resumable
 
-let jint n = Json.Num (string_of_int n)
-let jfloat f = if f <> f then Json.Null else Json.Num (Json.number f)
-let jbool b = Json.Bool b
-let jstr s = Json.Str s
 let now = Unix.gettimeofday
 
 (* ------------------------------------------------------------------ *)
@@ -90,19 +86,19 @@ let config_to_json c =
   Json.encode
     (Json.Obj
        [
-         ("dir", jstr c.dir);
-         ("socket", jstr c.socket);
-         ("workers", jint c.workers);
-         ("worker_jobs", jint c.worker_jobs);
-         ("capacity", jint c.capacity);
-         ("slice", jint c.slice);
-         ("fuel", jint c.fuel);
-         ("heartbeat_s", jfloat c.heartbeat_s);
-         ("tick_s", jfloat c.tick_s);
-         ("status_s", jfloat c.status_s);
-         ("retry_base_s", jfloat c.retry_base_s);
-         ("seed", jint c.seed);
-         ("corrupt_requeue", jint c.corrupt_requeue);
+         ("dir", Json.str c.dir);
+         ("socket", Json.str c.socket);
+         ("workers", Json.int c.workers);
+         ("worker_jobs", Json.int c.worker_jobs);
+         ("capacity", Json.int c.capacity);
+         ("slice", Json.int c.slice);
+         ("fuel", Json.int c.fuel);
+         ("heartbeat_s", Json.float c.heartbeat_s);
+         ("tick_s", Json.float c.tick_s);
+         ("status_s", Json.float c.status_s);
+         ("retry_base_s", Json.float c.retry_base_s);
+         ("seed", Json.int c.seed);
+         ("corrupt_requeue", Json.int c.corrupt_requeue);
        ])
 
 let config_of_json s =
@@ -138,10 +134,10 @@ let worker_config_to_json w =
   Json.encode
     (Json.Obj
        [
-         ("dir", jstr w.w_dir);
-         ("id", jint w.w_id);
-         ("jobs", jint w.w_jobs);
-         ("heartbeat_s", jfloat w.w_heartbeat_s);
+         ("dir", Json.str w.w_dir);
+         ("id", Json.int w.w_id);
+         ("jobs", Json.int w.w_jobs);
+         ("heartbeat_s", Json.float w.w_heartbeat_s);
        ])
 
 let worker_config_of_json s =
@@ -170,15 +166,15 @@ type assignment = {
 let assignment_to_json a =
   Json.Obj
     [
-      ("op", jstr "run");
-      ("tenant", jint a.a_tenant);
-      ("source", jstr a.a_source);
-      ("abi", jstr a.a_abi);
-      ("fuel", jint a.a_fuel);
-      ("slice", jint a.a_slice);
-      ("deadline_s", match a.a_deadline_s with Some d -> jfloat d | None -> Json.Null);
-      ("restarts", jint a.a_restarts);
-      ("migrations", jint a.a_migrations);
+      ("op", Json.str "run");
+      ("tenant", Json.int a.a_tenant);
+      ("source", Json.str a.a_source);
+      ("abi", Json.str a.a_abi);
+      ("fuel", Json.int a.a_fuel);
+      ("slice", Json.int a.a_slice);
+      ("deadline_s", match a.a_deadline_s with Some d -> Json.float d | None -> Json.Null);
+      ("restarts", Json.int a.a_restarts);
+      ("migrations", Json.int a.a_migrations);
     ]
 
 let assignment_of_json j =
@@ -212,17 +208,17 @@ type tresult = {
 
 let tresult_fields r =
   [
-    ("outcome", jstr r.r_outcome);
-    ("output", jstr r.r_output);
-    ("cycles", jint r.r_cycles);
-    ("instret", jint r.r_instret);
-    ("slices", jint r.r_slices);
-    ("resumed", jbool r.r_resumed);
-    ("scratch", jbool r.r_scratch);
-    ("migrations", jint r.r_migrations);
+    ("outcome", Json.str r.r_outcome);
+    ("output", Json.str r.r_output);
+    ("cycles", Json.int r.r_cycles);
+    ("instret", Json.int r.r_instret);
+    ("slices", Json.int r.r_slices);
+    ("resumed", Json.bool r.r_resumed);
+    ("scratch", Json.bool r.r_scratch);
+    ("migrations", Json.int r.r_migrations);
   ]
 
-let result_json r ~restarts = Json.Obj (tresult_fields r @ [ ("restarts", jint restarts) ])
+let result_json r ~restarts = Json.Obj (tresult_fields r @ [ ("restarts", Json.int restarts) ])
 
 let tresult_of_json j =
   match
@@ -293,18 +289,18 @@ module Checkpoint = struct
       ~fuel ~slice ~deadline_s =
     Resumable.note ~schema
       [
-        ("tenant", jint tenant);
-        ("slices", jint slices);
-        ("wall_s", jfloat wall_s);
-        ("resumed", jbool resumed);
-        ("scratch", jbool scratch);
-        ("migrations", jint migrations);
-        ("restarts", jint restarts);
-        ("source", jstr source);
-        ("abi", jstr abi);
-        ("fuel", jint fuel);
-        ("slice", jint slice);
-        ("deadline_s", match deadline_s with Some d -> jfloat d | None -> Json.Null);
+        ("tenant", Json.int tenant);
+        ("slices", Json.int slices);
+        ("wall_s", Json.float wall_s);
+        ("resumed", Json.bool resumed);
+        ("scratch", Json.bool scratch);
+        ("migrations", Json.int migrations);
+        ("restarts", Json.int restarts);
+        ("source", Json.str source);
+        ("abi", Json.str abi);
+        ("fuel", Json.int fuel);
+        ("slice", Json.int slice);
+        ("deadline_s", match deadline_s with Some d -> Json.float d | None -> Json.Null);
       ]
 
   (* the fields of a note already opened under [schema] *)
@@ -456,12 +452,12 @@ let worker_main (w : worker_config) =
     Json.encode
       (Json.Obj
          [
-           ("schema", jstr "cheri_c.serve-worker/v1");
-           ("worker", jint w.w_id);
-           ("pid", jint (Unix.getpid ()));
-           ("slices", jint (Atomic.get slices_done));
-           ("done", jint (Atomic.get tenants_done));
-           ("compile_cache", jint (Atomic.get cache_entries));
+           ("schema", Json.str "cheri_c.serve-worker/v1");
+           ("worker", Json.int w.w_id);
+           ("pid", Json.int (Unix.getpid ()));
+           ("slices", Json.int (Atomic.get slices_done));
+           ("done", Json.int (Atomic.get tenants_done));
+           ("compile_cache", Json.int (Atomic.get cache_entries));
          ])
   in
   let init (a : assignment) =
@@ -583,25 +579,27 @@ let worker_main (w : worker_config) =
            removed: if we die in between, the supervisor drains the
            event at reap time and never requeues; the reverse order
            could lose the whole tenant *)
-        out_frame (Json.Obj (("event", jstr "done") :: ("tenant", jint a.a_tenant) :: tresult_fields r));
+        out_frame
+          (Json.Obj
+             (("event", Json.str "done") :: ("tenant", Json.int a.a_tenant) :: tresult_fields r));
         Resumable.discard (Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant)
     | Ok (W_drained d) ->
         (* parked, not finished: the checkpoint stays on disk *)
         out_frame
           (Json.Obj
              [
-               ("event", jstr "drained");
-               ("tenant", jint a.a_tenant);
-               ("slices", jint d.d_slices);
-               ("migrations", jint d.d_migrations);
+               ("event", Json.str "drained");
+               ("tenant", Json.int a.a_tenant);
+               ("slices", Json.int d.d_slices);
+               ("migrations", Json.int d.d_migrations);
              ])
     | Error e ->
         out_frame
           (Json.Obj
              [
-               ("event", jstr "error");
-               ("tenant", jint a.a_tenant);
-               ("detail", jstr e.Pool.exn);
+               ("event", Json.str "error");
+               ("tenant", Json.int a.a_tenant);
+               ("detail", Json.str e.Pool.exn);
              ])
   in
   let stream =
@@ -787,38 +785,38 @@ let status_fields s =
       | Finished _ | Failed _ -> ())
     s.s_tenants;
   [
-    ("schema", jstr "cheri_c.serve-status/v1");
-    ("pid", jint (Unix.getpid ()));
-    ("capacity", jint (Admission.capacity s.s_adm));
-    ("live", jint (Admission.live s.s_adm));
-    ("queued", jint !queued);
-    ("running", jint !running);
-    ("drained", jint !drained);
-    ("draining", jbool s.s_draining);
-    ("orphans_requeued", jint s.s_orphans_requeued);
-    ("orphans_discarded", jint s.s_orphans_discarded);
-    ("admitted", jint (Admission.admitted s.s_adm));
-    ("rejected", jint (Admission.rejected s.s_adm));
-    ("done", jint s.s_done);
-    ("failed", jint s.s_failed);
-    ("requeues", jint s.s_requeues);
-    ("worker_deaths", jint s.s_worker_deaths);
-    ("stall_kills", jint s.s_stall_kills);
-    ("corrupt_frame_kills", jint s.s_frame_kills);
-    ("corruptions", jint s.s_corruptions);
-    ("corrupted", Json.Arr (List.rev_map jint s.s_corrupted));
+    ("schema", Json.str "cheri_c.serve-status/v1");
+    ("pid", Json.int (Unix.getpid ()));
+    ("capacity", Json.int (Admission.capacity s.s_adm));
+    ("live", Json.int (Admission.live s.s_adm));
+    ("queued", Json.int !queued);
+    ("running", Json.int !running);
+    ("drained", Json.int !drained);
+    ("draining", Json.bool s.s_draining);
+    ("orphans_requeued", Json.int s.s_orphans_requeued);
+    ("orphans_discarded", Json.int s.s_orphans_discarded);
+    ("admitted", Json.int (Admission.admitted s.s_adm));
+    ("rejected", Json.int (Admission.rejected s.s_adm));
+    ("done", Json.int s.s_done);
+    ("failed", Json.int s.s_failed);
+    ("requeues", Json.int s.s_requeues);
+    ("worker_deaths", Json.int s.s_worker_deaths);
+    ("stall_kills", Json.int s.s_stall_kills);
+    ("corrupt_frame_kills", Json.int s.s_frame_kills);
+    ("corruptions", Json.int s.s_corruptions);
+    ("corrupted", Json.Arr (List.rev_map Json.int s.s_corrupted));
     ( "workers",
       Json.Arr
         (Array.to_list s.s_workers
         |> List.map (fun (c : worker Supervisor.child) ->
                Json.Obj
                  [
-                   ("id", jint c.data.wk_id);
-                   ("pid", jint c.pid);
-                   ("alive", jbool c.alive);
-                   ("tenants", jint (List.length c.data.wk_tenants));
+                   ("id", Json.int c.data.wk_id);
+                   ("pid", Json.int c.pid);
+                   ("alive", Json.bool c.alive);
+                   ("tenants", Json.int (List.length c.data.wk_tenants));
                  ])) );
-    ("elapsed_s", jfloat (now () -. s.s_t0));
+    ("elapsed_s", Json.float (now () -. s.s_t0));
   ]
 
 let status_payload s () = Json.encode (Json.Obj (status_fields s))
@@ -1101,31 +1099,31 @@ let taken_tenant = function
 let taken_to_json = function
   | T_done e ->
       Json.Obj
-        (("tenant", jint e.tk_tenant) :: ("state", jstr "done")
-        :: ("restarts", jint e.tk_restarts) :: tresult_fields e.tk_result)
+        (("tenant", Json.int e.tk_tenant) :: ("state", Json.str "done")
+        :: ("restarts", Json.int e.tk_restarts) :: tresult_fields e.tk_result)
   | T_failed e ->
       Json.Obj
         [
-          ("tenant", jint e.tk_tenant);
-          ("state", jstr "failed");
-          ("detail", jstr e.tk_detail);
-          ("restarts", jint e.tk_restarts);
-          ("migrations", jint e.tk_migrations);
+          ("tenant", Json.int e.tk_tenant);
+          ("state", Json.str "failed");
+          ("detail", Json.str e.tk_detail);
+          ("restarts", Json.int e.tk_restarts);
+          ("migrations", Json.int e.tk_migrations);
         ]
   | T_drained e ->
       Json.Obj
         [
-          ("tenant", jint e.tk_tenant);
-          ("state", jstr "drained");
-          ("source", jstr e.tk_source);
-          ("abi", jstr e.tk_abi);
-          ("fuel", jint e.tk_fuel);
-          ("slice", jint e.tk_slice);
-          ("deadline_s", match e.tk_deadline_s with Some d -> jfloat d | None -> Json.Null);
-          ("restarts", jint e.tk_restarts);
-          ("migrations", jint e.tk_migrations);
-          ("slices", jint e.tk_slices);
-          ("checkpoint", jbool e.tk_checkpoint);
+          ("tenant", Json.int e.tk_tenant);
+          ("state", Json.str "drained");
+          ("source", Json.str e.tk_source);
+          ("abi", Json.str e.tk_abi);
+          ("fuel", Json.int e.tk_fuel);
+          ("slice", Json.int e.tk_slice);
+          ("deadline_s", match e.tk_deadline_s with Some d -> Json.float d | None -> Json.Null);
+          ("restarts", Json.int e.tk_restarts);
+          ("migrations", Json.int e.tk_migrations);
+          ("slices", Json.int e.tk_slices);
+          ("checkpoint", Json.bool e.tk_checkpoint);
         ]
 
 let taken_of_json j =
@@ -1204,7 +1202,7 @@ let manifest_path ~dir = Filename.concat dir "drained.json"
 
 let manifest_to_json entries =
   Json.Obj
-    [ ("schema", jstr manifest_schema); ("entries", Json.Arr (List.map taken_to_json entries)) ]
+    [ ("schema", Json.str manifest_schema); ("entries", Json.Arr (List.map taken_to_json entries)) ]
 
 let manifest_of_json s =
   match Json.parse s with
@@ -1246,7 +1244,7 @@ type submit = {
    (CHERIv3 by default, stored under its canonical name), fuel and
    slice defaulted from the tier's config and at least 1. *)
 let submit_of_json ~fuel ~slice j =
-  let bad detail = Error (err "bad_request" ~extra:[ ("detail", jstr detail) ]) in
+  let bad detail = Error (err "bad_request" ~extra:[ ("detail", Json.str detail) ]) in
   match Json.mem_str "source" j with
   | None -> bad "missing source"
   | Some sb_source -> (
@@ -1281,7 +1279,7 @@ let handle_submit s j =
         let explicit = Json.mem_int "tenant" j in
         match explicit with
         | Some tid when Hashtbl.mem s.s_tenants tid ->
-            err "tenant_exists" ~extra:[ ("tenant", jint tid) ]
+            err "tenant_exists" ~extra:[ ("tenant", Json.int tid) ]
         | _ -> (
             let decision =
               match explicit with
@@ -1293,7 +1291,7 @@ let handle_submit s j =
             match decision with
             | Admission.Reject { retry_after_s } ->
                 tick c_rejected;
-                err "overloaded" ~extra:[ ("retry_after_s", jfloat retry_after_s) ]
+                err "overloaded" ~extra:[ ("retry_after_s", Json.float retry_after_s) ]
             | Admission.Admit ->
                 tick c_admitted;
                 let tid = match explicit with Some tid -> tid | None -> s.s_next_tenant in
@@ -1313,27 +1311,27 @@ let handle_submit s j =
                     t_done_t = 0.;
                   };
                 schedule s;
-                Json.Obj [ ("ok", jbool true); ("tenant", jint tid) ]))
+                Json.Obj [ ("ok", Json.bool true); ("tenant", Json.int tid) ]))
 
 let handle_poll s j =
   match Json.mem_int "tenant" j with
-  | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
+  | None -> err "bad_request" ~extra:[ ("detail", Json.str "missing tenant") ]
   | Some tid -> (
       match tenant_of_id s tid with
       | None -> err "unknown_tenant"
       | Some t ->
-          let base = [ ("ok", jbool true); ("tenant", jint tid) ] in
+          let base = [ ("ok", Json.bool true); ("tenant", Json.int tid) ] in
           let state, extra =
             match t.t_status with
             | Queued -> ("queued", [])
-            | Running w -> ("running", [ ("worker", jint w) ])
+            | Running w -> ("running", [ ("worker", Json.int w) ])
             | Finished r -> ("done", [ ("result", result_json r ~restarts:t.t_restarts) ])
-            | Failed d -> ("failed", [ ("detail", jstr d) ])
+            | Failed d -> ("failed", [ ("detail", Json.str d) ])
             | Drained i ->
                 ( "drained",
-                  [ ("slices", jint i.dr_slices); ("migrations", jint i.dr_migrations) ] )
+                  [ ("slices", Json.int i.dr_slices); ("migrations", Json.int i.dr_migrations) ] )
           in
-          Json.Obj (base @ [ ("state", jstr state) ] @ extra))
+          Json.Obj (base @ [ ("state", Json.str state) ] @ extra))
 
 (* Start a drain: refuse new admissions, park every queued tenant at
    its (possibly absent) checkpoint, and ask every worker to park its
@@ -1355,18 +1353,19 @@ let initiate_drain s =
         | _ -> ())
       s.s_tenants;
     Array.iter
-      (fun (c : worker Supervisor.child) -> if c.alive then tell c.data [ ("op", jstr "drain") ])
+      (fun (c : worker Supervisor.child) ->
+        if c.alive then tell c.data [ ("op", Json.str "drain") ])
       s.s_workers
   end
 
 let handle_evict s j =
   match Json.mem_int "tenant" j with
-  | None -> err "bad_request" ~extra:[ ("detail", jstr "missing tenant") ]
+  | None -> err "bad_request" ~extra:[ ("detail", Json.str "missing tenant") ]
   | Some tid -> (
       match tenant_of_id s tid with
       | None -> err "unknown_tenant"
       | Some t -> (
-          let ok state = Json.Obj [ ("ok", jbool true); ("state", jstr state) ] in
+          let ok state = Json.Obj [ ("ok", Json.bool true); ("state", Json.str state) ] in
           match t.t_status with
           | Queued ->
               mark_drained s t (drained_from_disk s t);
@@ -1378,7 +1377,7 @@ let handle_evict s j =
               Array.iter
                 (fun (c : worker Supervisor.child) ->
                   if c.alive && c.data.wk_id = w then
-                    tell c.data [ ("op", jstr "evict"); ("tenant", jint tid) ])
+                    tell c.data [ ("op", Json.str "evict"); ("tenant", Json.int tid) ])
                 s.s_workers;
               ok "evicting")
           | Drained _ -> ok "drained"
@@ -1396,7 +1395,10 @@ let handle_take s =
   in
   List.iter (fun (tid, _) -> Hashtbl.remove s.s_tenants tid) taken;
   Json.Obj
-    [ ("ok", jbool true); ("entries", Json.Arr (List.map (fun (_, e) -> taken_to_json e) taken)) ]
+    [
+      ("ok", Json.bool true);
+      ("entries", Json.Arr (List.map (fun (_, e) -> taken_to_json e) taken));
+    ]
 
 (* the supervisor's own ops; stats, metrics and shutdown are the
    Frontend's. A drain is answered when it completes. *)
@@ -1469,7 +1471,11 @@ let maybe_finish_drain s =
       write_manifest ~dir:s.s_cfg.dir entries;
       Frontend.resolve s.s_fe "drain"
         (Json.Obj
-           [ ("ok", jbool true); ("drained", jbool true); ("tenants", jint (List.length entries)) ]);
+           [
+             ("ok", Json.bool true);
+             ("drained", Json.bool true);
+             ("tenants", Json.int (List.length entries));
+           ]);
       s.s_shutdown <- true
     end
   end
@@ -1583,7 +1589,7 @@ let server_main ?worker_prog (cfg : config) =
   Obs.Heartbeat.force s.s_hb (status_payload s);
   Supervisor.stop s.s_workers ~deadline_s:2.0
     ~quit:(fun c ->
-      tell c.data [ ("op", jstr "quit") ];
+      tell c.data [ ("op", Json.str "quit") ];
       try Unix.close c.data.wk_to with Unix.Unix_error _ -> ())
     ~on_exit:(fun _ _ -> ());
   Array.iter

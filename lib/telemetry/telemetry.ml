@@ -295,14 +295,16 @@ type snapshot = {
   l2_miss_events : int;
 }
 
-let snapshot ?(top_n = 10) (s : Sink.t) =
+let hot_pcs_shown = 10
+
+let snapshot (s : Sink.t) =
   let nonzero all count = List.filter_map (fun k -> match count k with 0 -> None | n -> Some (k, n)) all in
   {
     total_events = Sink.total_events s;
     dropped_events = Sink.dropped_events s;
     opcode_counts = nonzero all_opcode_classes (Sink.opcode_count s);
     fault_counts = nonzero all_fault_kinds (Sink.fault_count s);
-    hot_pcs = Sink.hot_pcs ~n:top_n s;
+    hot_pcs = Sink.hot_pcs ~n:hot_pcs_shown s;
     tag_writes = Sink.tag_writes s;
     collateral_tag_clears = Sink.collateral_tag_clears s;
     syscalls = Sink.syscalls s;

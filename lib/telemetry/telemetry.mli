@@ -154,8 +154,8 @@ type snapshot = {
   l2_miss_events : int;
 }
 
-val snapshot : ?top_n:int -> Sink.t -> snapshot
-(** [top_n] (default 10) limits [hot_pcs]. *)
+val snapshot : Sink.t -> snapshot
+(** [hot_pcs] holds the 10 hottest PCs. *)
 
 (** {1 Exporters} *)
 

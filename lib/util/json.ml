@@ -248,3 +248,8 @@ let encode v =
   in
   go v;
   Buffer.contents b
+
+let int n = Num (string_of_int n)
+let float f = if f <> f then Null else Num (number f)
+let bool b = Bool b
+let str s = Str s

@@ -58,3 +58,12 @@ val encode : t -> string
     pass through verbatim, so [parse |> encode] preserves number
     spellings — the bench regression gate relies on this to doctor a
     report without disturbing unrelated fields. *)
+
+(** {1 Constructors} *)
+
+val int : int -> t
+val float : float -> t
+(** NaN becomes [Null]; other floats print through {!number}. *)
+
+val bool : bool -> t
+val str : string -> t

@@ -165,16 +165,14 @@ let worker_error abi (e : Exec.Pool.error) =
 (* run the same source under all three ABIs — in parallel when [jobs] >
    1; per-run machine/heap/sink state makes the fan-out safe, and the
    pool keys results by submission index so orderings are identical *)
-let run_results_all_abis ?jobs ?fuel ?(v2_source = None) ?(with_telemetry = false)
-    src : (measurement, error) result list =
+let run_results_all_abis ?jobs ?fuel ?(v2_source = None) src : (measurement, error) result list =
   let task abi =
     let src =
       match (abi, v2_source) with
       | Abi.Cheri Cheri_core.Cap_ops.V2, Some s -> s
       | _ -> src
     in
-    let sink = if with_telemetry then Some (Telemetry.Sink.create ()) else None in
-    run_result ?fuel ?sink abi src
+    run_result ?fuel abi src
   in
   List.map2
     (fun abi (cell : _ Exec.Pool.cell) ->
@@ -184,11 +182,11 @@ let run_results_all_abis ?jobs ?fuel ?(v2_source = None) ?(with_telemetry = fals
 
 (* run the same source under all three ABIs and insist the observable
    behaviour agrees — raising form *)
-let run_all_abis ?jobs ?fuel ?v2_source ?with_telemetry src : measurement list =
+let run_all_abis ?jobs ?fuel ?v2_source src : measurement list =
   let ms =
     List.map
       (function Ok m -> m | Error e -> fail e)
-      (run_results_all_abis ?jobs ?fuel ?v2_source ?with_telemetry src)
+      (run_results_all_abis ?jobs ?fuel ?v2_source src)
   in
   (match check_agreement ms with Some e -> fail e | None -> ());
   ms

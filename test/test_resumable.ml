@@ -228,6 +228,13 @@ let test_cli_resume_unreadable () =
       ("bin/cheri_inject.exe", [| "--slice"; "0" |], 2, "--slice expects a positive integer");
       ("bin/cheri_inject.exe", [| "--jobs"; "0" |], 2, "--jobs expects a positive integer");
       ("bin/cheri_fuzz.exe", [| "--jobs"; "0" |], 2, "--jobs expects a positive integer");
+      (* cheri-serve refuses a flag its mode would not read, never
+         ignores it; [--dir] names a path no supervisor can claim *)
+      ("bin/cheri_serve.exe", [| "--chaos-fleet"; "--kills"; "2" |], 2, "--kills: ");
+      ("bin/cheri_serve.exe", [| "--chaos"; "--shards"; "3" |], 2, "--shards: ");
+      ("bin/cheri_serve.exe", [| "--dir"; "/dev/null/x"; "--tenants"; "4" |], 2, "--tenants: ");
+      ("bin/cheri_serve.exe", [| "--dir"; "/dev/null/x"; "--seed"; "3" |], 2, "--seed: ");
+      ("bin/cheri_serve.exe", [| "--chaos-fleet"; "--shards"; "2" |], 2, "--shards: ");
     ]
 
 (* A save never tears the image. cheri-run checkpointing every 2000

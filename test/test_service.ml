@@ -10,6 +10,7 @@ module Admission = Cheri_service.Admission
 module Service = Cheri_service.Service
 module Frontend = Cheri_service.Frontend
 module Chaos = Cheri_service.Chaos
+module Router = Cheri_service.Router
 module Supervisor = Cheri_service.Supervisor
 module Json = Cheri_util.Json
 
@@ -232,6 +233,86 @@ let test_config_roundtrip () =
   match Service.config_of_json (Service.config_to_json c) with
   | Error e -> Alcotest.failf "config round trip: %s" e
   | Ok c' -> check_bool "config survives the JSON round trip" true (c = c')
+
+(* The default fleet and the fleet chaos harness's, as it starts it. *)
+let fleets =
+  [
+    ("default fleet", Router.default_rconfig ~dir:"/tmp/fleet");
+    ("chaos fleet", Chaos.placed Chaos.fleet_default ~dir:"/tmp/chaos-fleet" ~sock:"fleet.sock");
+  ]
+
+(* The supervisor configs both fleets hand their shards, and the
+   settings their routers read, pinned to the values of the release
+   that kept a second copy of every supervisor setting in the router
+   config. *)
+let shard_config_pins =
+  [
+    ( ("/tmp/fleet/fleet.sock", 3, 64, 0.25, 0.05, 0.2, 1.5, 0.05, 0),
+      [
+        {|{"dir":"/tmp/fleet/shard_0","socket":"/tmp/fleet/shard_0/serve.sock","workers":2,"worker_jobs":1,"capacity":64,"slice":100000,"fuel":200000000,"heartbeat_s":0.25,"tick_s":0.05,"status_s":0.25,"retry_base_s":0.05,"seed":7919,"corrupt_requeue":0}|};
+        {|{"dir":"/tmp/fleet/shard_1","socket":"/tmp/fleet/shard_1/serve.sock","workers":2,"worker_jobs":1,"capacity":64,"slice":100000,"fuel":200000000,"heartbeat_s":0.25,"tick_s":0.05,"status_s":0.25,"retry_base_s":0.05,"seed":15838,"corrupt_requeue":0}|};
+        {|{"dir":"/tmp/fleet/shard_2","socket":"/tmp/fleet/shard_2/serve.sock","workers":2,"worker_jobs":1,"capacity":64,"slice":100000,"fuel":200000000,"heartbeat_s":0.25,"tick_s":0.05,"status_s":0.25,"retry_base_s":0.05,"seed":23757,"corrupt_requeue":0}|};
+      ] );
+    ( ("/tmp/chaos-fleet/fleet.sock", 3, 3, 0.4, 0.02, 0.1, 2.0, 0.02, 7),
+      [
+        {|{"dir":"/tmp/chaos-fleet/shard_0","socket":"/tmp/chaos-fleet/shard_0/serve.sock","workers":1,"worker_jobs":1,"capacity":3,"slice":20000,"fuel":50000000,"heartbeat_s":0.3,"tick_s":0.02,"status_s":0.4,"retry_base_s":0.02,"seed":7926,"corrupt_requeue":0}|};
+        {|{"dir":"/tmp/chaos-fleet/shard_1","socket":"/tmp/chaos-fleet/shard_1/serve.sock","workers":1,"worker_jobs":1,"capacity":3,"slice":20000,"fuel":50000000,"heartbeat_s":0.3,"tick_s":0.02,"status_s":0.4,"retry_base_s":0.02,"seed":15845,"corrupt_requeue":0}|};
+        {|{"dir":"/tmp/chaos-fleet/shard_2","socket":"/tmp/chaos-fleet/shard_2/serve.sock","workers":1,"worker_jobs":1,"capacity":3,"slice":20000,"fuel":50000000,"heartbeat_s":0.3,"tick_s":0.02,"status_s":0.4,"retry_base_s":0.02,"seed":23764,"corrupt_requeue":0}|};
+      ] );
+  ]
+
+let test_shard_config_pinned () =
+  List.iter2
+    (fun (name, rcfg) (router, shards) ->
+      let s = rcfg.Router.r_service in
+      check_bool (name ^ ": router settings") true
+        (( s.Service.socket,
+           rcfg.Router.r_shards,
+           s.Service.capacity,
+           s.Service.status_s,
+           s.Service.tick_s,
+           rcfg.Router.r_take_s,
+           rcfg.Router.r_req_timeout_s,
+           s.Service.retry_base_s,
+           s.Service.seed )
+        = router);
+      List.iteri
+        (fun k want ->
+          check_string
+            (Printf.sprintf "%s shard %d" name k)
+            want
+            (Service.config_to_json (Router.shard_config rcfg k)))
+        shards)
+    fleets shard_config_pins
+
+(* The worker chaos harness's supervisor, pinned the same way. *)
+let test_chaos_service_pinned () =
+  check_string "chaos supervisor"
+    {|{"dir":"/tmp/chaos","socket":"/tmp/chaos/serve.sock","workers":2,"worker_jobs":1,"capacity":4,"slice":20000,"fuel":50000000,"heartbeat_s":0.3,"tick_s":0.02,"status_s":1,"retry_base_s":0.02,"seed":42,"corrupt_requeue":1}|}
+    (Service.config_to_json
+       (Chaos.placed Chaos.default ~dir:"/tmp/chaos" ~sock:"serve.sock").Router.r_service)
+
+let test_rconfig_roundtrip () =
+  List.iter
+    (fun (name, c) ->
+      match Router.rconfig_of_json (Router.rconfig_to_json c) with
+      | Error e -> Alcotest.failf "%s: rconfig round trip: %s" name e
+      | Ok c' -> check_bool (name ^ " survives the JSON round trip") true (c = c'))
+    fleets
+
+(* Malformed router configs are an Error, never an exception. *)
+let test_rconfig_malformed () =
+  List.iter
+    (fun s ->
+      check_bool s true (Result.is_error (Router.rconfig_of_json s)))
+    [
+      "not json";
+      "[1,2]";
+      {|{"shards":3}|};
+      {|{"shards":3,"service":{"socket":"/tmp/f/fleet.sock"}}|};
+      {|{"shards":3,"service":"{\"dir\":\"/tmp/f\"}"}|};
+      {|{"shards":3,"service":[{"dir":"/tmp/f","socket":"/tmp/f/fleet.sock"}]}|};
+    ]
 
 let test_assignment_roundtrip () =
   let a =
@@ -612,6 +693,11 @@ let shutdown sock =
     Chaos.Client.close c
   with Unix.Unix_error _ -> ()
 
+(* a one-shard fleet with one worker *)
+let one_shard ~dir =
+  let d = Router.default_rconfig ~dir in
+  { d with Router.r_shards = 1; r_service = { d.Router.r_service with Service.workers = 1 } }
+
 (* -- one submit validation for both tiers ------------------------------------- *)
 
 (* The same malformed submits sent to a real supervisor and a real
@@ -623,20 +709,16 @@ let test_submit_validation_shared () =
       Unix.mkdir sdir 0o755;
       Unix.mkdir rdir 0o755;
       let scfg = { (Service.default_config ~dir:sdir) with Service.workers = 1 } in
-      let rcfg =
-        { (Cheri_service.Router.default_rconfig ~dir:rdir) with
-          Cheri_service.Router.r_shards = 1;
-          r_workers = 1 }
-      in
+      let rcfg = one_shard ~dir:rdir in
       let prog = serve_exe () in
       let pids =
         [
           Supervisor.exec ~prog [ Service.server_marker; Service.config_to_json scfg ];
           Supervisor.exec ~prog
-            [ Cheri_service.Router.router_marker; Cheri_service.Router.rconfig_to_json rcfg ];
+            [ Router.router_marker; Router.rconfig_to_json rcfg ];
         ]
       in
-      let sockets = [ scfg.Service.socket; rcfg.Cheri_service.Router.r_socket ] in
+      let sockets = [ scfg.Service.socket; rcfg.Router.r_service.Service.socket ] in
       Fun.protect
         ~finally:(fun () ->
           List.iter shutdown sockets;
@@ -822,12 +904,8 @@ let test_corrupt_worker_stream_kills_worker () =
    before it starts the shard. *)
 let test_shard_spawn_sweeps_spares () =
   with_tmpdir (fun dir ->
-      let rcfg =
-        { (Cheri_service.Router.default_rconfig ~dir) with
-          Cheri_service.Router.r_shards = 1;
-          r_workers = 1 }
-      in
-      let cdir = Filename.concat (Cheri_service.Router.shard_dir rcfg 0) "checkpoints" in
+      let rcfg = one_shard ~dir in
+      let cdir = Filename.concat (Router.shard_dir rcfg 0) "checkpoints" in
       Cheri_service.Supervisor.mkdir_p cdir;
       List.iter
         (fun f ->
@@ -835,10 +913,10 @@ let test_shard_spawn_sweeps_spares () =
           output_string oc "left over";
           close_out oc)
         [ "tenant_0007.snap"; "tenant_0007.snap.tmp"; "tenant_0009.snap.tmp" ];
-      let sock = rcfg.Cheri_service.Router.r_socket in
+      let sock = rcfg.Router.r_service.Service.socket in
       let pid =
         Supervisor.exec ~prog:(serve_exe ())
-          [ Cheri_service.Router.router_marker; Cheri_service.Router.rconfig_to_json rcfg ]
+          [ Router.router_marker; Router.rconfig_to_json rcfg ]
       in
       Fun.protect
         ~finally:(fun () ->
@@ -870,6 +948,10 @@ let suite =
     Alcotest.test_case "admission hints never exceed the ceiling" `Quick
       test_admission_hint_ceiling;
     Alcotest.test_case "config JSON round trip" `Quick test_config_roundtrip;
+    Alcotest.test_case "shard configs pinned" `Quick test_shard_config_pinned;
+    Alcotest.test_case "chaos supervisor config pinned" `Quick test_chaos_service_pinned;
+    Alcotest.test_case "rconfig JSON round trip" `Quick test_rconfig_roundtrip;
+    Alcotest.test_case "malformed rconfig JSON is an error" `Quick test_rconfig_malformed;
     Alcotest.test_case "assignment JSON round trip" `Quick test_assignment_roundtrip;
     Alcotest.test_case "checkpoint note schema" `Quick test_checkpoint_note;
     Alcotest.test_case "checkpoint note bytes pinned" `Quick test_checkpoint_note_bytes;
